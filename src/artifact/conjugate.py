@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .poly import (
     BiPoly,
@@ -31,6 +32,14 @@ class OriginSingularity(ValueError):
     """The transition map is undefined at the origin."""
 
 
+class ReductionTheoremViolated(ArithmeticError):
+    """The removed circle power k breaks 0 <= m = n - k or 2k <= n + 2.
+
+    Both bounds are theorems for every valid input, so this signals a
+    fault in the exact core, not in the input.
+    """
+
+
 def partner_vars(vars: tuple[str, str],
                  override: tuple[str, str] | None = None) -> tuple[str, str]:
     """Variable names for the opposite chart: (x,y) <-> (u,v) by default."""
@@ -46,14 +55,19 @@ class DiffSystem:
     """A planar polynomial system dx/dt = P, dy/dt = Q.
 
     ``degree`` is the larger total degree of the two right sides, so the
-    top homogeneous forms are never both zero. ``coprime`` records whether
-    P and Q share no nonconstant factor; it is informational.
+    top homogeneous forms are never both zero. ``coprime`` tells whether
+    P and Q share no nonconstant factor; it is computed on first access
+    and cached, since only ``--check-coprime`` and the partner's JSON
+    read it.
     """
 
     vars: tuple[str, str]
     rhs: tuple[BiPoly, BiPoly]
     degree: int
-    coprime: bool
+
+    @cached_property
+    def coprime(self) -> bool:
+        return is_coprime(self.rhs[0], self.rhs[1])
 
     @classmethod
     def build(cls, vars: tuple[str, str], p: BiPoly, q: BiPoly) -> "DiffSystem":
@@ -62,8 +76,7 @@ class DiffSystem:
             raise ZeroField("both right sides are zero")
         degrees = [d for d in (p.total_degree(), q.total_degree())
                    if d is not None]
-        return cls(vars=vars, rhs=(p, q), degree=max(degrees),
-                   coprime=is_coprime(p, q))
+        return cls(vars=vars, rhs=(p, q), degree=max(degrees))
 
     def component(self, which: int, degree: int) -> BiPoly:
         """Homogeneous part of the given degree of rhs[which] (may be zero)."""
@@ -158,14 +171,14 @@ def conjugate(sys: DiffSystem,
     if u0.is_zero() and v0.is_zero():
         raise ZeroField("conjugate field vanished identically")
     k = min(circle_valuation(u0), circle_valuation(v0))
+    m = sys.degree - k
+    if m < 0 or 2 * k > sys.degree + 2:
+        raise ReductionTheoremViolated(
+            f"removed circle power k={k} is impossible for n={sys.degree}")
     u, v = u0, v0
     for _ in range(k):
         u = divide_exact_by_circle(u)
         v = divide_exact_by_circle(v)
-    m = sys.degree - k
-    # consistency with the reduction theory; both are theorems for valid input
-    assert m >= 0, (sys, k)
-    assert 2 * k <= sys.degree + 2, (sys, k)
     conj = DiffSystem.build(partner_vars(sys.vars, out_vars), u, v)
     return ConjugationResult(system=sys, conjugate=conj, raw=(u0, v0),
                              k=k, m=m)

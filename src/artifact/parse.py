@@ -40,6 +40,23 @@ class BothRhsZero(ValueError):
     """A system needs at least one nonzero right side."""
 
 
+# Largest exponent, and largest total degree of any intermediate product,
+# the parser expands. Twice the highest degree the bundled corpus, the
+# tests and the benchmark use (16), and low enough that "(x+y)^200" is
+# refused before any expansion instead of running for seconds.
+MAX_DEGREE = 32
+
+
+def _check_degree(degree: int, what: str, where: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ParseError(
+            f"{what} {degree} exceeds the limit of {MAX_DEGREE}", where)
+
+
+def _degree(p: BiPoly) -> int:
+    return p.total_degree() or 0
+
+
 _NUMBER = re.compile(r"\d+(?:/\d+)?")
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -138,13 +155,16 @@ class _Parser:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "*":
                 self.pos += 1
-                value = value * self.signed_factor()
+                rhs = self.signed_factor()
             elif tok and (tok[0] in ("num", "var")
                           or (tok[0] == "op" and tok[1] == "(")):
                 # juxtaposition: "3x", "2(x+y)", "x^2y"
-                value = value * self.factor()
+                rhs = self.factor()
             else:
                 return value
+            _check_degree(_degree(value) + _degree(rhs), "product degree",
+                          tok[2])
+            value = value * rhs
 
     def signed_factor(self) -> BiPoly:
         tok = self.peek()
@@ -158,7 +178,9 @@ class _Parser:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "^":
             self.pos += 1
-            return base ** self.exponent()
+            power = self.exponent()
+            _check_degree(_degree(base) * power, "power degree", tok[2])
+            return base ** power
         return base
 
     def exponent(self) -> int:
@@ -171,7 +193,9 @@ class _Parser:
         self.pos += 1
         if "/" in tok[1]:
             raise NonIntegerExponent("exponent must be an integer", tok[2])
-        return int(tok[1])
+        power = int(tok[1])
+        _check_degree(power, "exponent", tok[2])
+        return power
 
     def atom(self) -> BiPoly:
         tok = self.take()

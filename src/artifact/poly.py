@@ -150,8 +150,9 @@ class BiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- calculus and structure --------------------------------------------
@@ -410,14 +411,122 @@ def _pseudo_mod(A: dict[int, list[Fraction]], B: dict[int, list[Fraction]]):
     return A
 
 
+# -- modular coprimality certificate ------------------------------------------
+#
+# A cheap sufficient test that runs before the exact remainder sequence.
+# Coefficients are reduced mod the prime P = 2^61 - 1 as num * den^-1 (the
+# certificate gives up if P divides a denominator). Then, with each
+# variable in turn as the main one, the other variable is set to a few
+# fixed large points mod P and a univariate Euclid gcd runs over GF(P).
+# The main variable is certified once one point keeps the leading
+# coefficient (in the main variable) of a or b nonzero and gives a gcd of
+# degree 0; it is certified outright when a or b is free of it.
+#
+# Soundness. Suppose a and b share a factor G with deg_y G >= 1 (y the
+# main variable). Scale a, b into Z[x, y] and take G primitive; by Gauss's
+# lemma a = G*H with H in Z[x, y], so lc_y(a) = lc_y(G) * lc_y(H). At a
+# point x0 where lc_y(a)(x0) != 0 mod P, lc_y(G)(x0) != 0 too, so G(x0, y)
+# keeps its y-degree mod P and divides both a(x0, y) and b(x0, y): their
+# gcd over GF(P) has degree >= 1. A degree-0 gcd therefore rules out every
+# common factor of positive degree in the main variable, and certifying
+# both variables rules out every nonconstant common factor. The
+# certificate can only answer "coprime" or "don't know"; a "not coprime"
+# answer always comes from the exact sequence below.
+#
+# The points are large on purpose: at small integers coprime pairs often
+# coincide (x/2 - 3 and x/2 - 3*y/2 are equal at y = 2).
+#
+# References: W. S. Brown, "On Euclid's algorithm and the computation of
+# polynomial greatest common divisors", JACM 18 (1971); J. von zur Gathen
+# and J. Gerhard, Modern Computer Algebra, ch. 6.
+
+_P = (1 << 61) - 1
+_POINTS = (0x2545F4914F6CDD1D % _P, 0x5851F42D4C957F2D % _P,
+           0x14057B7EF767814F % _P)
+
+
+def _reduce_mod_p(p: BiPoly) -> dict[tuple[int, int], int] | None:
+    """The terms of p mod P, or None when P divides a denominator."""
+    out: dict[tuple[int, int], int] = {}
+    for e, c in p.terms.items():
+        den = c.denominator % _P
+        if not den:
+            return None
+        out[e] = c.numerator * pow(den, -1, _P) % _P
+    return out
+
+
+def _specialize(terms: dict[tuple[int, int], int], axis: int, point: int,
+                degree: int) -> list[int]:
+    """Dense coefficients in variable `axis`, the other variable at `point`."""
+    out = [0] * (degree + 1)
+    for e, c in terms.items():
+        out[e[axis]] += c * pow(point, e[1 - axis], _P)
+    out = [c % _P for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gf_gcd_degree(u: list[int], v: list[int]) -> int:
+    """Degree of gcd(u, v) over GF(P); u, v trimmed, not both empty."""
+    while v:
+        inv = pow(v[-1], -1, _P)
+        dv = len(v) - 1
+        u = list(u)
+        while len(u) > dv:
+            factor = u[-1] * inv % _P
+            shift = len(u) - 1 - dv
+            for b, cb in enumerate(v):
+                u[shift + b] = (u[shift + b] - factor * cb) % _P
+            while u and not u[-1]:
+                u.pop()
+        u, v = v, u
+    return len(u) - 1
+
+
+def certify_coprime(a: BiPoly, b: BiPoly) -> bool:
+    """True only when the modular certificate proves a, b coprime.
+
+    False means "not proved", never "shares a factor".
+    """
+    if not a.terms or not b.terms:
+        return False
+    ta, tb = _reduce_mod_p(a), _reduce_mod_p(b)
+    if ta is None or tb is None:
+        return False
+    for axis in (0, 1):
+        da = max(e[axis] for e in a.terms)
+        db = max(e[axis] for e in b.terms)
+        if da == 0 or db == 0:
+            continue
+        for point in _POINTS:
+            ua = _specialize(ta, axis, point, da)
+            ub = _specialize(tb, axis, point, db)
+            if len(ua) - 1 < da and len(ub) - 1 < db:
+                continue
+            if _gf_gcd_degree(ua, ub) == 0:
+                break
+        else:
+            return False
+    return True
+
+
 def is_coprime(a: BiPoly, b: BiPoly) -> bool:
-    """True when a and b share no nonconstant polynomial factor."""
+    """True when a and b share no nonconstant polynomial factor.
+
+    A zero side is decided directly. Otherwise the modular certificate
+    settles most coprime pairs, and the exact remainder sequence decides
+    the rest; only that sequence reports a shared factor.
+    """
     if not a.terms and not b.terms:
         raise BothZero("is_coprime needs at least one nonzero polynomial")
     if not a.terms:
         return b.total_degree() == 0
     if not b.terms:
         return a.total_degree() == 0
+    if certify_coprime(a, b):
+        return True
     rows_a = _to_rows(a)
     rows_b = _to_rows(b)
     content_a = _rows_content(rows_a)

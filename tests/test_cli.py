@@ -42,6 +42,19 @@ class TestConjugate:
         assert code == 1
         assert "share a nonconstant factor" in capsys.readouterr().err
 
+    def test_check_coprime_rejects_shared_linear_factor(self, sys_file,
+                                                        capsys):
+        code = main(["conjugate", "--check-coprime",
+                     "-i", sys_file(["x", "y"], ["x*(x + y)", "y*(x + y)"])])
+        assert code == 1
+        assert "share a nonconstant factor" in capsys.readouterr().err
+
+    def test_degree_over_parse_limit_exits_1(self, sys_file, capsys):
+        code = main(["conjugate", "-i", sys_file(["x", "y"],
+                                                 ["(x+y)^200", "y"])])
+        assert code == 1
+        assert "exponent 200 exceeds the limit" in capsys.readouterr().err
+
     def test_stdin(self, sys_file, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin",
                             io.StringIO("dx/dt = y\ndy/dt = -x\n"))

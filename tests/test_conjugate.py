@@ -1,16 +1,24 @@
 """Partner-system computation: raw transform, reduction, cross-checks."""
 
+import importlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import artifact
 from conftest import coefficients
 from artifact.conjugate import (
     DiffSystem,
     OriginSingularity,
+    ReductionTheoremViolated,
     ZeroField,
     conjugate,
     reduction_quotients,
@@ -26,6 +34,9 @@ from artifact.poly import BiPoly, NotDivisible, circle_valuation
 
 XY = ("x", "y")
 UV = ("u", "v")
+
+# the package re-exports the function conjugate under the module's name
+conjugate_module = importlib.import_module("artifact.conjugate")
 
 
 def poly(text, vars=UV):
@@ -262,3 +273,69 @@ class TestGuards:
     def test_zero_field_rejected_at_build(self):
         with pytest.raises(ZeroField):
             DiffSystem.build(XY, BiPoly.zero(XY), BiPoly.zero(XY))
+
+
+class TestTheoremChecks:
+    """The bounds 0 <= m and 2k <= n + 2 are checked without assert."""
+
+    # (field, forced k): k = 99 makes m negative; n = 4, k = 4 gives
+    # m = 0 but 2k > n + 2
+    IMPOSSIBLE = [(("x", "y"), 99), (("x^4", "y^4"), 4)]
+
+    @pytest.mark.parametrize("rhs,k", IMPOSSIBLE)
+    def test_impossible_k_raises(self, monkeypatch, rhs, k):
+        monkeypatch.setattr(conjugate_module, "circle_valuation",
+                            lambda p: k)
+        with pytest.raises(ReductionTheoremViolated, match=f"k={k}"):
+            conjugate(system(*rhs))
+
+    @pytest.mark.parametrize("rhs,k", IMPOSSIBLE)
+    def test_impossible_k_raises_under_optimize(self, rhs, k):
+        script = textwrap.dedent(f"""
+            import importlib
+            import sys
+            from artifact.parse import parse_system
+            if not sys.flags.optimize:
+                sys.exit(2)
+            mod = importlib.import_module("artifact.conjugate")
+            mod.circle_valuation = lambda p: {k}
+            try:
+                mod.conjugate(parse_system(("x", "y"), {rhs!r}))
+            except mod.ReductionTheoremViolated:
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = str(Path(artifact.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+
+class TestLazyCoprime:
+    """DiffSystem.coprime runs is_coprime only when something reads it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = conjugate_module.is_coprime
+
+        def counting(a, b):
+            seen.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(conjugate_module, "is_coprime", counting)
+        return seen
+
+    def test_parse_and_conjugate_make_no_call(self, calls):
+        conjugate(system("-y - x*(x^2 + y^2 - 1)", "x - y*(x^2 + y^2 - 1)"))
+        assert calls == []
+
+    def test_json_reads_the_partner_once(self, calls):
+        result = conjugate(system("x*y - 1", "x^2 - y^3"))
+        doc = result.to_json_dict()
+        assert calls == [result.conjugate.rhs]
+        assert doc["coprime"] is True
+        assert result.conjugate.coprime is True
+        result.to_json_dict()
+        assert len(calls) == 1

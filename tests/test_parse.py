@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 
 from conftest import bipolys
+from artifact.corpus import load_cases
 from artifact.parse import (
+    MAX_DEGREE,
     BothRhsZero,
     NegativeExponent,
     NonIntegerExponent,
@@ -98,6 +100,31 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             poly("")
+
+
+class TestDegreeLimit:
+    def test_large_power_refused_before_expanding(self):
+        with pytest.raises(ParseError, match="exponent 200") as info:
+            parse_system(XY, ("(x+y)^200", "y"))
+        assert info.value.position == 6
+
+    def test_power_of_polynomial_refused(self):
+        with pytest.raises(ParseError, match="power degree 34"):
+            poly("(x^2 + 1)^17")
+
+    @pytest.mark.parametrize("text", ["x^20*y^20", "x^20 y^20",
+                                      "(x+1)^16*(x+y)^16*x"])
+    def test_product_over_limit_refused(self, text):
+        with pytest.raises(ParseError, match="product degree"):
+            poly(text)
+
+    def test_limit_itself_accepted(self):
+        assert poly(f"x^{MAX_DEGREE}").total_degree() == MAX_DEGREE
+
+    def test_corpus_and_degree_16_field_parse(self):
+        assert len(load_cases()) == 27
+        sys = parse_system(XY, ("(x + y)^16 - 3*x^5*y", "x^8*y^8 + y^16 - 1"))
+        assert sys.degree == 16
 
 
 class TestSystems:

@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bipolys, nonzero_bipolys
+from conftest import bipolys, coefficients, nonzero_bipolys
+from artifact.conjugate import conjugate
+from artifact.corpus import case_by_name
 from artifact.parse import parse_polynomial
 from artifact.poly import (
+    _P,
+    _POINTS,
     BiPoly,
     BothZero,
     NotDivisible,
+    certify_coprime,
     circle_valuation,
     divide_exact_by_circle,
     divmod_circle,
@@ -177,6 +182,92 @@ class TestCoprime:
     @settings(max_examples=40, deadline=None)
     def test_common_factor_detected(self, p, q, g):
         assert not is_coprime(p * g, q * g)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _sympy_coprime(sympy, a, b):
+    """Oracle: sympy's gcd over QQ[x, y] has total degree 0."""
+    x, y = sympy.symbols("x y")
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator)
+             for e, c in p.terms.items()}, x, y, domain=sympy.QQ)
+
+    return sympy.gcd(to_sympy(a), to_sympy(b)).total_degree() == 0
+
+
+def _planted_factors(axes):
+    """Nonconstant polynomials whose terms use only the given axes."""
+    def build(entries):
+        terms = {}
+        for i, j, c in entries:
+            terms[(i if 0 in axes else 0, j if 1 in axes else 0)] = c
+        return BiPoly(XY, terms)
+
+    entry = st.tuples(st.integers(0, 3), st.integers(0, 3), coefficients())
+    return st.lists(entry, min_size=1, max_size=4).map(build).filter(
+        lambda f: (f.total_degree() or 0) >= 1)
+
+
+class TestCoprimeDifferential:
+    """is_coprime and its modular certificate against sympy.gcd."""
+
+    @given(nonzero_bipolys(), nonzero_bipolys())
+    @settings(max_examples=80, deadline=None)
+    def test_random_pairs_agree_with_sympy(self, sympy, a, b):
+        expected = _sympy_coprime(sympy, a, b)
+        assert is_coprime(a, b) == expected
+        if certify_coprime(a, b):
+            assert expected
+
+    @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)],
+                             ids=["x-only", "y-only", "both"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_planted_factor_detected(self, sympy, axes, data):
+        f = data.draw(_planted_factors(axes), label="f")
+        g = data.draw(nonzero_bipolys(max_exp=3, max_terms=4), label="g")
+        h = data.draw(nonzero_bipolys(max_exp=3, max_terms=4), label="h")
+        a, b = f * g, f * h
+        assert not certify_coprime(a, b)
+        assert not is_coprime(a, b)
+        assert not _sympy_coprime(sympy, a, b)
+
+    def test_pair_equal_at_small_point_is_certified(self):
+        # at y = 2 both sides are x/2 - 3
+        assert certify_coprime(poly("1/2*x - 3"), poly("1/2*x - 3/2*y"))
+
+    def test_corpus_partner_with_common_factor_uses_exact_path(self):
+        case = case_by_name("4.9->4.10")
+        u, v = conjugate(case.system, out_vars=case.conjugate_vars
+                         ).conjugate.rhs
+        assert not certify_coprime(u, v)
+        assert not is_coprime(u, v)
+
+    def test_factor_hidden_at_every_point_is_not_certified(self):
+        # G's leading coefficient in each variable vanishes at every fixed
+        # point, so G(x0, y) and G(x, y0) are constants there; skipping
+        # such points is what keeps the certificate sound
+        x, y = poly("x"), poly("y")
+        lead_x, lead_y = BiPoly.const(1, XY), BiPoly.const(1, XY)
+        for t in _POINTS:
+            lead_x, lead_y = lead_x * (x - t), lead_y * (y - t)
+        g = lead_x * lead_y + 1
+        assert not certify_coprime(g * x, g * y)
+        assert not is_coprime(g * x, g * y)
+
+    def test_gives_up_when_prime_divides_a_denominator(self):
+        a = poly("x") + Fraction(1, _P)
+        assert not certify_coprime(a, poly("y"))
+        assert is_coprime(a, poly("y"))
+
+    def test_zero_side_is_never_certified(self):
+        assert not certify_coprime(BiPoly.zero(XY), BiPoly.const(3, XY))
 
 
 class TestCanonicalText:
