@@ -9,10 +9,10 @@ from .poly import (
     divide_exact_by_circle,
     is_coprime,
 )
+from .charts import OriginSingularity
 from .conjugate import (
     ConjugationResult,
     DiffSystem,
-    OriginSingularity,
     ZeroField,
     conjugate,
     pushforward_residual,

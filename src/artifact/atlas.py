@@ -11,13 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
-from .analyze import classify_linear, infinite_point_status, is_equilibrium, jacobian_at
+from .analyze import classify_linear, is_equilibrium, jacobian_at
 from .charts import AT_INFINITY, Chart, Circle, Line, Point, map_curve
 from .conjugate import DiffSystem, conjugate
-from .dynamics import IntegratorConfig, Trajectory, field_eval, integrate
+from .dynamics import IntegratorConfig, Trajectory, integrate
 
 
 class OutOfRange(ValueError):
@@ -89,15 +89,7 @@ class AtlasConfig:
             "extra_seeds": [[d, [float(x), float(y)]]
                             for d, (x, y) in self.extra_seeds],
             "markers": [[d, c.to_json_dict()] for d, c in self.markers],
-            "integrator": {
-                "rel_tol": self.integrator.rel_tol,
-                "abs_tol": self.integrator.abs_tol,
-                "initial_step": self.integrator.initial_step,
-                "max_step": self.integrator.max_step,
-                "max_time": self.integrator.max_time,
-                "outer_radius": self.integrator.outer_radius,
-                "origin_guard": self.integrator.origin_guard,
-            },
+            "integrator": asdict(self.integrator),
             "size": self.size,
         }, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -274,17 +266,6 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
     }
     return AtlasDocument(disks=tuple(disks), provenance=provenance,
                          size=cfg.size)
-
-
-def lift_to_sphere(traj: Trajectory) -> list:
-    """Samplewise stereographic lift of a trajectory onto the unit sphere."""
-    flip = 1.0 if traj.chart is Chart.N else -1.0
-    out = []
-    for _, x, y in traj.samples:
-        s = x * x + y * y
-        denom = s + 4
-        out.append((4 * x / denom, 4 * y / denom, flip * (s - 4) / denom))
-    return out
 
 
 def _fmt(value: float) -> str:

@@ -91,6 +91,20 @@ def transition(p: tuple) -> tuple:
     return (4 * x / s, 4 * y / s)
 
 
+def transition_jacobian(px, py) -> tuple[tuple, tuple]:
+    """Jacobian matrix of the transition at a point other than the origin.
+
+    Exact on Fractions; on floats it carries a velocity into the other
+    chart by the chain rule.
+    """
+    s = px * px + py * py
+    if not s:
+        raise OriginSingularity("the transition map is undefined at (0, 0)")
+    s2 = s ** 2
+    return ((4 * (py * py - px * px) / s2, -8 * px * py / s2),
+            (-8 * px * py / s2, 4 * (px * px - py * py) / s2))
+
+
 def extended_transition(p: tuple):
     """Transition on the extended plane: origin and infinity swap."""
     if isinstance(p, AtInfinity):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+# OriginSingularity is re-exported: callers may catch it from here too
+from .charts import OriginSingularity, transition, transition_jacobian
 from .poly import (
     BiPoly,
     NotDivisible,
@@ -26,10 +28,6 @@ from .poly import (
 
 class ZeroField(ValueError):
     """Both components of a vector field are identically zero."""
-
-
-class OriginSingularity(ValueError):
-    """The transition map is undefined at the origin."""
 
 
 class ReductionTheoremViolated(ArithmeticError):
@@ -129,22 +127,19 @@ def wn_divisibility(sys: DiffSystem) -> tuple[bool, BiPoly]:
     return True, quot
 
 
-def raw_conjugate(sys: DiffSystem,
-                  out_vars: tuple[str, str] | None = None
-                  ) -> tuple[BiPoly, BiPoly]:
-    """The unreduced partner field, exactly over the rationals.
+def _transported_pair(sys: DiffSystem, out: tuple[str, str], top: int
+                      ) -> tuple[BiPoly, BiPoly]:
+    """The field's parts of degree <= top carried into the other chart.
 
-    U0 = (v^2-u^2)/4 * S_X - uv/2 * S_Y and
-    V0 = -uv/2 * S_X + (u^2-v^2)/4 * S_Y, where S_X and S_Y sum the
-    homogeneous parts of P and Q as (u^2+v^2)^(n-j) * part_j(4u, 4v).
+    Returns (a * S_X - b * S_Y, -b * S_X - a * S_Y) with a = (v^2-u^2)/4
+    and b = uv/2, where S_X and S_Y sum the homogeneous parts of P and Q
+    as (u^2+v^2)^(top-j) * part_j(4u, 4v).
     """
-    out = partner_vars(sys.vars, out_vars)
-    n = sys.degree
     s = _circle(out)
     sum_x = BiPoly.zero(out)
     sum_y = BiPoly.zero(out)
-    for j in range(n + 1):
-        weight = s ** (n - j)
+    for j in range(top + 1):
+        weight = s ** (top - j)
         xj = sys.component(0, j)
         if xj:
             sum_x = sum_x + weight * xj.scale_vars(4, 4).with_vars(out)
@@ -155,9 +150,19 @@ def raw_conjugate(sys: DiffSystem,
     half = Fraction(1, 2)
     a = BiPoly(out, {(0, 2): quarter, (2, 0): -quarter})   # (v^2 - u^2)/4
     b = BiPoly(out, {(1, 1): half})                        # uv/2
-    u0 = a * sum_x - b * sum_y
-    v0 = -1 * (b * sum_x) + (-1 * a) * sum_y
-    return u0, v0
+    return (a * sum_x - b * sum_y,
+            -1 * (b * sum_x) + (-1 * a) * sum_y)
+
+
+def raw_conjugate(sys: DiffSystem,
+                  out_vars: tuple[str, str] | None = None
+                  ) -> tuple[BiPoly, BiPoly]:
+    """The unreduced partner field, exactly over the rationals.
+
+    The transported pair of the whole field (top degree n).
+    """
+    return _transported_pair(sys, partner_vars(sys.vars, out_vars),
+                             sys.degree)
 
 
 def conjugate(sys: DiffSystem,
@@ -238,40 +243,12 @@ def rebuild_from_quotients(sys: DiffSystem, k: int,
     """
     ks, qs = reduction_quotients(sys, k)
     out = partner_vars(sys.vars, out_vars)
-    n = sys.degree
-    s = _circle(out)
-    sum_x = BiPoly.zero(out)
-    sum_y = BiPoly.zero(out)
-    for j in range(n - k + 1):
-        weight = s ** (n - j - k)
-        xj = sys.component(0, j)
-        if xj:
-            sum_x = sum_x + weight * xj.scale_vars(4, 4).with_vars(out)
-        yj = sys.component(1, j)
-        if yj:
-            sum_y = sum_y + weight * yj.scale_vars(4, 4).with_vars(out)
-    quarter = Fraction(1, 4)
-    half = Fraction(1, 2)
-    a = BiPoly(out, {(0, 2): quarter, (2, 0): -quarter})
-    b = BiPoly(out, {(1, 1): half})
-    u = a * sum_x - b * sum_y
-    v = -1 * (b * sum_x) + (-1 * a) * sum_y
+    u, v = _transported_pair(sys, out, sys.degree - k)
     for r in range(1, k + 1):
         scalar = Fraction(4) ** (2 * k - 2 * r - 1)
         u = u + scalar * ks[r - 1].scale_vars(4, 4).with_vars(out)
         v = v + scalar * qs[r - 1].scale_vars(4, 4).with_vars(out)
     return u, v
-
-
-def transition_jacobian(px: Fraction, py: Fraction
-                        ) -> tuple[tuple[Fraction, Fraction],
-                                   tuple[Fraction, Fraction]]:
-    """Jacobian matrix of p -> 4p/|p|^2 at a nonzero rational point."""
-    if px == 0 and py == 0:
-        raise OriginSingularity("transition map is undefined at the origin")
-    s2 = (px * px + py * py) ** 2
-    return ((4 * (py * py - px * px) / s2, -8 * px * py / s2),
-            (-8 * px * py / s2, 4 * (px * px - py * py) / s2))
 
 
 def pushforward_residual(sys: DiffSystem, result: ConjugationResult,
@@ -284,10 +261,7 @@ def pushforward_residual(sys: DiffSystem, result: ConjugationResult,
     correct. Everything is evaluated in exact rational arithmetic.
     """
     px, py = Fraction(point[0]), Fraction(point[1])
-    if px == 0 and py == 0:
-        raise OriginSingularity("residual is undefined at the origin")
-    s = px * px + py * py
-    qx, qy = 4 * px / s, 4 * py / s
+    qx, qy = transition((px, py))
     jac = transition_jacobian(px, py)
     fx = sys.rhs[0].evaluate(px, py)
     fy = sys.rhs[1].evaluate(px, py)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charts import Chart, transition
+from .charts import Chart, transition, transition_jacobian
 from .conjugate import ConjugationResult, DiffSystem
 
 
@@ -66,31 +66,41 @@ class Trajectory:
                 "samples": [[t, x, y] for t, x, y in self.samples]}
 
 
-def _compile(sys: DiffSystem):
-    """Float term lists for both right sides, fixed once per integration."""
-    return tuple(
-        tuple((float(c), i, j) for (i, j), c in poly.terms.items())
-        for poly in sys.rhs)
+def _compile(sys: DiffSystem, sign: float = 1.0):
+    """The field as a float function (x, y) -> (fx, fy), compiled once.
+
+    ``sign`` -1 reverses time. The function may raise OverflowError or
+    return non-finite values; ``_finite`` turns both into NumericOverflow.
+    """
+    px, py = (tuple((float(c), i, j) for (i, j), c in poly.terms.items())
+              for poly in sys.rhs)
+
+    def field(x: float, y: float) -> tuple[float, float]:
+        fx = 0.0
+        for c, i, j in px:
+            fx += c * x**i * y**j
+        fy = 0.0
+        for c, i, j in py:
+            fy += c * x**i * y**j
+        return sign * fx, sign * fy
+
+    return field
 
 
-def _eval_terms(terms, x: float, y: float) -> float:
-    total = 0.0
-    for c, i, j in terms:
-        total += c * x**i * y**j
-    return total
+def _finite(field, x: float, y: float) -> tuple[float, float]:
+    """A compiled field at a point; non-finite values are an error."""
+    try:
+        fx, fy = field(x, y)
+    except OverflowError:
+        raise NumericOverflow(f"field not finite at ({x}, {y})") from None
+    if math.isfinite(fx) and math.isfinite(fy):
+        return fx, fy
+    raise NumericOverflow(f"field not finite at ({x}, {y})")
 
 
 def field_eval(sys: DiffSystem, point) -> tuple[float, float]:
     """Floating evaluation of the field; non-finite values are an error."""
-    x, y = float(point[0]), float(point[1])
-    px, py = _compile(sys)
-    try:
-        fx, fy = _eval_terms(px, x, y), _eval_terms(py, x, y)
-    except OverflowError:
-        raise NumericOverflow(f"field not finite at ({x}, {y})") from None
-    if not (math.isfinite(fx) and math.isfinite(fy)):
-        raise NumericOverflow(f"field not finite at ({x}, {y})")
-    return fx, fy
+    return _finite(_compile(sys), float(point[0]), float(point[1]))
 
 
 class DormandPrince54:
@@ -154,29 +164,15 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
     cfg = cfg or IntegratorConfig()
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward: {direction}")
-    sign = 1.0 if direction == "forward" else -1.0
-    px, py = _compile(sys)
-
-    def f(a, b):
-        return sign * _eval_terms(px, a, b), sign * _eval_terms(py, a, b)
-
+    f = _compile(sys, 1.0 if direction == "forward" else -1.0)
     x, y = float(start[0]), float(start[1])
     if math.hypot(x, y) > cfg.outer_radius:
         raise ValueError("start lies outside the outer disk")
-    def safe_field(a, b):
-        try:
-            fa, fb = f(a, b)
-        except OverflowError:
-            raise NumericOverflow(f"field not finite at ({a}, {b})") from None
-        if math.isfinite(fa) and math.isfinite(fb):
-            return fa, fb
-        raise NumericOverflow(f"field not finite at ({a}, {b})")
-
     t = 0.0
     h = min(cfg.initial_step, cfg.max_step, cfg.max_time)
     samples = [(0.0, x, y)]
     termination = None
-    fx, fy = safe_field(x, y)
+    fx, fy = _finite(f, x, y)
     if math.hypot(fx, fy) < cfg.abs_tol:
         termination = "converged-to-equilibrium"
     while termination is None:
@@ -186,7 +182,11 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
             nx, ny, ex, ey = trial
             sx = cfg.abs_tol + cfg.rel_tol * max(abs(x), abs(nx))
             sy = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(ny))
-            err = math.sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2)
+            try:
+                err = math.sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2)
+            except OverflowError:
+                raise NumericOverflow(
+                    f"error estimate overflowed near t={t}") from None
         if trial is None or err > 1.0:
             h *= 0.2 if trial is None else max(0.2, 0.9 * err ** -0.2)
             if h < 1e-14 * max(1.0, abs(t)):
@@ -202,7 +202,7 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
         if radius >= cfg.outer_radius:
             termination = "exited-outer-disk"
             break
-        fx, fy = safe_field(x, y)
+        fx, fy = _finite(f, x, y)
         if math.hypot(fx, fy) < cfg.abs_tol:
             termination = "converged-to-equilibrium"
             break
@@ -336,15 +336,6 @@ def hausdorff_distance(p: np.ndarray, q: np.ndarray,
     return float(gaps.max())
 
 
-def _transition_pushforward(x: float, y: float, fx: float, fy: float):
-    """Velocity of the transition image, by the chain rule (floats)."""
-    s2 = (x * x + y * y) ** 2
-    j00 = 4 * (y * y - x * x) / s2
-    j01 = -8 * x * y / s2
-    j11 = 4 * (x * x - y * y) / s2
-    return (j00 * fx + j01 * fy, j01 * fx + j11 * fy)
-
-
 def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
                        cfg: IntegratorConfig | None = None) -> float:
     """How far the mapped trajectory strays from the partner's own.
@@ -362,21 +353,24 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
     cfg = replace(cfg, max_step=min(cfg.max_step, 0.02),
                   initial_step=min(cfg.initial_step, 0.02))
     first = integrate(sys, start, cfg)
+    field = _compile(sys)
     guard2 = cfg.origin_guard ** 2
     mapped, mapped_vel, mapped_t = [], [], []
     for t, xx, yy in first.samples:
         if xx * xx + yy * yy <= guard2:
             continue  # only ever the final sample, on a guard stop
-        fx, fy = field_eval(sys, (xx, yy))
+        fx, fy = _finite(field, xx, yy)
+        (j00, j01), (j10, j11) = transition_jacobian(xx, yy)
         mapped.append(transition((xx, yy)))
-        mapped_vel.append(_transition_pushforward(xx, yy, fx, fy))
+        mapped_vel.append((j00 * fx + j01 * fy, j10 * fx + j11 * fy))
         mapped_t.append(t)
     if not mapped:
         raise ValueError("the whole trajectory sat inside the origin guard")
     q0 = transition((float(start[0]), float(start[1])))
     second = integrate(result.conjugate, q0, cfg, chart=Chart.S)
     b_pts = second.points()
-    b_vel = np.array([field_eval(result.conjugate, (xx, yy))
+    partner = _compile(result.conjugate)
+    b_vel = np.array([_finite(partner, xx, yy)
                       for _, xx, yy in second.samples])
     b_t = np.array([t for t, _, _ in second.samples])
     a = _hermite_densify(np.array(mapped), np.array(mapped_t),

@@ -1,4 +1,4 @@
-"""Atlas assembly, rendering determinism, and sphere lifting."""
+"""Atlas assembly and rendering determinism."""
 
 import math
 from fractions import Fraction
@@ -11,12 +11,11 @@ from artifact.atlas import (
     OutOfRange,
     build_atlas,
     disk_radius,
-    lift_to_sphere,
     render_svg,
 )
-from artifact.charts import Chart, Circle, Line, Point, map_curve
+from artifact.charts import Circle, Line, Point, map_curve
 from artifact.corpus import case_by_name
-from artifact.dynamics import IntegratorConfig, Trajectory
+from artifact.dynamics import IntegratorConfig, NumericOverflow
 
 
 def quick_config(**kw):
@@ -69,8 +68,19 @@ class TestConfig:
             AtlasConfig(rays=9).config_hash()
         assert AtlasConfig().config_hash() == AtlasConfig().config_hash()
 
+    def test_default_hash_is_stable(self):
+        # the default document's provenance must not drift between releases
+        assert AtlasConfig().config_hash() == (
+            "d65873e6a44555b2fb1775112322d435e544008d97644f2dc1c836d921a808ee")
+
 
 class TestBuildAtlas:
+    def test_error_estimate_overflow_is_numeric_overflow(self):
+        # a trial step whose error norm overflows must surface as the
+        # integrator's own error, not a bare OverflowError
+        with pytest.raises(NumericOverflow, match="t="):
+            build_atlas(case_by_name("4.9->4.10").system)
+
     def test_radial_rays(self):
         sys = case_by_name("5.1->5.2").system
         doc = build_atlas(sys, quick_config())
@@ -164,30 +174,3 @@ class TestRenderSvg:
         svg = render_svg(doc)
         assert svg.count(b'fill="#1f4e79"') == \
             sum(len(d.arrows) for d in doc.disks)
-
-
-class TestLiftToSphere:
-    def test_stationary_origin(self):
-        traj = Trajectory(Chart.N, [(0.0, 0.0, 0.0)] * 3, "time-limit")
-        assert lift_to_sphere(traj) == [(0.0, 0.0, -1.0)] * 3
-
-    def test_fixed_circle_hits_equator(self):
-        pts = [(float(k), 2 * math.cos(k), 2 * math.sin(k)) for k in range(6)]
-        lifted = lift_to_sphere(Trajectory(Chart.N, pts, "time-limit"))
-        assert all(abs(z) < 1e-15 for _, _, z in lifted)
-
-    def test_unit_circle_parallel(self):
-        pts = [(0.0, math.cos(0.4), math.sin(0.4))]
-        (_, _, z), = lift_to_sphere(Trajectory(Chart.N, pts, "time-limit"))
-        assert z == pytest.approx(-3 / 5, abs=1e-15)
-
-    def test_partner_chart_flips_pole(self):
-        traj = Trajectory(Chart.S, [(0.0, 0.0, 0.0)], "time-limit")
-        assert lift_to_sphere(traj) == [(0.0, 0.0, 1.0)]
-
-    def test_norms_on_integrated_trajectory(self):
-        from artifact.dynamics import integrate
-        sys = case_by_name("5.5->5.6").system
-        traj = integrate(sys, (0.4, 0.2), IntegratorConfig(max_time=4.0))
-        for x, y, z in lift_to_sphere(traj):
-            assert abs(x * x + y * y + z * z - 1.0) <= 1e-12

@@ -22,7 +22,10 @@ from artifact.charts import (
     psi_jacobians,
     stereo_project,
     transition,
+    transition_jacobian,
 )
+from artifact.corpus import case_by_name
+from artifact.dynamics import IntegratorConfig, integrate
 
 rationals = st.fractions(min_value=Fraction(-20), max_value=Fraction(20),
                          max_denominator=12)
@@ -45,6 +48,32 @@ class TestStereoProject:
         for chart in Chart:
             xs, ys, zs = stereo_project(chart, p)
             assert xs * xs + ys * ys + zs * zs == 1
+
+
+class TestStereoProjectFloats:
+    def test_stationary_origin(self):
+        assert stereo_project(Chart.N, (0.0, 0.0)) == (0.0, 0.0, -1.0)
+
+    def test_partner_chart_flips_pole(self):
+        assert stereo_project(Chart.S, (0.0, 0.0)) == (0.0, 0.0, 1.0)
+
+    def test_fixed_circle_hits_equator(self):
+        for k in range(6):
+            for chart in Chart:
+                _, _, z = stereo_project(chart, (2 * math.cos(k),
+                                                 2 * math.sin(k)))
+                assert abs(z) < 1e-15
+
+    def test_unit_circle_parallel(self):
+        _, _, z = stereo_project(Chart.N, (math.cos(0.4), math.sin(0.4)))
+        assert z == pytest.approx(-3 / 5, abs=1e-15)
+
+    def test_norms_on_integrated_trajectory(self):
+        sys = case_by_name("5.5->5.6").system
+        traj = integrate(sys, (0.4, 0.2), IntegratorConfig(max_time=4.0))
+        for _, px, py in traj.samples:
+            x, y, z = stereo_project(traj.chart, (px, py))
+            assert abs(x * x + y * y + z * z - 1.0) <= 1e-12
 
 
 class TestChartProject:
@@ -248,7 +277,6 @@ class TestConformality:
     def test_cosine_of_angle_preserved_exactly(self, p, d1, d2):
         if d1 == (0, 0) or d2 == (0, 0):
             return
-        from artifact.conjugate import transition_jacobian
         jac = transition_jacobian(Fraction(p[0]), Fraction(p[1]))
         e1 = (jac[0][0] * d1[0] + jac[0][1] * d1[1],
               jac[1][0] * d1[0] + jac[1][1] * d1[1])
