@@ -56,7 +56,10 @@ class DiffSystem:
     top homogeneous forms are never both zero. ``coprime`` tells whether
     P and Q share no nonconstant factor; it is computed on first access
     and cached, since only ``--check-coprime`` and the partner's JSON
-    read it.
+    read it. ``_float_fields`` holds the field compiled to float code by
+    ``artifact.dynamics``, one entry per time direction, so it is built at
+    most once per instance; it goes away with the instance, and pickles
+    and copies leave it out.
     """
 
     vars: tuple[str, str]
@@ -66,6 +69,17 @@ class DiffSystem:
     @cached_property
     def coprime(self) -> bool:
         return is_coprime(self.rhs[0], self.rhs[1])
+
+    @cached_property
+    def _float_fields(self) -> dict:
+        return {}
+
+    def __getstate__(self):
+        # compiled fields are code built at run time and do not pickle;
+        # a copy compiles its own on first use
+        state = self.__dict__.copy()
+        state.pop("_float_fields", None)
+        return state
 
     @classmethod
     def build(cls, vars: tuple[str, str], p: BiPoly, q: BiPoly) -> "DiffSystem":

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .charts import Chart, transition, transition_jacobian
 from .conjugate import ConjugationResult, DiffSystem
+from .poly import BiPoly
 
 
 class StepUnderflow(RuntimeError):
@@ -53,9 +55,18 @@ TERMINATIONS = ("time-limit", "exited-outer-disk", "entered-origin-guard",
 
 @dataclass
 class Trajectory:
+    """Samples of one integrated orbit and why the integration stopped.
+
+    ``accepted`` and ``rejected`` count the integrator's trial steps.
+    They are deterministic but stay out of ``to_json_dict``, so output
+    documents do not change with them.
+    """
+
     chart: Chart
     samples: list  # (t, x, y) triples, times strictly increasing
     termination: str
+    accepted: int = 0
+    rejected: int = 0
 
     def points(self) -> np.ndarray:
         return np.array([(x, y) for _, x, y in self.samples], dtype=float)
@@ -66,25 +77,66 @@ class Trajectory:
                 "samples": [[t, x, y] for t, x, y in self.samples]}
 
 
+_TERMS_PER_LINE = 64
+
+
 def _compile(sys: DiffSystem, sign: float = 1.0):
-    """The field as a float function (x, y) -> (fx, fy), compiled once.
+    """The field as a float function (x, y) -> (fx, fy).
 
-    ``sign`` -1 reverses time. The function may raise OverflowError or
-    return non-finite values; ``_finite`` turns both into NumericOverflow.
+    The function is straight-line code built with ``exec``. Each power
+    ``x**e`` and ``y**e`` is computed once, and each component is
+    ``0.0 + c * x**i * y**j + ...`` in term order, so it equals that loop
+    over the terms bit for bit (a factor ``x**0`` is 1.0 and left out,
+    ``x**1`` is ``x``). The source holds only generated names and integer
+    exponents; the coefficients are bound in its namespace. ``sign`` -1
+    reverses time. The function may raise OverflowError or return
+    non-finite values; ``_finite`` turns both into NumericOverflow. A
+    coefficient that does not fit a float raises NumericOverflow here.
     """
-    px, py = (tuple((float(c), i, j) for (i, j), c in poly.terms.items())
-              for poly in sys.rhs)
+    names: dict = {}
+    powers = set()
+    sums = []
+    for target, var, poly in zip(("fx", "fy"), sys.vars, sys.rhs):
+        terms = []
+        for (i, j), c in poly.terms.items():
+            name = f"c{len(names)}"
+            try:
+                names[name] = float(c)
+            except OverflowError:
+                monomial = BiPoly(sys.vars, {(i, j): Fraction(1)}).to_text()
+                raise NumericOverflow(
+                    f"the coefficient of {monomial} in d{var}/dt does not "
+                    f"fit a float") from None
+            factors = [name]
+            for v, e in (("x", i), ("y", j)):
+                if e == 1:
+                    factors.append(v)
+                elif e > 1:
+                    factors.append(f"{v}{e}")
+                    powers.add((v, e))
+            terms.append(" * ".join(factors))
+        # a bounded number of terms per line: one chain of + nests as
+        # deep as it is long, and the compiler's recursion limit stops
+        # it at about 3000 terms on CPython 3.11 (fewer on some builds)
+        for at in range(0, max(len(terms), 1), _TERMS_PER_LINE):
+            head = "0.0" if at == 0 else target
+            chunk = [head] + terms[at:at + _TERMS_PER_LINE]
+            sums.append(f"    {target} = {' + '.join(chunk)}")
+    neg = "" if sign > 0 else "-"
+    source = "\n".join(
+        ["def field(x, y):"]
+        + [f"    {v}{e} = {v} ** {e}" for v, e in sorted(powers)]
+        + sums + [f"    return {neg}fx, {neg}fy"])
+    exec(source, names)
+    return names["field"]
 
-    def field(x: float, y: float) -> tuple[float, float]:
-        fx = 0.0
-        for c, i, j in px:
-            fx += c * x**i * y**j
-        fy = 0.0
-        for c, i, j in py:
-            fy += c * x**i * y**j
-        return sign * fx, sign * fy
 
-    return field
+def _field(sys: DiffSystem, sign: float = 1.0):
+    """``_compile(sys, sign)``, built at most once per system and sign."""
+    fields = sys._float_fields
+    if sign not in fields:
+        fields[sign] = _compile(sys, sign)
+    return fields[sign]
 
 
 def _finite(field, x: float, y: float) -> tuple[float, float]:
@@ -100,16 +152,19 @@ def _finite(field, x: float, y: float) -> tuple[float, float]:
 
 def field_eval(sys: DiffSystem, point) -> tuple[float, float]:
     """Floating evaluation of the field; non-finite values are an error."""
-    return _finite(_compile(sys), float(point[0]), float(point[1]))
+    return _finite(_field(sys), float(point[0]), float(point[1]))
 
 
 class DormandPrince54:
-    """Embedded Runge-Kutta 5(4) pair.
+    """Embedded Runge-Kutta 5(4) pair (Dormand & Prince 1980).
 
-    Classic Dormand-Prince coefficients: seven stages, fifth-order
-    propagation with an embedded fourth-order error estimate (E is the
-    difference of the two weight rows). The last stage evaluates at the
-    step endpoint with the propagation weights.
+    Classic coefficients: seven stages, fifth-order propagation with an
+    embedded fourth-order error estimate (E is the difference of the two
+    weight rows). The last stage evaluates the field at the step's new
+    point, since its row of A equals the propagation weights B ("first
+    same as last", FSAL): it is the first stage of the next step, so a
+    trial step costs six field evaluations. ``_rk_step`` spells these
+    coefficients out as straight-line code.
     """
 
     C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -127,73 +182,119 @@ class DormandPrince54:
          22 / 525, -1 / 40)
 
 
-def _rk_step(f, x, y, h):
-    """One trial step: new point plus embedded error estimate.
+# Butcher's names, numbered like the stages k1..k7. The fused step leaves
+# out the zero weights b2, b7 and e2; the last row of A is B, so the last
+# stage is taken at the new point.
+(_, (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65), _) = DormandPrince54.A
+_B1, _, _B3, _B4, _B5, _B6, _ = DormandPrince54.B
+_E1, _, _E3, _E4, _E5, _E6, _E7 = DormandPrince54.E
 
-    Returns None when a stage blows past finite floats; the caller
-    treats that as a rejected step, exactly like a failed error test.
+
+def _rk_step(f, x, y, h, k1x, k1y):
+    """One fused trial step from (x, y) with first stage (k1x, k1y).
+
+    Returns the new point, the embedded error estimate and the field at
+    the new point (the next step's first stage), or None when a stage
+    blows past finite floats; the caller treats that as a rejected step,
+    exactly like a failed error test.
+
+    With a field from ``_compile`` the result equals a loop of ``sum``
+    over the whole tableau bit for bit. Leaving out the zero weights and
+    the 0 that ``sum`` starts from changes no bit: the field's zeros all
+    carry one sign, and the weights of each sum have both signs. A
+    non-finite second stage rejects the step, as in that loop, where a
+    zero weight turns it into NaN.
     """
     try:
-        ks = []
-        for row in DormandPrince54.A:
-            ax = x + h * sum(w * k[0] for w, k in zip(row, ks))
-            ay = y + h * sum(w * k[1] for w, k in zip(row, ks))
-            ks.append(f(ax, ay))
-        nx = x + h * sum(w * k[0] for w, k in zip(DormandPrince54.B, ks))
-        ny = y + h * sum(w * k[1] for w, k in zip(DormandPrince54.B, ks))
-        ex = h * sum(w * k[0] for w, k in zip(DormandPrince54.E, ks))
-        ey = h * sum(w * k[1] for w, k in zip(DormandPrince54.E, ks))
+        k2x, k2y = f(x + h * (_A21 * k1x), y + h * (_A21 * k1y))
+        k3x, k3y = f(x + h * (_A31 * k1x + _A32 * k2x),
+                     y + h * (_A31 * k1y + _A32 * k2y))
+        k4x, k4y = f(x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
+                     y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y))
+        k5x, k5y = f(x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x
+                              + _A54 * k4x),
+                     y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y
+                              + _A54 * k4y))
+        k6x, k6y = f(x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x
+                              + _A64 * k4x + _A65 * k5x),
+                     y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y
+                              + _A64 * k4y + _A65 * k5y))
+        nx = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x
+                      + _B6 * k6x)
+        ny = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y
+                      + _B6 * k6y)
+        k7x, k7y = f(nx, ny)
+        ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x
+                  + _E6 * k6x + _E7 * k7x)
+        ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y
+                  + _E6 * k6y + _E7 * k7y)
     except OverflowError:
         return None
-    if all(map(math.isfinite, (nx, ny, ex, ey))):
-        return nx, ny, ex, ey
+    isfinite = math.isfinite
+    if (isfinite(nx) and isfinite(ny) and isfinite(ex) and isfinite(ey)
+            and isfinite(k2x) and isfinite(k2y)):
+        return nx, ny, ex, ey, k7x, k7y
     return None
 
 
 def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
               direction: str = "forward", chart: Chart = Chart.N
               ) -> Trajectory:
-    """Adaptive trajectory from a starting point.
+    """Adaptive Dormand-Prince 5(4) trajectory from a starting point.
 
     Stops at the configured time limit, on leaving the outer disk, on
     entering the origin guard, or when the field magnitude drops below
     the absolute tolerance (an equilibrium). A trajectory that runs to
     the time limit and demonstrably returns to its start is relabeled
     "closed".
+
+    The field is compiled once per system and direction and kept on the
+    system. The step is FSAL: the last stage of an accepted step is the
+    field at the new point, which serves as the equilibrium test there
+    and as the next step's first stage, and a rejected step keeps its
+    first stage for the retry. So a trial step costs six field
+    evaluations, plus one at the start. The returned trajectory counts
+    accepted and rejected steps.
     """
     cfg = cfg or IntegratorConfig()
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward: {direction}")
-    f = _compile(sys, 1.0 if direction == "forward" else -1.0)
+    f = _field(sys, 1.0 if direction == "forward" else -1.0)
     x, y = float(start[0]), float(start[1])
     if math.hypot(x, y) > cfg.outer_radius:
         raise ValueError("start lies outside the outer disk")
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    max_step, max_time = cfg.max_step, cfg.max_time
     t = 0.0
-    h = min(cfg.initial_step, cfg.max_step, cfg.max_time)
+    h = min(cfg.initial_step, max_step, max_time)
     samples = [(0.0, x, y)]
+    accepted = rejected = 0
     termination = None
-    fx, fy = _finite(f, x, y)
-    if math.hypot(fx, fy) < cfg.abs_tol:
+    kx, ky = _finite(f, x, y)
+    if math.hypot(kx, ky) < abs_tol:
         termination = "converged-to-equilibrium"
     while termination is None:
-        h = min(h, cfg.max_step, cfg.max_time - t)
-        trial = _rk_step(f, x, y, h)
+        h = min(h, max_step, max_time - t)
+        trial = _rk_step(f, x, y, h, kx, ky)
         if trial is not None:
-            nx, ny, ex, ey = trial
-            sx = cfg.abs_tol + cfg.rel_tol * max(abs(x), abs(nx))
-            sy = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(ny))
+            nx, ny, ex, ey, nkx, nky = trial
+            sx = abs_tol + rel_tol * max(abs(x), abs(nx))
+            sy = abs_tol + rel_tol * max(abs(y), abs(ny))
             try:
                 err = math.sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2)
             except OverflowError:
                 raise NumericOverflow(
                     f"error estimate overflowed near t={t}") from None
         if trial is None or err > 1.0:
+            rejected += 1
             h *= 0.2 if trial is None else max(0.2, 0.9 * err ** -0.2)
             if h < 1e-14 * max(1.0, abs(t)):
                 raise StepUnderflow(f"step collapsed near t={t}")
             continue
+        accepted += 1
         t += h
-        x, y = nx, ny
+        x, y, kx, ky = nx, ny, nkx, nky
         samples.append((t, x, y))
         radius = math.hypot(x, y)
         if radius <= cfg.origin_guard:
@@ -202,15 +303,16 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
         if radius >= cfg.outer_radius:
             termination = "exited-outer-disk"
             break
-        fx, fy = _finite(f, x, y)
-        if math.hypot(fx, fy) < cfg.abs_tol:
+        # finite: the last stage enters the error estimate
+        if math.hypot(kx, ky) < abs_tol:
             termination = "converged-to-equilibrium"
             break
-        if t >= cfg.max_time * (1 - 1e-12):
+        if t >= max_time * (1 - 1e-12):
             termination = "time-limit"
             break
         h *= min(5.0, 0.9 * (err ** -0.2 if err > 0 else 5.0))
-    traj = Trajectory(chart=chart, samples=samples, termination=termination)
+    traj = Trajectory(chart=chart, samples=samples, termination=termination,
+                      accepted=accepted, rejected=rejected)
     if termination == "time-limit" and len(samples) >= 10:
         # loose enough to absorb the sag of sampled chords on a curved orbit
         tol = 1e-3 * max(1.0, math.hypot(samples[0][1], samples[0][2]))
@@ -353,7 +455,7 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
     cfg = replace(cfg, max_step=min(cfg.max_step, 0.02),
                   initial_step=min(cfg.initial_step, 0.02))
     first = integrate(sys, start, cfg)
-    field = _compile(sys)
+    field = _field(sys)
     guard2 = cfg.origin_guard ** 2
     mapped, mapped_vel, mapped_t = [], [], []
     for t, xx, yy in first.samples:
@@ -369,7 +471,7 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
     q0 = transition((float(start[0]), float(start[1])))
     second = integrate(result.conjugate, q0, cfg, chart=Chart.S)
     b_pts = second.points()
-    partner = _compile(result.conjugate)
+    partner = _field(result.conjugate)
     b_vel = np.array([_finite(partner, xx, yy)
                       for _, xx, yy in second.samples])
     b_t = np.array([t for t, _, _ in second.samples])

@@ -150,6 +150,14 @@ class TestAtlas:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_coefficient_too_large_for_float(self, tmp_path, capsys):
+        path = tmp_path / "sys.txt"
+        path.write_text(f"dx/dt = 1{'0' * 400}*x - y\ndy/dt = x\n")
+        code = main(["atlas", "-i", str(path), "-o", str(tmp_path / "a.svg")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the coefficient of x in dx/dt does not fit a float\n")
+
     def test_bad_seed_spec_is_usage_error(self, sys_file):
         with pytest.raises(SystemExit) as exc:
             main(["atlas", "-i", sys_file(["x", "y"], ["x", "y"]),
