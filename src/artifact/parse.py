@@ -46,6 +46,10 @@ class BothRhsZero(ValueError):
 # refused before any expansion instead of running for seconds.
 MAX_DEGREE = 32
 
+# Deepest nesting of parentheses and unary minuses the recursive descent
+# follows; deeper input is refused instead of exhausting the call stack.
+MAX_NESTING = 100
+
 
 def _check_degree(degree: int, what: str, where: int) -> None:
     if degree > MAX_DEGREE:
@@ -113,6 +117,7 @@ class _Parser:
         self.vars = variables
         self.tokens = _tokenize(text, variables)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -130,6 +135,16 @@ class _Parser:
             where = tok[2] if tok else len(self.text)
             raise ParseError(f"expected {op!r}", where)
         self.pos += 1
+
+    def nested(self, parse, where: int) -> BiPoly:
+        """parse() one nesting level deeper, refused past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than the limit of {MAX_NESTING}", where)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self) -> BiPoly:
         value = self.expression()
@@ -170,7 +185,7 @@ class _Parser:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.pos += 1
-            return -self.signed_factor()
+            return -self.nested(self.signed_factor, tok[2])
         return self.factor()
 
     def factor(self) -> BiPoly:
@@ -208,7 +223,7 @@ class _Parser:
         if kind == "var":
             return BiPoly.var(value, self.vars)
         if kind == "op" and value == "(":
-            inner = self.expression()
+            inner = self.nested(self.expression, where)
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected {value!r}", where)

@@ -286,134 +286,9 @@ def circle_valuation(p: BiPoly):
         p = q
 
 
-# -- coprimality ------------------------------------------------------------
-#
-# The test runs a content-stripped pseudo-remainder sequence in the second
-# variable, with coefficients in the univariate ring of the first variable,
-# plus a gcd of the two contents. Between them these detect every
-# nonconstant common factor: the content gcd catches factors free of the
-# second variable, the remainder sequence catches the rest.
-#
-# Univariate polynomials over the rationals are represented as dense
-# coefficient lists (index = power of the first variable); a polynomial
-# with the second variable present is a dict {power of second: list}.
-
-
-def _x_trim(u: list[Fraction]) -> list[Fraction]:
-    while u and not u[-1]:
-        u.pop()
-    return u
-
-
-def _x_mul(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    if not u or not v:
-        return []
-    out = [_ZERO] * (len(u) + len(v) - 1)
-    for a, ca in enumerate(u):
-        if not ca:
-            continue
-        for b, cb in enumerate(v):
-            out[a + b] += ca * cb
-    return _x_trim(out)
-
-def _x_sub(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    out = list(u) + [_ZERO] * (len(v) - len(u))
-    for b, cb in enumerate(v):
-        out[b] -= cb
-    return _x_trim(out)
-
-
-def _x_rem(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    u = list(u)
-    dv = len(v) - 1
-    lead = v[-1]
-    while len(u) - 1 >= dv and u:
-        factor = u[-1] / lead
-        shift = len(u) - 1 - dv
-        for b, cb in enumerate(v):
-            u[shift + b] -= factor * cb
-        _x_trim(u)
-    return u
-
-
-def _x_gcd(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    u, v = _x_trim(list(u)), _x_trim(list(v))
-    while v:
-        u, v = v, _x_rem(u, v)
-    if u:
-        lead = u[-1]
-        u = [c / lead for c in u]
-    return u
-
-
-def _x_div_exact(u: list[Fraction], d: list[Fraction]) -> list[Fraction]:
-    if not u:
-        return []
-    out = [_ZERO] * (len(u) - len(d) + 1)
-    u = list(u)
-    lead = d[-1]
-    while u and len(u) >= len(d):
-        factor = u[-1] / lead
-        out[len(u) - len(d)] = factor
-        shift = len(u) - len(d)
-        for b, cb in enumerate(d):
-            u[shift + b] -= factor * cb
-        _x_trim(u)
-    if u:
-        raise NotDivisible("inexact content division")
-    return _x_trim(out)
-
-
-def _to_rows(p: BiPoly) -> dict[int, list[Fraction]]:
-    rows: dict[int, list[Fraction]] = {}
-    for (i, j), c in p.terms.items():
-        row = rows.setdefault(j, [])
-        if len(row) <= i:
-            row.extend([_ZERO] * (i + 1 - len(row)))
-        row[i] = c
-    return {j: _x_trim(row) for j, row in rows.items() if _x_trim(row)}
-
-
-def _rows_content(rows: dict[int, list[Fraction]]) -> list[Fraction]:
-    g: list[Fraction] = []
-    for row in rows.values():
-        g = _x_gcd(g, row)
-        if len(g) == 1:
-            break
-    return g
-
-
-def _rows_primitive(rows, content):
-    if len(content) == 1:
-        return rows
-    return {j: _x_div_exact(row, content) for j, row in rows.items()}
-
-
-def _pseudo_mod(A: dict[int, list[Fraction]], B: dict[int, list[Fraction]]):
-    """Remainder of A under fraction-free division by B in the second
-    variable; equals lc(B)^t * A mod B for some t, which is enough here
-    because the caller strips content anyway."""
-    A = {j: list(r) for j, r in A.items()}
-    db = max(B)
-    lead_b = B[db]
-    while A and max(A) >= db:
-        da = max(A)
-        lead_a = A.pop(da)
-        shifted = {j + (da - db): r for j, r in B.items() if j != db}
-        keys = set(A) | set(shifted.keys())
-        new: dict[int, list[Fraction]] = {}
-        for j in keys:
-            term = _x_mul(lead_b, A.get(j, []))
-            term = _x_sub(term, _x_mul(lead_a, shifted.get(j, [])))
-            if term:
-                new[j] = term
-        A = new
-    return A
-
-
 # -- modular coprimality certificate ------------------------------------------
 #
-# A cheap sufficient test that runs before the exact remainder sequence.
+# A cheap sufficient test that runs before the exact subresultant chain.
 # Coefficients are reduced mod the prime P = 2^61 - 1 as num * den^-1 (the
 # certificate gives up if P divides a denominator). Then, with each
 # variable in turn as the main one, the other variable is set to a few
@@ -431,7 +306,7 @@ def _pseudo_mod(A: dict[int, list[Fraction]], B: dict[int, list[Fraction]]):
 # common factor of positive degree in the main variable, and certifying
 # both variables rules out every nonconstant common factor. The
 # certificate can only answer "coprime" or "don't know"; a "not coprime"
-# answer always comes from the exact sequence below.
+# answer always comes from the exact chain below.
 #
 # The points are large on purpose: at small integers coprime pairs often
 # coincide (x/2 - 3 and x/2 - 3*y/2 are equal at y = 2).
@@ -512,12 +387,136 @@ def certify_coprime(a: BiPoly, b: BiPoly) -> bool:
     return True
 
 
+# -- exact coprimality: the subresultant chain -------------------------------
+#
+# The exact test runs Collins' subresultant chain over the integers. Each
+# side is scaled by the lcm of its denominators into Z[x, y] (a nonzero
+# constant factor does not change the answer) and written as a polynomial
+# in a main variable whose coefficients are dense integer lists in the
+# other variable (index = power). Each chain step takes the pseudo-
+# remainder prem(A, B) and divides it exactly by g*h^delta in that ring,
+# which keeps the coefficients as small as the subresultants themselves.
+# The chain ends in zero exactly when the resultant in the main variable
+# vanishes, that is, when the sides share a factor of positive degree in
+# it. Every nonconstant factor has positive degree in some variable, so
+# running the chain in each variable in which both sides have positive
+# degree decides coprimality; a factor free of the second variable is
+# caught by the chain in the first. An inexact division, impossible in
+# theory, raises NotDivisible.
+#
+# References: G. E. Collins, "Subresultants and reduced polynomial
+# remainder sequences", JACM 14 (1967); W. S. Brown and J. F. Traub, "On
+# Euclid's algorithm and the theory of subresultants", JACM 18 (1971).
+
+
+def _zx_mul(u: list[int], v: list[int]) -> list[int]:
+    if not u or not v:
+        return []
+    out = [0] * (len(u) + len(v) - 1)
+    for a, ca in enumerate(u):
+        for b, cb in enumerate(v):
+            out[a + b] += ca * cb
+    return out
+
+
+def _zx_pow(u: list[int], n: int) -> list[int]:
+    out = [1]
+    for _ in range(n):
+        out = _zx_mul(out, u)
+    return out
+
+
+def _zx_sub(u: list[int], v: list[int]) -> list[int]:
+    out = u + [0] * (len(v) - len(u))
+    for b, cb in enumerate(v):
+        out[b] -= cb
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zx_div(u: list[int], d: list[int]) -> list[int]:
+    """u / d in Z[x]; raises NotDivisible when d does not divide u."""
+    u = list(u)
+    out = [0] * max(len(u) - len(d) + 1, 0)
+    while len(u) >= len(d):
+        c, r = divmod(u[-1], d[-1])
+        if r:
+            raise NotDivisible("inexact division in the subresultant chain")
+        shift = len(u) - len(d)
+        out[shift] = c
+        for b, cb in enumerate(d):
+            u[shift + b] -= c * cb
+        while u and not u[-1]:
+            u.pop()
+    if u:
+        raise NotDivisible("inexact division in the subresultant chain")
+    return out
+
+
+def _integer_rows(p: BiPoly, axis: int) -> list[list[int]]:
+    """p times its denominators' lcm, as coefficients in variable `axis`."""
+    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    top = max(e[axis] for e in p.terms)
+    rows: list[list[int]] = [[] for _ in range(top + 1)]
+    for e, c in p.terms.items():
+        row = rows[e[axis]]
+        row.extend([0] * (e[1 - axis] + 1 - len(row)))
+        row[e[1 - axis]] = c.numerator * (scale // c.denominator)
+    return rows
+
+
+def _prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """lc(b)^(deg a - deg b + 1) * a mod b; deg a >= deg b."""
+    lead, db = b[-1], len(b) - 1
+    r, e = list(a), len(a) - db
+    while len(r) > db:
+        c = r.pop()
+        shift = len(r) - db
+        r = [_zx_mul(lead, x) for x in r]
+        for k in range(db):
+            r[shift + k] = _zx_sub(r[shift + k], _zx_mul(c, b[k]))
+        while r and not r[-1]:
+            r.pop()
+        e -= 1
+    f = _zx_pow(lead, e)
+    return [_zx_mul(f, x) for x in r]
+
+
+def _chain(a: list[list[int]], b: list[list[int]]):
+    """Collins' subresultant chain of a, b (deg a >= deg b >= 1): yields
+    each reduced remainder, up to the first of degree 0 or the zero one."""
+    g = h = [1]
+    while True:
+        delta = len(a) - len(b)
+        d = _zx_mul(g, _zx_pow(h, delta))
+        a, b = b, [_zx_div(x, d) for x in _prem(a, b)]
+        yield b
+        if len(b) <= 1:
+            return
+        g = a[-1]
+        if delta:
+            h = _zx_div(_zx_pow(g, delta), _zx_pow(h, delta - 1))
+
+
+def _subresultant_coprime(a: BiPoly, b: BiPoly) -> bool:
+    """Exact coprimality of two nonzero polynomials (no certificate)."""
+    for axis in (0, 1):
+        ra, rb = _integer_rows(a, axis), _integer_rows(b, axis)
+        if len(ra) > 1 and len(rb) > 1:
+            for last in _chain(*sorted((ra, rb), key=len, reverse=True)):
+                pass
+            if not last:
+                return False  # the resultant vanishes: a common factor
+    return True
+
+
 def is_coprime(a: BiPoly, b: BiPoly) -> bool:
     """True when a and b share no nonconstant polynomial factor.
 
     A zero side is decided directly. Otherwise the modular certificate
-    settles most coprime pairs, and the exact remainder sequence decides
-    the rest; only that sequence reports a shared factor.
+    settles most coprime pairs, and the exact subresultant chain decides
+    the rest; only that chain reports a shared factor.
     """
     if not a.terms and not b.terms:
         raise BothZero("is_coprime needs at least one nonzero polynomial")
@@ -525,26 +524,4 @@ def is_coprime(a: BiPoly, b: BiPoly) -> bool:
         return b.total_degree() == 0
     if not b.terms:
         return a.total_degree() == 0
-    if certify_coprime(a, b):
-        return True
-    rows_a = _to_rows(a)
-    rows_b = _to_rows(b)
-    content_a = _rows_content(rows_a)
-    content_b = _rows_content(rows_b)
-    if len(_x_gcd(content_a, content_b)) > 1:
-        return False
-    A = _rows_primitive(rows_a, content_a)
-    B = _rows_primitive(rows_b, content_b)
-    # a primitive polynomial free of the second variable is a constant
-    if max(A) == 0 or max(B) == 0:
-        return True
-    if max(A) < max(B):
-        A, B = B, A
-    while True:
-        R = _pseudo_mod(A, B)
-        if not R:
-            return False  # the chain stabilized on a factor of positive degree
-        R = _rows_primitive(R, _rows_content(R))
-        if max(R) == 0:
-            return True
-        A, B = B, R
+    return certify_coprime(a, b) or _subresultant_coprime(a, b)

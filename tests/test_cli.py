@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -54,6 +55,26 @@ class TestConjugate:
                                                  ["(x+y)^200", "y"])])
         assert code == 1
         assert "exponent 200 exceeds the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rhs", ["(" * 400 + "x" + ")" * 400,
+                                     "-" * 5000 + "x"],
+                             ids=["parentheses", "unary-minus"])
+    def test_deep_nesting_exits_1(self, sys_file, capsys, rhs):
+        code = main(["conjugate", "-i", sys_file(["x", "y"], [rhs, "y"])])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: nesting deeper")
+
+    def test_shared_factor_partner_is_not_coprime(self, sys_file, capsys):
+        # both sides carry x - 2*y + 1, so the partner's sides share a
+        # factor; only the exact chain can say so
+        rhs = ["(x - 2*y + 1)*(- 2*x^3*y^2 + 3*y^5 + 2*x^2*y + x + 3*y - 1)",
+               "(x - 2*y + 1)*(2*y^5 + 2*x^3*y + 3*y^4 - 3*x^2*y - 2*y^3 + 2)"]
+        started = time.monotonic()
+        code = main(["conjugate", "-i", sys_file(["x", "y"], rhs)])
+        elapsed = time.monotonic() - started
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["coprime"] is False
+        assert elapsed < 5.0
 
     def test_stdin(self, sys_file, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin",

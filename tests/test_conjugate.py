@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -310,6 +311,20 @@ class TestTheoremChecks:
         done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+
+class TestSharedFactorPartner:
+    """Both sides share x - 2*y + 1, so the partner's sides share a factor
+    too; the certificate cannot settle that, the exact chain decides it."""
+
+    FIELD = ("(x - 2*y + 1)*(- 2*x^3*y^2 + 3*y^5 + 2*x^2*y + x + 3*y - 1)",
+             "(x - 2*y + 1)*(2*y^5 + 2*x^3*y + 3*y^4 - 3*x^2*y - 2*y^3 + 2)")
+
+    def test_partner_not_coprime_in_bounded_time(self):
+        result = conjugate(system(*self.FIELD))
+        started = time.monotonic()
+        assert result.conjugate.coprime is False
+        assert time.monotonic() - started < 5.0
 
 
 class TestLazyCoprime:

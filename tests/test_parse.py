@@ -10,6 +10,7 @@ from conftest import bipolys
 from artifact.corpus import load_cases
 from artifact.parse import (
     MAX_DEGREE,
+    MAX_NESTING,
     BothRhsZero,
     NegativeExponent,
     NonIntegerExponent,
@@ -125,6 +126,23 @@ class TestDegreeLimit:
         assert len(load_cases()) == 27
         sys = parse_system(XY, ("(x + y)^16 - 3*x^5*y", "x^8*y^8 + y^16 - 1"))
         assert sys.degree == 16
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("text", ["(" * 400 + "x" + ")" * 400,
+                                      "-" * 5000 + "x"],
+                             ids=["parentheses", "unary-minus"])
+    def test_deep_nesting_refused(self, text):
+        with pytest.raises(ParseError, match="nesting deeper") as info:
+            poly(text)
+        assert info.value.position == MAX_NESTING
+
+    def test_limit_itself_accepted(self):
+        deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert poly(deep) == poly("x")
+        assert poly("-" * MAX_NESTING + "y") == poly("y")
+        assert poly("-(" * (MAX_NESTING // 2) + "y" + ")" * (MAX_NESTING // 2)
+                    ) == poly("y")
 
 
 class TestSystems:

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bipolys, coefficients, nonzero_bipolys
@@ -14,6 +14,10 @@ from artifact.parse import parse_polynomial
 from artifact.poly import (
     _P,
     _POINTS,
+    _chain,
+    _integer_rows,
+    _subresultant_coprime,
+    _zx_div,
     BiPoly,
     BothZero,
     NotDivisible,
@@ -173,8 +177,8 @@ class TestCoprime:
         assert not is_coprime(BiPoly.zero(XY), poly("x"))
 
     def test_shared_factor_free_of_second_variable(self):
-        # common factor x never shows up in the remainder sequence; the
-        # content check has to catch it
+        # common factor x is free of y, so the chain in y never sees it;
+        # the chain in the first variable catches it
         assert not is_coprime(poly("x*y + x"), poly("x*y^2 - x"))
 
     @given(nonzero_bipolys(), nonzero_bipolys(),
@@ -268,6 +272,82 @@ class TestCoprimeDifferential:
 
     def test_zero_side_is_never_certified(self):
         assert not certify_coprime(BiPoly.zero(XY), BiPoly.const(3, XY))
+
+
+def _assert_chain_is_sympy_prs(sympy, a, b, axis):
+    """_chain against sympy's subresultant PRS, element by element up to
+    sign, with variable `axis` as the main one."""
+    rows = sorted((_integer_rows(a, axis), _integer_rows(b, axis)),
+                  key=len, reverse=True)
+    main, other = sympy.symbols("y x" if axis else "x y")
+
+    def expr(r):
+        return sum(c * other**i * main**j
+                   for j, row in enumerate(r) for i, c in enumerate(row))
+
+    ours = [expr(r) for r in _chain(*rows) if r]
+    prs = sympy.subresultants(sympy.Poly(expr(rows[0]), main, other),
+                              sympy.Poly(expr(rows[1]), main, other))
+    theirs = [p.as_expr() for p in prs[2:]]
+    assert len(ours) == len(theirs)
+    for o, t in zip(ours, theirs):
+        assert sympy.expand(o - t) == 0 or sympy.expand(o + t) == 0
+
+
+class TestSubresultantChain:
+    """The exact chain on its own, without the certificate in front of it.
+
+    Through is_coprime the certificate settles almost every coprime pair
+    first, so the chain's "coprime" answer is checked here directly.
+    """
+
+    @given(nonzero_bipolys(), nonzero_bipolys())
+    @settings(max_examples=80, deadline=None)
+    def test_random_pairs_agree_with_sympy(self, sympy, a, b):
+        assert _subresultant_coprime(a, b) == _sympy_coprime(sympy, a, b)
+
+    @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)],
+                             ids=["x-only", "y-only", "both"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_planted_factor_found(self, sympy, axes, data):
+        f = data.draw(_planted_factors(axes), label="f")
+        g = data.draw(nonzero_bipolys(max_exp=3, max_terms=4), label="g")
+        h = data.draw(nonzero_bipolys(max_exp=3, max_terms=4), label="h")
+        assert not _subresultant_coprime(f * g, f * h)
+        assert not _sympy_coprime(sympy, f * g, f * h)
+
+    @given(nonzero_bipolys(max_exp=3, max_terms=4),
+           nonzero_bipolys(max_exp=3, max_terms=4), st.sampled_from([0, 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_chain_is_the_subresultant_prs(self, sympy, a, b, axis):
+        assume(all(max(e[axis] for e in p.terms) for p in (a, b)))
+        _assert_chain_is_sympy_prs(sympy, a, b, axis)
+
+    def test_abnormal_chain_is_the_subresultant_prs(self, sympy):
+        # in y the degrees run 5, 4, 2, 1, 0; after the step that skips
+        # degree 3, h is no longer the last leading coefficient
+        a = poly("x^2*y^4 - 2*x*y^5 + 3*y^2 - 2*x")
+        _assert_chain_is_sympy_prs(sympy, a, poly("3*x*y^4 + 2*y"), 1)
+
+    def test_certified_pairs_are_coprime(self):
+        p = poly("-y - x*(x^2 + y^2 - 1)")
+        q = poly("x - y*(x^2 + y^2 - 1)")
+        assert certify_coprime(p, q)
+        assert _subresultant_coprime(p, q)
+
+    def test_corpus_partner_with_common_factor(self):
+        case = case_by_name("4.9->4.10")
+        u, v = conjugate(case.system, out_vars=case.conjugate_vars
+                         ).conjugate.rhs
+        assert not _subresultant_coprime(u, v)
+
+    def test_inexact_division_raises(self):
+        assert _zx_div([-1, 0, 1], [1, 1]) == [-1, 1]
+        with pytest.raises(NotDivisible):
+            _zx_div([1, 0, 1], [1, 1])
+        with pytest.raises(ArithmeticError):
+            _zx_div([3], [2])
 
 
 class TestCanonicalText:
