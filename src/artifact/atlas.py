@@ -11,13 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .analyze import classify_linear, is_equilibrium, jacobian_at
 from .charts import AT_INFINITY, Chart, Circle, Line, Point, map_curve
 from .conjugate import DiffSystem, conjugate
-from .dynamics import IntegratorConfig, Trajectory, integrate
+from .dynamics import IntegratorConfig, Trajectory, _field, _finite, integrate
 
 
 class OutOfRange(ValueError):
@@ -134,8 +135,12 @@ class AtlasDocument:
                 "provenance": self.provenance}
 
 
-def _clip_exit(traj: Trajectory, radius: float) -> None:
-    """Pull an overshooting final sample back onto the disk boundary."""
+def _clip_exit(traj: Trajectory, radius: float, field) -> None:
+    """Pull an overshooting final sample back onto the disk boundary.
+
+    Its velocity becomes ``field`` (the compiled field the trajectory
+    was integrated with) at the clipped point.
+    """
     if traj.termination != "exited-outer-disk" or len(traj.samples) < 2:
         return
     t0, x0, y0 = traj.samples[-2]
@@ -152,7 +157,9 @@ def _clip_exit(traj: Trajectory, radius: float) -> None:
         return
     s = (-b + math.sqrt(disc)) / a
     s = max(0.0, min(1.0, s))
-    traj.samples[-1] = (t0 + s * (t1 - t0), x0 + s * dx, y0 + s * dy)
+    x, y = x0 + s * dx, y0 + s * dy
+    traj.samples[-1] = (t0 + s * (t1 - t0), x, y)
+    traj.velocities[-2:] = array("d", _finite(field, x, y))
 
 
 def _mid_arc_arrow(traj: Trajectory):
@@ -236,10 +243,10 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
         for seed in seeds:
             if math.hypot(*seed) >= radius:
                 continue
-            for direction in ("forward", "backward"):
+            for direction, sign in (("forward", 1.0), ("backward", -1.0)):
                 traj = integrate(system, seed, icfg,
                                  direction=direction, chart=chart)
-                _clip_exit(traj, radius)
+                _clip_exit(traj, radius, _field(system, sign))
                 if len(traj.samples) >= 2:
                     trajectories.append(traj)
         equilibria = []

@@ -78,16 +78,27 @@ def chart_project(chart: Chart, sp: tuple) -> tuple:
     return (2 * xs / w, 2 * ys / w)
 
 
+def _squared_norm(x, y):
+    """x^2 + y^2, which must not vanish anywhere.
+
+    Numbers test their truth and numpy arrays every element, so the
+    formulas below map one point or many, element by element.
+    """
+    s = x * x + y * y
+    if not (s.all() if hasattr(s, "all") else s):
+        raise OriginSingularity("the transition map is undefined at (0, 0)")
+    return s
+
+
 def transition(p: tuple) -> tuple:
     """Coordinate change between the two planes: p -> 4p/|p|^2.
 
     Both directions share this formula; it is an involution on the
-    punctured plane and fixes the circle x^2 + y^2 = 4 pointwise.
+    punctured plane and fixes the circle x^2 + y^2 = 4 pointwise. ``p``
+    may be a pair of numpy arrays, mapped point by point.
     """
     x, y = p
-    s = x * x + y * y
-    if not s:
-        raise OriginSingularity("the transition map is undefined at (0, 0)")
+    s = _squared_norm(x, y)
     return (4 * x / s, 4 * y / s)
 
 
@@ -95,12 +106,14 @@ def transition_jacobian(px, py) -> tuple[tuple, tuple]:
     """Jacobian matrix of the transition at a point other than the origin.
 
     Exact on Fractions; on floats it carries a velocity into the other
-    chart by the chain rule.
+    chart by the chain rule, and on numpy arrays it does so point by
+    point with the same float operations. ``s * s``, not ``s ** 2``:
+    a float ``**`` goes through the C library's ``pow``, which rounds
+    some squares differently from the correctly rounded product numpy
+    computes for an array.
     """
-    s = px * px + py * py
-    if not s:
-        raise OriginSingularity("the transition map is undefined at (0, 0)")
-    s2 = s ** 2
+    s = _squared_norm(px, py)
+    s2 = s * s
     return ((4 * (py * py - px * px) / s2, -8 * px * py / s2),
             (-8 * px * py / s2, 4 * (px * px - py * py) / s2))
 

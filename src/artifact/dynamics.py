@@ -12,7 +12,8 @@ point and must be continued in the other chart instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -57,9 +58,10 @@ TERMINATIONS = ("time-limit", "exited-outer-disk", "entered-origin-guard",
 class Trajectory:
     """Samples of one integrated orbit and why the integration stopped.
 
-    ``accepted`` and ``rejected`` count the integrator's trial steps.
-    They are deterministic but stay out of ``to_json_dict``, so output
-    documents do not change with them.
+    ``velocities`` holds the field (signed like time) at each sample as
+    (vx, vy) pairs; ``accepted`` and ``rejected`` count the integrator's
+    trial steps. All three are deterministic but stay out of
+    ``to_json_dict``, so output documents do not change with them.
     """
 
     chart: Chart
@@ -67,9 +69,12 @@ class Trajectory:
     termination: str
     accepted: int = 0
     rejected: int = 0
+    velocities: array = field(default_factory=lambda: array("d"))
 
-    def points(self) -> np.ndarray:
-        return np.array([(x, y) for _, x, y in self.samples], dtype=float)
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Times (n,), points (n, 2) and velocities (n, 2) as float arrays."""
+        txy = np.array(self.samples, dtype=float)
+        return txy[:, 0], txy[:, 1:], np.array(self.velocities).reshape(-1, 2)
 
     def to_json_dict(self) -> dict:
         return {"chart": self.chart.value,
@@ -255,7 +260,7 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
     and as the next step's first stage, and a rejected step keeps its
     first stage for the retry. So a trial step costs six field
     evaluations, plus one at the start. The returned trajectory counts
-    accepted and rejected steps.
+    accepted and rejected steps and keeps the field at every sample.
     """
     cfg = cfg or IntegratorConfig()
     if direction not in ("forward", "backward"):
@@ -272,6 +277,7 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
     accepted = rejected = 0
     termination = None
     kx, ky = _finite(f, x, y)
+    velocities = [kx, ky]  # a list appends faster than an array
     if math.hypot(kx, ky) < abs_tol:
         termination = "converged-to-equilibrium"
     while termination is None:
@@ -296,6 +302,8 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
         t += h
         x, y, kx, ky = nx, ny, nkx, nky
         samples.append((t, x, y))
+        velocities.append(kx)
+        velocities.append(ky)
         radius = math.hypot(x, y)
         if radius <= cfg.origin_guard:
             termination = "entered-origin-guard"
@@ -311,8 +319,8 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
             termination = "time-limit"
             break
         h *= min(5.0, 0.9 * (err ** -0.2 if err > 0 else 5.0))
-    traj = Trajectory(chart=chart, samples=samples, termination=termination,
-                      accepted=accepted, rejected=rejected)
+    traj = Trajectory(chart, samples, termination, accepted, rejected,
+                      array("d", velocities))
     if termination == "time-limit" and len(samples) >= 10:
         # loose enough to absorb the sag of sampled chords on a curved orbit
         tol = 1e-3 * max(1.0, math.hypot(samples[0][1], samples[0][2]))
@@ -361,24 +369,25 @@ def detect_closed(traj: Trajectory, tol: float) -> bool:
 
 
 def _cumulative_lengths(pts: np.ndarray) -> np.ndarray:
-    if len(pts) < 2:
-        return np.zeros(len(pts))
     steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def _truncate_to_length(pts: np.ndarray, target: float) -> np.ndarray:
-    """Initial sub-polyline of a given arc length (endpoint interpolated)."""
-    lens = _cumulative_lengths(pts)
+def _truncate_to_length(pts: np.ndarray, lens: np.ndarray, target: float):
+    """Initial sub-polyline of a given arc length, and its ``lens``."""
     if lens[-1] <= target:
-        return pts
-    stop = int(np.searchsorted(lens, target))
-    head = pts[:stop]
+        return pts, lens
+    stop = max(1, int(np.searchsorted(lens, target)))
     a, b = pts[stop - 1], pts[stop]
     span = lens[stop] - lens[stop - 1]
     frac = (target - lens[stop - 1]) / span if span else 0.0
-    tail = (a + frac * (b - a))[None, :]
-    return np.concatenate([head, tail])
+    pts = np.concatenate([pts[:stop], (a + frac * (b - a))[None, :]])
+    # a cumsum adds left to right: the new lengths extend a prefix
+    last = _cumulative_lengths(pts[-2:])[-1]
+    return pts, np.append(lens[:stop], lens[stop - 1] + last)
+
+
+_DENSE_ROWS = 4096  # output rows per block, which bounds the temporaries
 
 
 def _hermite_densify(pts: np.ndarray, times: np.ndarray, vels: np.ndarray,
@@ -387,95 +396,86 @@ def _hermite_densify(pts: np.ndarray, times: np.ndarray, vels: np.ndarray,
 
     Tangent vectors come from the field itself, so each integration step
     can be subdivided until the leftover chord sag is far below the
-    distances being measured. Subdivision count per step follows the
-    turning angle of the velocity across the step.
+    distances being measured: ceil(turn / turn_cap) pieces, 2 to 256,
+    for a velocity turning by ``turn``. Bit for bit a loop over the steps
+    (θ as ``np.linspace`` has it; ``math.acos``, which unlike
+    ``np.arccos`` loads no tables) but where a piece boundary lies within
+    the rounding of a dot product that ``np.dot`` fuses.
     """
     if len(pts) < 2:
         return pts
-    out = [pts[:1]]
-    for idx in range(len(pts) - 1):
-        p0, p1 = pts[idx], pts[idx + 1]
-        v0, v1 = vels[idx], vels[idx + 1]
-        dt = times[idx + 1] - times[idx]
-        n0, n1 = np.linalg.norm(v0), np.linalg.norm(v1)
-        if n0 > 0 and n1 > 0:
-            cosang = np.clip(np.dot(v0, v1) / (n0 * n1), -1.0, 1.0)
-            turn = math.acos(cosang)
-        else:
-            turn = 0.0
-        pieces = min(256, max(2, math.ceil(turn / turn_cap)))
-        theta = np.linspace(0.0, 1.0, pieces + 1)[1:, None]
-        h00 = 2 * theta**3 - 3 * theta**2 + 1
-        h10 = theta**3 - 2 * theta**2 + theta
-        h01 = -2 * theta**3 + 3 * theta**2
-        h11 = theta**3 - theta**2
-        out.append(h00 * p0 + h10 * dt * v0 + h01 * p1 + h11 * dt * v1)
-    return np.concatenate(out)
-
-
-def _resample_by_length(pts: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    lens = _cumulative_lengths(pts)
-    return np.column_stack([np.interp(grid, lens, pts[:, 0]),
-                            np.interp(grid, lens, pts[:, 1])])
+    norms = np.sqrt((vels * vels).sum(axis=1))
+    scale = norms[:-1] * norms[1:]
+    cos = np.divide((vels[:-1] * vels[1:]).sum(axis=1), scale,
+                    out=np.ones_like(scale), where=scale > 0)
+    turn = np.fromiter(map(math.acos, np.clip(cos, -1.0, 1.0).tolist()),
+                       float, len(cos))
+    pieces = np.clip(np.ceil(turn / turn_cap), 2, 256).astype(np.intp)
+    ends = np.cumsum(pieces)
+    step = np.repeat(np.arange(len(pieces)), pieces)  # of each output row
+    theta = (np.arange(1, ends[-1] + 1) - np.repeat(ends - pieces, pieces)) \
+        * np.repeat(1.0 / pieces, pieces)
+    theta[ends - 1] = 1.0
+    dt = np.diff(times)
+    out = np.empty((ends[-1] + 1, 2))
+    out[0] = pts[0]
+    for lo in range(0, ends[-1], _DENSE_ROWS):
+        i = step[lo:lo + _DENSE_ROWS]
+        th, h = theta[lo:lo + _DENSE_ROWS], dt[i]
+        t2, t3 = th**2, th**3
+        h00, h10 = 2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + th) * h
+        h01, h11 = -2 * t3 + 3 * t2, (t3 - t2) * h
+        # x, then y: numpy runs faster on 1-d arrays than on rows of two
+        for o, p, v in zip(out[1 + lo:1 + lo + len(i)].T, pts.T, vels.T):
+            o[:] = h00 * p[i] + h10 * v[i] + h01 * p[i + 1] + h11 * v[i + 1]
+    return out
 
 
 def hausdorff_distance(p: np.ndarray, q: np.ndarray,
                        samples: int = 4096) -> float:
-    """Symmetric Hausdorff distance between two curves.
+    """Arc-length-aligned upper bound on the symmetric Hausdorff distance.
 
     Both curves are resampled at a shared grid of arc lengths, trimming
-    the longer to the common length first; the distance is the largest
+    the longer to the common length first; the result is the largest
     pointwise gap. For curves tracing the same path from the same end
-    this equals the Hausdorff distance of the point sets; in general it
-    bounds it from above.
+    this equals the Hausdorff distance of the point sets.
     """
-    common = min(_cumulative_lengths(p)[-1], _cumulative_lengths(q)[-1])
-    p = _truncate_to_length(p, common)
-    q = _truncate_to_length(q, common)
+    lp, lq = _cumulative_lengths(p), _cumulative_lengths(q)
+    common = min(lp[-1], lq[-1])
+    p, lp = _truncate_to_length(p, lp, common)
+    q, lq = _truncate_to_length(q, lq, common)
     grid = np.linspace(0.0, common, samples + 1)
-    gaps = np.linalg.norm(_resample_by_length(p, grid)
-                          - _resample_by_length(q, grid), axis=1)
-    return float(gaps.max())
+    gaps = np.column_stack([np.interp(grid, lp, p[:, k])
+                            - np.interp(grid, lq, q[:, k]) for k in (0, 1)])
+    return float(np.linalg.norm(gaps, axis=1).max())
 
 
 def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
                        cfg: IntegratorConfig | None = None) -> float:
     """How far the mapped trajectory strays from the partner's own.
 
-    Integrates the system, pushes every sample through the transition
-    map, integrates the partner system from the mapped start, and
-    measures the symmetric Hausdorff distance between the two curves
-    after Hermite densification. Time parametrizations differ by the
-    positive factor (u^2+v^2)^m and are deliberately not compared;
-    trajectories are aligned by arc length instead.
+    Integrates the system, pushes every sample and its velocity (the
+    integrator's) through the transition map and its Jacobian,
+    integrates the partner system from the mapped start, and returns
+    ``hausdorff_distance`` of the two Hermite-densified curves, aligned
+    by arc length: time parametrizations differ by the positive factor
+    (u^2+v^2)^m and are deliberately not compared.
     """
     cfg = cfg or IntegratorConfig()
     # cap the step so cubic interpolation between samples is far more
     # accurate than the distances being measured
     cfg = replace(cfg, max_step=min(cfg.max_step, 0.02),
                   initial_step=min(cfg.initial_step, 0.02))
-    first = integrate(sys, start, cfg)
-    field = _field(sys)
-    guard2 = cfg.origin_guard ** 2
-    mapped, mapped_vel, mapped_t = [], [], []
-    for t, xx, yy in first.samples:
-        if xx * xx + yy * yy <= guard2:
-            continue  # only ever the final sample, on a guard stop
-        fx, fy = _finite(field, xx, yy)
-        (j00, j01), (j10, j11) = transition_jacobian(xx, yy)
-        mapped.append(transition((xx, yy)))
-        mapped_vel.append((j00 * fx + j01 * fy, j10 * fx + j11 * fy))
-        mapped_t.append(t)
-    if not mapped:
+    t, pts, vel = integrate(sys, start, cfg).arrays()
+    # only ever the final sample, on a guard stop
+    kept = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1] > cfg.origin_guard ** 2
+    if not kept.any():
         raise ValueError("the whole trajectory sat inside the origin guard")
+    (x, y), (vx, vy) = pts[kept].T, vel[kept].T
+    (j00, j01), (j10, j11) = transition_jacobian(x, y)
+    a = _hermite_densify(
+        np.column_stack(transition((x, y))), t[kept],
+        np.column_stack([j00 * vx + j01 * vy, j10 * vx + j11 * vy]))
     q0 = transition((float(start[0]), float(start[1])))
-    second = integrate(result.conjugate, q0, cfg, chart=Chart.S)
-    b_pts = second.points()
-    partner = _field(result.conjugate)
-    b_vel = np.array([_finite(partner, xx, yy)
-                      for _, xx, yy in second.samples])
-    b_t = np.array([t for t, _, _ in second.samples])
-    a = _hermite_densify(np.array(mapped), np.array(mapped_t),
-                         np.array(mapped_vel))
-    b = _hermite_densify(b_pts, b_t, b_vel)
-    return hausdorff_distance(a, b)
+    t, pts, vel = integrate(result.conjugate, q0, cfg, chart=Chart.S).arrays()
+    return hausdorff_distance(a, _hermite_densify(pts, t, vel))

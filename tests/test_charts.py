@@ -1,8 +1,10 @@
 """Projections, chart inverses, transition involution, curve images."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +113,31 @@ class TestTransition:
     def test_extended_map_swaps_origin_and_infinity(self):
         assert extended_transition((0, 0)) is AT_INFINITY
         assert extended_transition(AT_INFINITY) == (0, 0)
+
+    def test_arrays_match_scalar_calls_bit_for_bit(self):
+        rng = random.Random(12)
+        pts = [(rng.uniform(-5, 5) * 10.0 ** rng.randint(-3, 3),
+                rng.uniform(-5, 5)) for _ in range(20000)]
+        pts += [(0.0, 1.5), (-0.0, 2.0), (1e-3, -0.0), (2.0, 0.0)]
+        x = np.array([p[0] for p in pts])
+        y = np.array([p[1] for p in pts])
+        mapped = transition((x, y))
+        jac = transition_jacobian(x, y)
+        for n, (px, py) in enumerate(pts):
+            assert [v[n].hex() for v in mapped] \
+                == [v.hex() for v in transition((px, py))]
+            assert [v[n].hex() for row in jac for v in row] \
+                == [v.hex() for row in transition_jacobian(px, py)
+                    for v in row]
+
+    @pytest.mark.parametrize("zero", [
+        (Fraction(0), Fraction(0)), (0.0, -0.0),
+        (np.array([1.0, 0.0, 2.0]), np.array([1.0, 0.0, -1.0]))])
+    def test_origin_excluded_on_every_number_kind(self, zero):
+        with pytest.raises(OriginSingularity):
+            transition(zero)
+        with pytest.raises(OriginSingularity):
+            transition_jacobian(*zero)
 
     @given(punctured)
     def test_involution(self, p):

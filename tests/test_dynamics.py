@@ -1,5 +1,6 @@
 """Integration, closure detection, and orbit-correspondence checks."""
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -7,9 +8,12 @@ import random
 import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from artifact import dynamics
+from artifact.atlas import AtlasConfig, build_atlas
+from artifact.charts import Chart, transition, transition_jacobian
 from artifact.conjugate import conjugate
 from artifact.corpus import case_by_name, load_cases
 from artifact.dynamics import (
@@ -192,7 +196,6 @@ class TestDetectClosed:
         assert detect_closed(traj, 1e-3)
 
     def test_needs_ten_samples(self):
-        from artifact.charts import Chart
         stub = Trajectory(Chart.N, [(0.0, 1.0, 0.0)] * 5, "time-limit")
         with pytest.raises(ValueError):
             detect_closed(stub, 1e-3)
@@ -493,3 +496,275 @@ class TestScipyOracle:
         # state; on these orbits the errors at most add up
         scale = max(1.0, math.hypot(x_end, y_end))
         assert gap < traj.accepted * rel_tol * scale
+
+
+# -- whole-array residual against the per-step and per-sample loops ----------
+
+
+def loop_densify(pts, times, vels, turn_cap=3e-4):
+    """Reference densification: one small Hermite evaluation per step."""
+    if len(pts) < 2:
+        return pts
+    out = [pts[:1]]
+    for idx in range(len(pts) - 1):
+        p0, p1 = pts[idx], pts[idx + 1]
+        v0, v1 = vels[idx], vels[idx + 1]
+        dt = times[idx + 1] - times[idx]
+        n0, n1 = np.linalg.norm(v0), np.linalg.norm(v1)
+        if n0 > 0 and n1 > 0:
+            cosang = np.clip(np.dot(v0, v1) / (n0 * n1), -1.0, 1.0)
+            turn = math.acos(cosang)
+        else:
+            turn = 0.0
+        pieces = min(256, max(2, math.ceil(turn / turn_cap)))
+        theta = np.linspace(0.0, 1.0, pieces + 1)[1:, None]
+        h00 = 2 * theta**3 - 3 * theta**2 + 1
+        h10 = theta**3 - 2 * theta**2 + theta
+        h01 = -2 * theta**3 + 3 * theta**2
+        h11 = theta**3 - theta**2
+        out.append(h00 * p0 + h10 * dt * v0 + h01 * p1 + h11 * dt * v1)
+    return np.concatenate(out)
+
+
+def _loop_lengths(pts):
+    if len(pts) < 2:
+        return np.zeros(len(pts))
+    steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def _loop_truncate(pts, target):
+    lens = _loop_lengths(pts)
+    if lens[-1] <= target:
+        return pts
+    stop = int(np.searchsorted(lens, target))
+    a, b = pts[stop - 1], pts[stop]
+    span = lens[stop] - lens[stop - 1]
+    frac = (target - lens[stop - 1]) / span if span else 0.0
+    return np.concatenate([pts[:stop], (a + frac * (b - a))[None, :]])
+
+
+def _loop_resample(pts, grid):
+    lens = _loop_lengths(pts)
+    return np.column_stack([np.interp(grid, lens, pts[:, 0]),
+                            np.interp(grid, lens, pts[:, 1])])
+
+
+def loop_distance(p, q, samples=4096):
+    """Reference distance: the arc lengths of each curve found again for
+    the truncation and for the resampling."""
+    common = min(_loop_lengths(p)[-1], _loop_lengths(q)[-1])
+    p = _loop_truncate(p, common)
+    q = _loop_truncate(q, common)
+    grid = np.linspace(0.0, common, samples + 1)
+    gaps = np.linalg.norm(_loop_resample(p, grid) - _loop_resample(q, grid),
+                          axis=1)
+    return float(gaps.max())
+
+
+def loop_residual(sys, result, start, cfg):
+    """Reference residual: maps each sample on its own and evaluates the
+    field there again, then densifies and measures with the loops."""
+    cfg = dataclasses.replace(cfg, max_step=min(cfg.max_step, 0.02),
+                              initial_step=min(cfg.initial_step, 0.02))
+    first = integrate(sys, start, cfg)
+    field = dynamics._field(sys)
+    guard2 = cfg.origin_guard ** 2
+    mapped, mapped_vel, mapped_t = [], [], []
+    for t, xx, yy in first.samples:
+        if xx * xx + yy * yy <= guard2:
+            continue
+        fx, fy = dynamics._finite(field, xx, yy)
+        (j00, j01), (j10, j11) = transition_jacobian(xx, yy)
+        mapped.append(transition((xx, yy)))
+        mapped_vel.append((j00 * fx + j01 * fy, j10 * fx + j11 * fy))
+        mapped_t.append(t)
+    q0 = transition((float(start[0]), float(start[1])))
+    second = integrate(result.conjugate, q0, cfg, chart=Chart.S)
+    partner = dynamics._field(result.conjugate)
+    b_pts = np.array([(xx, yy) for _, xx, yy in second.samples])
+    b_vel = np.array([dynamics._finite(partner, xx, yy)
+                      for _, xx, yy in second.samples])
+    b_t = np.array([t for t, _, _ in second.samples])
+    a = loop_densify(np.array(mapped), np.array(mapped_t),
+                     np.array(mapped_vel))
+    return loop_distance(a, loop_densify(b_pts, b_t, b_vel))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+def random_curve(rng, n, spread=3.0):
+    pts = np.array([(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
+                    for _ in range(n)])
+    times = np.cumsum([rng.uniform(1e-3, 0.1) for _ in range(n)])
+    vels = np.array([(rng.gauss(0, 2), rng.gauss(0, 2)) for _ in range(n)])
+    return pts, times, vels
+
+
+class TestDensifyAgainstLoop:
+    def check(self, pts, times, vels):
+        new = dynamics._hermite_densify(pts, times, vels)
+        assert same_bits(new, loop_densify(pts, times, vels))
+        return new
+
+    def test_trajectories_of_the_corpus(self):
+        cfg = tight(max_time=6.0, max_step=0.02, initial_step=0.02)
+        for name in SECTION5:
+            for partner in (False, True):
+                sys = case_by_name(name).system
+                if partner:
+                    sys = conjugate(sys).conjugate
+                t, pts, vel = integrate(sys, (0.6, -0.4), cfg).arrays()
+                self.check(pts, t, vel)
+
+    def test_random_curves(self):
+        rng = random.Random(31)
+        for n in (3, 10, 57, 200):
+            self.check(*random_curve(rng, n))
+
+    def test_zero_velocities_take_two_pieces(self):
+        pts, times, vels = random_curve(random.Random(32), 6)
+        vels[2] = (0.0, 0.0)
+        vels[3] = (-0.0, 0.0)
+        out = self.check(pts, times, vels)
+        # steps 1, 2 and 3 touch a zero velocity; the others turn freely
+        pieces = [len(loop_densify(pts[i:i + 2], times[i:i + 2],
+                                   vels[i:i + 2])) - 1 for i in range(5)]
+        assert pieces[1:4] == [2, 2, 2]
+        assert len(out) == 1 + sum(pieces)
+
+    def test_reversals_hit_the_piece_cap_across_blocks(self):
+        # every step turns by pi: 256 pieces each, 15 360 rows in all,
+        # more than three blocks
+        n = 61
+        pts = np.array([(math.cos(k), math.sin(k)) for k in range(n)])
+        vels = np.array([((-1.0) ** k, 0.5 * (-1.0) ** k) for k in range(n)])
+        out = self.check(pts, np.arange(n) * 0.01, vels)
+        assert len(out) == 1 + 256 * (n - 1) > 3 * dynamics._DENSE_ROWS
+
+    def test_straight_steps_take_two_pieces(self):
+        pts = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+        vels = np.array([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
+        assert len(self.check(pts, np.array([0.0, 1.0, 2.0]), vels)) == 5
+
+    def test_one_and_two_points(self):
+        pts, times, vels = random_curve(random.Random(33), 2)
+        assert len(self.check(pts[:1], times[:1], vels[:1])) == 1
+        self.check(pts, times, vels)
+
+
+class TestDistanceAgainstLoop:
+    def test_random_curves_of_unequal_length(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            p = random_curve(rng, rng.randint(2, 60))[0]
+            q = random_curve(rng, rng.randint(2, 60))[0]
+            assert dynamics.hausdorff_distance(p, q).hex() \
+                == loop_distance(p, q).hex()
+
+    def test_truncation_extends_the_length_prefix(self):
+        rng = random.Random(42)
+        for _ in range(1000):
+            p = random_curve(rng, rng.randint(2, 40))[0]
+            lens = dynamics._cumulative_lengths(p)
+            target = rng.uniform(0.0, 1.2) * lens[-1]
+            cut, cut_lens = dynamics._truncate_to_length(p, lens, target)
+            want = _loop_truncate(p, target)
+            assert same_bits(cut, want)
+            assert same_bits(cut_lens, _loop_lengths(want))
+
+    def test_single_point_against_a_curve(self):
+        p = np.array([[0.0, 0.0]])
+        q = np.array([[3.0, 4.0], [6.0, 8.0]])
+        assert dynamics.hausdorff_distance(p, q) == 5.0
+        assert dynamics.hausdorff_distance(q, p) == 5.0
+        assert dynamics.hausdorff_distance(p, p) == 0.0
+
+
+class TestResidualAgainstLoop:
+    @pytest.mark.parametrize("name", SECTION5)
+    def test_chapter_five_cases(self, name):
+        case = case_by_name(name)
+        res = conjugate(case.system)
+        rng = random.Random(2024)
+        for cfg in (tight(max_time=6.0), IntegratorConfig(max_time=4.0)):
+            for _ in range(3):
+                start = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+                got = conjugacy_residual(case.system, res, start, cfg)
+                want = loop_residual(case.system, res, start, cfg)
+                assert got.hex() == want.hex(), (name, start)
+
+    def test_guard_stop_drops_the_last_sample(self):
+        # 7.1->7.2's partner falls into its origin inside r = 4
+        partner = conjugate(case_by_name("7.1->7.2").system)
+        back = conjugate(partner.conjugate)
+        start, cfg = (3.0, 0.0), IntegratorConfig(max_time=6.0)
+        assert integrate(partner.conjugate, start, cfg).termination \
+            == "entered-origin-guard"
+        got = conjugacy_residual(partner.conjugate, back, start, cfg)
+        want = loop_residual(partner.conjugate, back, start, cfg)
+        assert got.hex() == want.hex()
+
+
+def field_bits(field, x, y):
+    return [v.hex() for v in field(x, y)]
+
+
+def assert_velocities_are_the_field(traj, field):
+    assert len(traj.velocities) == 2 * len(traj.samples)
+    for n, (_, x, y) in enumerate(traj.samples):
+        got = traj.velocities[2 * n:2 * n + 2]
+        assert [v.hex() for v in got] == field_bits(field, x, y), n
+
+
+class TestVelocities:
+    @pytest.mark.parametrize("direction,sign",
+                             [("forward", 1.0), ("backward", -1.0)])
+    @pytest.mark.parametrize("name", ["5.5->5.6", "7.3->7.4", "4.6->4.7"])
+    def test_integrate_keeps_the_field_at_every_sample(self, name,
+                                                       direction, sign):
+        sys = case_by_name(name).system
+        for start in ((0.5, 0.3), (2.0, -1.0)):
+            traj = integrate(sys, start, IntegratorConfig(max_time=3.0),
+                             direction=direction)
+            assert len(traj.samples) > 2
+            assert_velocities_are_the_field(traj, dynamics._field(sys, sign))
+
+    def test_equilibrium_start_keeps_one_velocity(self):
+        sys = case_by_name("5.3->5.4").system
+        traj = integrate(sys, (0.0, 0.0))
+        assert traj.termination == "converged-to-equilibrium"
+        assert list(traj.velocities) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("name", ["5.5->5.6", "4.6->4.7"])
+    def test_atlas_trajectories_and_clipped_exits(self, name):
+        sys = case_by_name(name).system
+        cfg = AtlasConfig(rays=4, rings=1,
+                          integrator=IntegratorConfig(max_time=3.0))
+        doc = build_atlas(sys, cfg)
+        exits = 0
+        for disk, system in zip(doc.disks, (sys, conjugate(sys).conjugate)):
+            fields = [dynamics._field(system, s) for s in (1.0, -1.0)]
+            for traj in disk.trajectories:
+                _, x0, y0 = traj.samples[0]
+                # the sign of time is not kept; the start tells it
+                field = next(f for f in fields
+                             if [v.hex() for v in traj.velocities[:2]]
+                             == field_bits(f, x0, y0))
+                assert_velocities_are_the_field(traj, field)
+                exits += traj.termination == "exited-outer-disk"
+        assert exits > 0
+
+    def test_copies_keep_velocities_and_json_leaves_them_out(self):
+        sys = case_by_name("5.9->5.10").system
+        traj = integrate(sys, (0.7, -0.2), IntegratorConfig(max_time=2.0))
+        for twin in (copy.deepcopy(traj), pickle.loads(pickle.dumps(traj))):
+            assert twin.velocities == traj.velocities
+            assert twin.velocities is not traj.velocities
+        assert set(traj.to_json_dict()) == {"chart", "termination", "samples"}
+        times, pts, vel = traj.arrays()
+        assert vel.shape == pts.shape == (len(times), 2)
