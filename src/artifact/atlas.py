@@ -18,7 +18,7 @@ from fractions import Fraction
 from .analyze import classify_linear, is_equilibrium, jacobian_at
 from .charts import AT_INFINITY, Chart, Circle, Line, Point, map_curve
 from .conjugate import DiffSystem, conjugate
-from .dynamics import IntegratorConfig, Trajectory, _field, _finite, integrate
+from .dynamics import IntegratorConfig, Trajectory, field_eval, integrate
 
 
 class OutOfRange(ValueError):
@@ -135,11 +135,12 @@ class AtlasDocument:
                 "provenance": self.provenance}
 
 
-def _clip_exit(traj: Trajectory, radius: float, field) -> None:
+def _clip_exit(traj: Trajectory, radius: float, system: DiffSystem,
+               sign: float) -> None:
     """Pull an overshooting final sample back onto the disk boundary.
 
-    Its velocity becomes ``field`` (the compiled field the trajectory
-    was integrated with) at the clipped point.
+    Its velocity becomes the field there times ``sign``; -1.0 negates it
+    exactly, as the time-reversed field the integrator ran on does.
     """
     if traj.termination != "exited-outer-disk" or len(traj.samples) < 2:
         return
@@ -159,7 +160,8 @@ def _clip_exit(traj: Trajectory, radius: float, field) -> None:
     s = max(0.0, min(1.0, s))
     x, y = x0 + s * dx, y0 + s * dy
     traj.samples[-1] = (t0 + s * (t1 - t0), x, y)
-    traj.velocities[-2:] = array("d", _finite(field, x, y))
+    fx, fy = field_eval(system, (x, y))
+    traj.velocities[-2:] = array("d", (sign * fx, sign * fy))
 
 
 def _mid_arc_arrow(traj: Trajectory):
@@ -246,7 +248,7 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
             for direction, sign in (("forward", 1.0), ("backward", -1.0)):
                 traj = integrate(system, seed, icfg,
                                  direction=direction, chart=chart)
-                _clip_exit(traj, radius, _field(system, sign))
+                _clip_exit(traj, radius, system, sign)
                 if len(traj.samples) >= 2:
                     trajectories.append(traj)
         equilibria = []
@@ -266,8 +268,7 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
                                curves=curves))
 
     provenance = {
-        "system": {"vars": list(sys.vars),
-                   "rhs": [p.to_text() for p in sys.rhs]},
+        "system": sys.to_json_dict(),
         "conjugation": result.to_json_dict(),
         "config_hash": cfg.config_hash(),
     }

@@ -86,8 +86,7 @@ def _cmd_conjugate(args) -> int:
               file=sys.stderr)
         return 1
     result = conjugate(system)
-    payload = {"system": {"vars": list(system.vars),
-                          "rhs": [p.to_text() for p in system.rhs]}}
+    payload = {"system": system.to_json_dict()}
     payload.update(result.to_json_dict())
     _emit(_json_text(payload), args.output)
     return 0

@@ -90,18 +90,15 @@ class DiffSystem:
                    if d is not None]
         return cls(vars=vars, rhs=(p, q), degree=max(degrees))
 
-    def component(self, which: int, degree: int) -> BiPoly:
-        """Homogeneous part of the given degree of rhs[which] (may be zero)."""
-        terms = {e: c for e, c in self.rhs[which].terms.items()
-                 if e[0] + e[1] == degree}
-        return BiPoly(self.vars, terms)
+    def to_json_dict(self) -> dict:
+        """The form ``parse.system_from_json`` reads back."""
+        return {"vars": list(self.vars), "rhs": [p.to_text() for p in self.rhs]}
 
 
 @dataclass(frozen=True)
 class ConjugationResult:
     system: DiffSystem
     conjugate: DiffSystem
-    raw: tuple[BiPoly, BiPoly]
     k: int
     m: int
 
@@ -134,7 +131,9 @@ def wn_divisibility(sys: DiffSystem) -> tuple[bool, BiPoly]:
     n = sys.degree
     x = BiPoly.var(sys.vars[0], sys.vars)
     y = BiPoly.var(sys.vars[1], sys.vars)
-    w = x * sys.component(1, n) - y * sys.component(0, n)
+    zero = BiPoly.zero(sys.vars)
+    px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
+    w = x * py.get(n, zero) - y * px.get(n, zero)
     quot, rem = divmod_circle(w)
     if rem:
         return False, rem
@@ -152,12 +151,13 @@ def _transported_pair(sys: DiffSystem, out: tuple[str, str], top: int
     s = _circle(out)
     sum_x = BiPoly.zero(out)
     sum_y = BiPoly.zero(out)
+    px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
     for j in range(top + 1):
         weight = s ** (top - j)
-        xj = sys.component(0, j)
+        xj = px.get(j)
         if xj:
             sum_x = sum_x + weight * xj.scale_vars(4, 4).with_vars(out)
-        yj = sys.component(1, j)
+        yj = py.get(j)
         if yj:
             sum_y = sum_y + weight * yj.scale_vars(4, 4).with_vars(out)
     quarter = Fraction(1, 4)
@@ -183,7 +183,7 @@ def conjugate(sys: DiffSystem,
               out_vars: tuple[str, str] | None = None) -> ConjugationResult:
     """Partner system with all shared circle powers removed.
 
-    The returned result carries the raw pair, the removed power k, and the
+    The result carries the partner, the removed power k and the
     time-reparametrization exponent m = n - k.
     """
     u0, v0 = raw_conjugate(sys, out_vars)
@@ -199,8 +199,7 @@ def conjugate(sys: DiffSystem,
         u = divide_exact_by_circle(u)
         v = divide_exact_by_circle(v)
     conj = DiffSystem.build(partner_vars(sys.vars, out_vars), u, v)
-    return ConjugationResult(system=sys, conjugate=conj, raw=(u0, v0),
-                             k=k, m=m)
+    return ConjugationResult(system=sys, conjugate=conj, k=k, m=m)
 
 
 def reduction_quotients(sys: DiffSystem, k: int
@@ -220,12 +219,13 @@ def reduction_quotients(sys: DiffSystem, k: int
     x = BiPoly.var(sys.vars[0], sys.vars)
     y = BiPoly.var(sys.vars[1], sys.vars)
     s = _circle(sys.vars)
+    zero = BiPoly.zero(sys.vars)
+    px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
     ks: list[BiPoly] = []
     qs: list[BiPoly] = []
     for r in range(1, k + 1):
         d = n - r + 1
-        fx = sys.component(0, d)
-        fy = sys.component(1, d)
+        fx, fy = px.get(d, zero), py.get(d, zero)
         w = x * fy - y * fx
         lhs_k = -2 * (y * w) - s * fx
         lhs_q = 2 * (x * w) - s * fy

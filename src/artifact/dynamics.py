@@ -90,8 +90,9 @@ def _compile(sys: DiffSystem, sign: float = 1.0):
 
     The function is straight-line code built with ``exec``. Each power
     ``x**e`` and ``y**e`` is computed once, and each component is
-    ``0.0 + c * x**i * y**j + ...`` in term order, so it equals that loop
-    over the terms bit for bit (a factor ``x**0`` is 1.0 and left out,
+    ``0.0 + c * x**i * y**j + ...`` in term order, the order in which the
+    exact core built the polynomial, so it equals that loop over the
+    terms bit for bit (a factor ``x**0`` is 1.0 and left out,
     ``x**1`` is ``x``). The source holds only generated names and integer
     exponents; the coefficients are bound in its namespace. ``sign`` -1
     reverses time. The function may raise OverflowError or return
@@ -388,15 +389,17 @@ def _truncate_to_length(pts: np.ndarray, lens: np.ndarray, target: float):
 
 
 _DENSE_ROWS = 4096  # output rows per block, which bounds the temporaries
+_TURN_CAP = 3e-4  # radians of velocity turn per densified piece
+_DISTANCE_SAMPLES = 4096  # arc-length grid intervals of hausdorff_distance
 
 
-def _hermite_densify(pts: np.ndarray, times: np.ndarray, vels: np.ndarray,
-                     turn_cap: float = 3e-4) -> np.ndarray:
+def _hermite_densify(pts: np.ndarray, times: np.ndarray,
+                     vels: np.ndarray) -> np.ndarray:
     """Refine sampled curve points with cubic Hermite interpolation.
 
     Tangent vectors come from the field itself, so each integration step
     can be subdivided until the leftover chord sag is far below the
-    distances being measured: ceil(turn / turn_cap) pieces, 2 to 256,
+    distances being measured: ceil(turn / _TURN_CAP) pieces, 2 to 256,
     for a velocity turning by ``turn``. Bit for bit a loop over the steps
     (θ as ``np.linspace`` has it; ``math.acos``, which unlike
     ``np.arccos`` loads no tables) but where a piece boundary lies within
@@ -410,7 +413,7 @@ def _hermite_densify(pts: np.ndarray, times: np.ndarray, vels: np.ndarray,
                     out=np.ones_like(scale), where=scale > 0)
     turn = np.fromiter(map(math.acos, np.clip(cos, -1.0, 1.0).tolist()),
                        float, len(cos))
-    pieces = np.clip(np.ceil(turn / turn_cap), 2, 256).astype(np.intp)
+    pieces = np.clip(np.ceil(turn / _TURN_CAP), 2, 256).astype(np.intp)
     ends = np.cumsum(pieces)
     step = np.repeat(np.arange(len(pieces)), pieces)  # of each output row
     theta = (np.arange(1, ends[-1] + 1) - np.repeat(ends - pieces, pieces)) \
@@ -431,8 +434,7 @@ def _hermite_densify(pts: np.ndarray, times: np.ndarray, vels: np.ndarray,
     return out
 
 
-def hausdorff_distance(p: np.ndarray, q: np.ndarray,
-                       samples: int = 4096) -> float:
+def hausdorff_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Arc-length-aligned upper bound on the symmetric Hausdorff distance.
 
     Both curves are resampled at a shared grid of arc lengths, trimming
@@ -444,7 +446,7 @@ def hausdorff_distance(p: np.ndarray, q: np.ndarray,
     common = min(lp[-1], lq[-1])
     p, lp = _truncate_to_length(p, lp, common)
     q, lq = _truncate_to_length(q, lq, common)
-    grid = np.linspace(0.0, common, samples + 1)
+    grid = np.linspace(0.0, common, _DISTANCE_SAMPLES + 1)
     gaps = np.column_stack([np.interp(grid, lp, p[:, k])
                             - np.interp(grid, lq, q[:, k]) for k in (0, 1)])
     return float(np.linalg.norm(gaps, axis=1).max())

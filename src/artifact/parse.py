@@ -12,7 +12,7 @@ import json
 import re
 from fractions import Fraction
 
-from .conjugate import DiffSystem
+from .conjugate import DiffSystem, ZeroField
 from .poly import BiPoly
 
 
@@ -36,8 +36,8 @@ class NegativeExponent(ParseError):
     pass
 
 
-class BothRhsZero(ValueError):
-    """A system needs at least one nonzero right side."""
+# the old name stays importable; DiffSystem.build is the one check
+BothRhsZero = ZeroField
 
 
 # Largest exponent, and largest total degree of any intermediate product,
@@ -248,8 +248,6 @@ def parse_system(variables, rhs) -> DiffSystem:
         raise ValueError("right-hand sides must be nonempty")
     p = parse_polynomial(expressions[0], variables)
     q = parse_polynomial(expressions[1], variables)
-    if p.is_zero() and q.is_zero():
-        raise BothRhsZero("both right sides parse to zero")
     return DiffSystem.build(variables, p, q)
 
 
@@ -258,11 +256,12 @@ def system_from_json(source) -> DiffSystem:
     data = json.loads(source) if isinstance(source, (str, bytes)) else source
     if not isinstance(data, dict) or "vars" not in data or "rhs" not in data:
         raise ValueError('system JSON needs "vars" and "rhs" entries')
-    vars_ = data["vars"]
-    rhs = data["rhs"]
-    if len(vars_) != 2 or len(rhs) != 2:
-        raise ValueError('"vars" and "rhs" must each have two entries')
-    return parse_system((vars_[0], vars_[1]), (rhs[0], rhs[1]))
+    for key in ("vars", "rhs"):
+        entry = data[key]
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and all(isinstance(item, str) for item in entry)):
+            raise ValueError(f'"{key}" must be a list of two strings')
+    return parse_system(data["vars"], data["rhs"])
 
 
 _EQUATION_LINE = re.compile(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 _ZERO = Fraction(0)
 
@@ -84,9 +84,6 @@ class BiPoly:
         if isinstance(other, (int, Fraction)):
             return self.terms == ({(0, 0): Fraction(other)} if other else {})
         return NotImplemented
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        return iter(self.terms.items())
 
     # -- ring operations --------------------------------------------------
 

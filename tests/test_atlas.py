@@ -1,11 +1,14 @@
 """Atlas assembly and rendering determinism."""
 
+import ast
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from artifact import atlas
 from artifact.atlas import (
     AtlasConfig,
     OutOfRange,
@@ -174,3 +177,12 @@ class TestRenderSvg:
         svg = render_svg(doc)
         assert svg.count(b'fill="#1f4e79"') == \
             sum(len(d.arrows) for d in doc.disks)
+
+
+def test_atlas_uses_only_public_dynamics_names():
+    tree = ast.parse(inspect.getsource(atlas))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "dynamics"
+             for alias in node.names]
+    assert "field_eval" in names
+    assert not [name for name in names if name.startswith("_")]

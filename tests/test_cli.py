@@ -83,6 +83,23 @@ class TestConjugate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["system"]["rhs"] == ["y", "-x"]
 
+    @pytest.mark.parametrize("key,entry", [
+        ("vars", 1), ("vars", None), ("rhs", {"a": "x", "b": "y"}),
+        ("rhs", ["x", None]), ("rhs", [1, 2])],
+        ids=["vars-number", "vars-null", "rhs-object", "rhs-null-entry",
+             "rhs-numbers"])
+    def test_malformed_system_json_exits_1(self, sys_file, capsys, key,
+                                           entry):
+        fields = {"vars": ["x", "y"], "rhs": ["y", "-x"], key: entry}
+        assert main(["conjugate", "-i", sys_file(*fields.values())]) == 1
+        assert capsys.readouterr().err == (
+            f'error: "{key}" must be a list of two strings\n')
+
+    def test_both_sides_zero_exits_1(self, sys_file, capsys):
+        code = main(["conjugate", "-i", sys_file(["x", "y"], ["0", "x - x"])])
+        assert code == 1
+        assert capsys.readouterr().err == "error: both right sides are zero\n"
+
     def test_missing_file(self, capsys):
         assert main(["conjugate", "-i", "/no/such/file.json"]) == 1
         assert "error:" in capsys.readouterr().err

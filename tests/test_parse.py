@@ -179,6 +179,23 @@ class TestSystems:
         with pytest.raises(ValueError):
             system_from_json({"vars": ["x", "y"]})
 
+    @pytest.mark.parametrize("key,entry", [
+        ("vars", 1), ("vars", None), ("vars", "xy"), ("vars", ["x"]),
+        ("rhs", {"a": "x", "b": "y"}), ("rhs", ["x", None]),
+        ("rhs", [1, 2]), ("rhs", ["x", "y", "1"])],
+        ids=["vars-number", "vars-null", "vars-string", "vars-one",
+             "rhs-object", "rhs-null-entry", "rhs-numbers", "rhs-three"])
+    def test_json_entries_must_be_two_strings(self, key, entry):
+        data = {"vars": ["x", "y"], "rhs": ["y", "-x"], key: entry}
+        with pytest.raises(ValueError,
+                           match=f'^"{key}" must be a list of two strings$'):
+            system_from_json(data)
+
+    def test_json_dict_round_trip(self):
+        for case in load_cases():
+            again = system_from_json(json.dumps(case.system.to_json_dict()))
+            assert again == case.system
+
     def test_text_form_infers_variables(self):
         sys = system_from_text("dx/dt = -y\ndy/dt = x\n")
         assert sys.vars == XY
