@@ -26,9 +26,17 @@ class BiPoly:
     """Sparse bivariate polynomial with exact rational coefficients.
 
     ``terms`` maps an exponent pair ``(i, j)`` to the coefficient of
-    ``first**i * second**j``. Zero coefficients are dropped on
-    construction, so the zero polynomial has an empty dict. Treat
-    instances as immutable; every operation returns a new one.
+    ``first**i * second**j``. Every instance keeps three invariants:
+    coefficients are ``Fraction`` and exponents are ``int``; no zero
+    coefficient is stored, so the zero polynomial has an empty dict; and
+    the terms stay in the order the operation that made them built them.
+    That order is output: the compiled float field sums terms in it.
+
+    The public constructor coerces whatever it is given into that form.
+    The ring operations build their results, whose terms already hold,
+    through the private ``_trusted`` constructor, which only drops zero
+    coefficients. Treat instances as immutable; every operation returns
+    a new one.
     """
 
     __slots__ = ("vars", "terms")
@@ -42,6 +50,16 @@ class BiPoly:
                 if c:
                     clean[(int(i), int(j))] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, vars: tuple[str, str], terms: Mapping) -> "BiPoly":
+        """A polynomial from terms already in canonical form: `vars` two
+        strings, keys int pairs, values Fraction. Zero values are dropped;
+        the dict stored is always a new one, in the order of `terms`."""
+        self = object.__new__(cls)
+        self.vars = vars
+        self.terms = {e: c for e, c in terms.items() if c}
+        return self
 
     # -- constructors ----------------------------------------------------
 
@@ -103,30 +121,39 @@ class BiPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, _ZERO) + c
-        return BiPoly(self.vars, terms)
+            terms[e] = terms[e] + c if e in terms else c
+        return BiPoly._trusted(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return BiPoly._trusted(self.vars,
+                               {e: -c for e, c in self.terms.items()})
+
+    def _minus(self, other: "BiPoly") -> "BiPoly":
+        """self - other in one pass, in the term order of self + (-other)."""
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms[e] - c if e in terms else -c
+        return BiPoly._trusted(self.vars, terms)
 
     def __sub__(self, other) -> "BiPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._minus(other)
 
     def __rsub__(self, other) -> "BiPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._minus(self)
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return BiPoly(self.vars, {e: v * c for e, v in self.terms.items()})
+            return BiPoly._trusted(self.vars,
+                                   {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._coerce(other)
@@ -134,8 +161,8 @@ class BiPoly:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2)
-                out[e] = out.get(e, _ZERO) + c1 * c2
-        return BiPoly(self.vars, out)
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return BiPoly._trusted(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -162,7 +189,7 @@ class BiPoly:
                 out[(i - 1, j)] = c * i
             elif axis == 1 and j:
                 out[(i, j - 1)] = c * j
-        return BiPoly(self.vars, out)
+        return BiPoly._trusted(self.vars, out)
 
     def evaluate(self, x, y):
         """Value at (x, y): exact for Fraction/int inputs, float otherwise."""
@@ -176,21 +203,30 @@ class BiPoly:
         by_degree: dict[int, dict[tuple[int, int], Fraction]] = {}
         for (i, j), c in self.terms.items():
             by_degree.setdefault(i + j, {})[(i, j)] = c
-        return [(d, BiPoly(self.vars, t)) for d, t in sorted(by_degree.items())]
+        return [(d, BiPoly._trusted(self.vars, t))
+                for d, t in sorted(by_degree.items())]
 
     def scale_vars(self, cx, cy) -> "BiPoly":
-        """The polynomial p(cx*first, cy*second) in the same variables."""
-        cx, cy = Fraction(cx), Fraction(cy)
-        return BiPoly(self.vars, {
-            (i, j): c * cx**i * cy**j for (i, j), c in self.terms.items()})
+        """The polynomial p(cx*first, cy*second) in the same variables.
+
+        Integer scales stay ints, which is cheaper than Fraction powers;
+        any other scale goes through Fraction, so the result stays exact.
+        """
+        if not isinstance(cx, int):
+            cx = Fraction(cx)
+        if not isinstance(cy, int):
+            cy = Fraction(cy)
+        return BiPoly._trusted(self.vars, {
+            (i, j): c * (cx**i * cy**j) for (i, j), c in self.terms.items()})
 
     def swap_vars(self) -> "BiPoly":
         """The polynomial p(second, first), still over the same variable pair."""
-        return BiPoly(self.vars, {(j, i): c for (i, j), c in self.terms.items()})
+        return BiPoly._trusted(
+            self.vars, {(j, i): c for (i, j), c in self.terms.items()})
 
     def with_vars(self, vars: tuple[str, str]) -> "BiPoly":
         """Same terms, renamed variables."""
-        return BiPoly(vars, self.terms)
+        return BiPoly._trusted((str(vars[0]), str(vars[1])), self.terms)
 
     # -- canonical text -----------------------------------------------------
 
@@ -251,10 +287,10 @@ def divmod_circle(p: BiPoly) -> tuple[BiPoly, BiPoly]:
         for i, c in row.items():
             if not c:
                 continue
-            quot[(i, j - 2)] = quot.get((i, j - 2), _ZERO) + c
-            dst[i + 2] = dst.get(i + 2, _ZERO) - c
-    rem = {(i, j): c for j, row in cols.items() for i, c in row.items() if c}
-    return BiPoly(p.vars, quot), BiPoly(p.vars, rem)
+            quot[(i, j - 2)] = c  # row j is popped once: a new key
+            dst[i + 2] = dst[i + 2] - c if i + 2 in dst else -c
+    rem = {(i, j): c for j, row in cols.items() for i, c in row.items()}
+    return BiPoly._trusted(p.vars, quot), BiPoly._trusted(p.vars, rem)
 
 
 def divide_exact_by_circle(p: BiPoly) -> BiPoly:

@@ -363,3 +363,225 @@ class TestCanonicalText:
 
     def test_unit_coefficients_are_bare(self):
         assert poly("y - x").to_text() == "-x + y"
+
+
+# -- reference ring operations ------------------------------------------------
+#
+# The straightforward versions: each builds a plain dict, starting every new
+# key from Fraction(0), and hands it to the public validating constructor.
+# The library builds its results through BiPoly._trusted instead; the tests
+# below require the same terms in the same order, since term order is output.
+
+_ZERO = Fraction(0)
+
+
+def _ref_add(a, b):
+    terms = dict(a.terms)
+    for e, c in b.terms.items():
+        terms[e] = terms.get(e, _ZERO) + c
+    return BiPoly(a.vars, terms)
+
+
+def _ref_neg(a):
+    return BiPoly(a.vars, {e: -c for e, c in a.terms.items()})
+
+
+def _ref_sub(a, b):
+    return _ref_add(a, _ref_neg(b))
+
+
+def _ref_scalar_mul(a, k):
+    k = Fraction(k)
+    return BiPoly(a.vars, {e: c * k for e, c in a.terms.items()})
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (i1, j1), c1 in a.terms.items():
+        for (i2, j2), c2 in b.terms.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, _ZERO) + c1 * c2
+    return BiPoly(a.vars, out)
+
+
+def _ref_pow(a, n):
+    result, base = BiPoly.const(1, a.vars), a
+    while n:
+        if n & 1:
+            result = _ref_mul(result, base)
+        n >>= 1
+        if n:
+            base = _ref_mul(base, base)
+    return result
+
+
+def _ref_partial(a, axis):
+    out = {}
+    for (i, j), c in a.terms.items():
+        if axis == 0 and i:
+            out[(i - 1, j)] = c * i
+        elif axis == 1 and j:
+            out[(i, j - 1)] = c * j
+    return BiPoly(a.vars, out)
+
+
+def _ref_homogeneous_components(a):
+    by_degree = {}
+    for (i, j), c in a.terms.items():
+        by_degree.setdefault(i + j, {})[(i, j)] = c
+    return [(d, BiPoly(a.vars, t)) for d, t in sorted(by_degree.items())]
+
+
+def _ref_scale_vars(a, cx, cy):
+    cx, cy = Fraction(cx), Fraction(cy)
+    return BiPoly(a.vars, {
+        (i, j): c * cx**i * cy**j for (i, j), c in a.terms.items()})
+
+
+def _ref_divmod_circle(p):
+    cols = {}
+    for (i, j), c in p.terms.items():
+        cols.setdefault(j, {})[i] = c
+    quot = {}
+    for j in range(max(cols, default=0), 1, -1):
+        row = cols.pop(j, None)
+        if not row:
+            continue
+        dst = cols.setdefault(j - 2, {})
+        for i, c in row.items():
+            if not c:
+                continue
+            quot[(i, j - 2)] = quot.get((i, j - 2), _ZERO) + c
+            dst[i + 2] = dst.get(i + 2, _ZERO) - c
+    rem = {(i, j): c for j, row in cols.items() for i, c in row.items() if c}
+    return BiPoly(p.vars, quot), BiPoly(p.vars, rem)
+
+
+def _same(result, reference, *operands):
+    """Equal terms in equal order, canonical types, and no shared dict."""
+    assert result.vars == reference.vars
+    assert list(result.terms.items()) == list(reference.terms.items())
+    assert all(type(v) is str for v in result.vars)
+    for (i, j), c in result.terms.items():
+        assert type(i) is int and type(j) is int
+        assert type(c) is Fraction and c != 0
+    for p in operands:
+        assert result.terms is not p.terms
+
+
+_scalars = st.one_of(st.integers(-4, 4), coefficients())
+
+
+class TestTrustedRingOps:
+    @given(bipolys(), bipolys())
+    def test_add_and_sub(self, a, b):
+        _same(a + b, _ref_add(a, b), a, b)
+        _same(a - b, _ref_sub(a, b), a, b)
+        _same(-a, _ref_neg(a), a)
+
+    @given(bipolys(), _scalars)
+    def test_scalar_add_and_sub(self, a, k):
+        const = BiPoly.const(k, XY)
+        _same(a + k, _ref_add(a, const), a)
+        _same(k + a, _ref_add(a, const), a)
+        _same(a - k, _ref_sub(a, const), a)
+        _same(k - a, _ref_sub(const, a), a)
+
+    @given(bipolys())
+    def test_cancellation(self, a):
+        _same(a - a, BiPoly.zero(XY), a)
+        _same(a + (-a), BiPoly.zero(XY), a)
+        assert (a - a).terms == {}
+
+    @given(bipolys(), bipolys(), _scalars)
+    def test_mul(self, a, b, k):
+        _same(a * b, _ref_mul(a, b), a, b)
+        _same(a * k, _ref_scalar_mul(a, k), a)
+        _same(k * a, _ref_scalar_mul(a, k), a)
+
+    @given(bipolys(max_terms=4), st.integers(0, 3))
+    def test_pow(self, a, n):
+        _same(a ** n, _ref_pow(a, n), a)
+
+    @given(bipolys(), st.sampled_from([0, 1]))
+    def test_partial(self, a, axis):
+        _same(a.partial(axis), _ref_partial(a, axis), a)
+
+    @given(bipolys())
+    def test_homogeneous_components(self, a):
+        got = a.homogeneous_components()
+        ref = _ref_homogeneous_components(a)
+        assert [d for d, _ in got] == [d for d, _ in ref]
+        for (_, part), (_, ref_part) in zip(got, ref):
+            _same(part, ref_part, a)
+
+    @given(bipolys(), _scalars, _scalars)
+    def test_scale_vars(self, a, cx, cy):
+        _same(a.scale_vars(cx, cy), _ref_scale_vars(a, cx, cy), a)
+        _same(a.scale_vars(4, 4), _ref_scale_vars(a, 4, 4), a)
+
+    @given(bipolys())
+    def test_swap_and_rename(self, a):
+        ref = BiPoly(a.vars, {(j, i): c for (i, j), c in a.terms.items()})
+        _same(a.swap_vars(), ref, a)
+        _same(a.with_vars(UV), BiPoly(UV, a.terms), a)
+
+    @given(bipolys(), bipolys(max_exp=2, max_terms=4))
+    def test_divmod_circle(self, a, b):
+        s = BiPoly(XY, {(2, 0): 1, (0, 2): 1})
+        for p in (a, a * s, a * s + b, a * s - b.swap_vars()):
+            q, r = divmod_circle(p)
+            ref_q, ref_r = _ref_divmod_circle(p)
+            _same(q, ref_q, p)
+            _same(r, ref_r, p)
+
+    def test_divmod_circle_cancelling_quotient_entry(self):
+        # y^4 sends -x^2*y^2 down to the y^2 column, where it cancels the
+        # x^2*y^2 that would otherwise have become the quotient term x^2
+        p = poly("x^2*y^2 + y^4 + x^4")
+        q, r = divmod_circle(p)
+        ref_q, ref_r = _ref_divmod_circle(p)
+        _same(q, ref_q, p)
+        _same(r, ref_r, p)
+        assert q == poly("y^2") and r == poly("x^4")
+
+
+class TestExactEdges:
+    """Values from outside the library never reach a result unconverted."""
+
+    def _assert_exact(self, p):
+        for (i, j), c in p.terms.items():
+            assert type(i) is int and type(j) is int
+            assert type(c) is Fraction
+
+    def test_scale_vars_by_float_and_fraction(self):
+        p = poly("3*x^2*y - x + 1/2")
+        for cx, cy in ((0.5, 1), (Fraction(1, 3), 2), (2, -0.25)):
+            scaled = p.scale_vars(cx, cy)
+            self._assert_exact(scaled)
+            assert scaled == _ref_scale_vars(p, cx, cy)
+        assert p.scale_vars(0.5, 1) == poly("3/4*x^2*y - 1/2*x + 1/2")
+
+    def test_scalar_products(self):
+        p = poly("x - 2*y")
+        for k in (2, Fraction(1, 2)):
+            self._assert_exact(p * k)
+            self._assert_exact(k * p)
+        assert p * Fraction(1, 2) == poly("1/2*x - y")
+
+    def test_floats_are_refused_by_the_ring(self):
+        p = poly("x + 1")
+        for op in (lambda: p * 0.5, lambda: 0.5 * p, lambda: p + 0.5,
+                   lambda: p - 0.5, lambda: 0.5 - p):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_public_constructor_coerces(self):
+        p = BiPoly(XY, {(1.0, 0): 2, (0, 1): 0.5, (2, 2): 0})
+        assert list(p.terms) == [(1, 0), (0, 1)]
+        self._assert_exact(p)
+        assert p.terms[(0, 1)] == Fraction(1, 2)
+
+    def test_with_vars_coerces_names(self):
+        p = poly("x*y").with_vars(["u", "v"])
+        assert type(p.vars) is tuple and p == poly("u*v", UV)
