@@ -67,11 +67,11 @@ def classify_linear(jac) -> str:
 
 @dataclass(frozen=True)
 class InfinityStatus:
-    """What the infinitely remote point looks like for a system."""
+    """Type of a chart origin: the other plane's infinitely remote point."""
 
     status: str                      # "regular" or "equilibrium"
     eq_class: str | None             # set when status == "equilibrium"
-    linear_part: tuple               # partner-system Jacobian at its origin
+    linear_part: tuple               # Jacobian at a chart origin
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,17 +82,29 @@ class InfinityStatus:
         }
 
 
+def origin_status(sys: DiffSystem) -> InfinityStatus:
+    """Status of a system's chart origin: regular, or typed equilibrium.
+
+    A system's origin is the other plane's infinitely remote point, so
+    this is also the status of the far point of the partner plane. The
+    equilibrium test and the Jacobian at (0, 0) are the constant and
+    linear coefficients, read off without evaluating anything.
+    """
+    p, q = sys.rhs
+    jac = ((p.coefficient(1, 0), p.coefficient(0, 1)),
+           (q.coefficient(1, 0), q.coefficient(0, 1)))
+    if p.coefficient(0, 0) or q.coefficient(0, 0):
+        return InfinityStatus("regular", None, jac)
+    return InfinityStatus("equilibrium", classify_linear(jac), jac)
+
+
 def infinite_point_status(sys: DiffSystem) -> InfinityStatus:
     """Status of the infinitely remote point: regular, or typed equilibrium.
 
     Conjugates the system and looks at the partner's origin, whose type
     transfers verbatim to the far point.
     """
-    partner = conjugate(sys).conjugate
-    jac = jacobian_at(partner, (0, 0))
-    if not is_equilibrium(partner, (0, 0)):
-        return InfinityStatus("regular", None, jac)
-    return InfinityStatus("equilibrium", classify_linear(jac), jac)
+    return origin_status(conjugate(sys).conjugate)
 
 
 def check_symmetry(sys: DiffSystem, kind: str) -> bool:

@@ -14,8 +14,9 @@ import math
 from array import array
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 
-from .analyze import classify_linear, is_equilibrium, jacobian_at
+from .analyze import origin_status
 from .charts import AT_INFINITY, Chart, Circle, Line, Point, map_curve
 from .conjugate import DiffSystem, conjugate
 from .dynamics import IntegratorConfig, Trajectory, field_eval, integrate
@@ -169,11 +170,8 @@ def _mid_arc_arrow(traj: Trajectory):
     pts = [(x, y) for _, x, y in traj.samples]
     if len(pts) < 3:
         return None
-    total = 0.0
-    lens = [0.0]
-    for (ax, ay), (bx, by) in zip(pts, pts[1:]):
-        total += math.hypot(bx - ax, by - ay)
-        lens.append(total)
+    lens = list(accumulate(map(math.dist, pts[1:], pts), initial=0.0))
+    total = lens[-1]
     if total == 0:
         return None
     idx = min(range(1, len(pts) - 1), key=lambda i: abs(lens[i] - total / 2))
@@ -205,13 +203,6 @@ def _image_curve(curve):
     if image is AT_INFINITY or isinstance(image, Point):
         return None
     return image
-
-
-def _origin_marker(sys: DiffSystem):
-    if not is_equilibrium(sys, (Fraction(0), Fraction(0))):
-        return None
-    label = classify_linear(jacobian_at(sys, (Fraction(0), Fraction(0))))
-    return ((0.0, 0.0), label)
 
 
 def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocument:
@@ -251,13 +242,10 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
                 _clip_exit(traj, radius, system, sign)
                 if len(traj.samples) >= 2:
                     trajectories.append(traj)
-        equilibria = []
-        origin = _origin_marker(system)
-        if origin is not None:
-            equilibria.append(origin)
+        label = origin_status(system).eq_class
+        equilibria = [] if label is None else [((0.0, 0.0), label)]
         for d, marker in cfg.markers:
-            if d == disk_no and isinstance(marker, Point) \
-                    and not isinstance(marker.at, str):
+            if d == disk_no and isinstance(marker, Point):
                 px, py = float(marker.at[0]), float(marker.at[1])
                 if math.hypot(px, py) <= radius:
                     equilibria.append(((px, py), "marked"))
@@ -289,16 +277,10 @@ def _dot_path(cx: float, cy: float, r: float) -> str:
             f"a {_fmt(r)} {_fmt(r)} 0 1 0 {_fmt(-2 * r)} 0 Z")
 
 
-class _DiskFrame:
-    """Maps plane coordinates into one disk's pixel viewport."""
-
-    def __init__(self, cx: float, cy: float, px_radius: float, radius: float):
-        self.cx, self.cy = cx, cy
-        self.scale = px_radius / radius
-        self.px_radius = px_radius
-
-    def to_px(self, x: float, y: float) -> tuple[float, float]:
-        return self.cx + x * self.scale, self.cy - y * self.scale
+def _points(cx: float, cy: float, scale: float, xys) -> str:
+    """SVG ``points`` of plane coordinates in a disk viewport at (cx, cy)."""
+    return " ".join(f"{_fmt(cx + x * scale)},{_fmt(cy - y * scale)}"
+                    for x, y in xys)
 
 
 def _curve_polylines(curve, radius: float):
@@ -351,26 +333,23 @@ def render_svg(doc: AtlasDocument) -> bytes:
     for index, disk in enumerate(doc.disks):
         cx = margin + size / 2 + index * (size + gap)
         cy = margin + size / 2
-        frame = _DiskFrame(cx, cy, size / 2, disk.radius)
+        scale = size / 2 / disk.radius
         parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                      f'r="{_fmt(size / 2)}" fill="none" stroke="#333333" '
                      f'stroke-width="1.5"/>')
         for curve in disk.curves:
             for run in _curve_polylines(curve, disk.radius):
-                pts = " ".join(f"{_fmt(qx)},{_fmt(qy)}"
-                               for qx, qy in (frame.to_px(x, y)
-                                              for x, y in run))
+                pts = _points(cx, cy, scale, run)
                 parts.append(f'<polyline points="{pts}" fill="none" '
                              f'stroke="#b3402a" stroke-width="1.2" '
                              f'stroke-dasharray="6 4"/>')
         for traj in disk.trajectories:
-            pts = " ".join(f"{_fmt(qx)},{_fmt(qy)}"
-                           for qx, qy in (frame.to_px(x, y)
-                                          for _, x, y in traj.samples))
+            pts = _points(cx, cy, scale,
+                          ((x, y) for _, x, y in traj.samples))
             parts.append(f'<polyline points="{pts}" fill="none" '
                          f'stroke="#1f4e79" stroke-width="1"/>')
         for (ax, ay), (ux, uy) in disk.arrows:
-            px, py = frame.to_px(ax, ay)
+            px, py = cx + ax * scale, cy - ay * scale
             # screen-space direction (y axis flips)
             dx, dy = ux, -uy
             size_px = 5.0
@@ -382,7 +361,7 @@ def render_svg(doc: AtlasDocument) -> bytes:
                     f"L {_fmt(right[0])} {_fmt(right[1])} Z")
             parts.append(f'<path d="{path}" fill="#1f4e79"/>')
         for (ex, ey), label in disk.equilibria:
-            px, py = frame.to_px(ex, ey)
+            px, py = cx + ex * scale, cy - ey * scale
             parts.append(f'<path d="{_dot_path(px, py, 3.5)}" '
                          f'fill="#111111"><title>{label}</title></path>')
         caption = f"({disk.vars[0]}, {disk.vars[1]})  radius {_fmt(disk.radius)}"

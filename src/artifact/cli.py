@@ -16,6 +16,7 @@ from fractions import Fraction
 from .analyze import (
     SYMMETRY_KINDS,
     infinite_point_status,
+    origin_status,
     symmetry_profile,
 )
 from .atlas import AtlasConfig, build_atlas, render_svg
@@ -158,7 +159,8 @@ def _verify_case(case) -> tuple[bool, str]:
                            for kind, want in case.symmetries.items()),
                        "symmetry"))
     if case.infinity:
-        status = infinite_point_status(case.system)
+        # the partner's origin is the far point of the case's plane
+        status = origin_status(result.conjugate)
         checks.append((status.status == case.infinity["status"]
                        and status.eq_class == case.infinity.get("class"),
                        "infinity"))

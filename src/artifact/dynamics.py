@@ -23,7 +23,7 @@ from .conjugate import ConjugationResult, DiffSystem
 from .poly import BiPoly
 
 
-class StepUnderflow(RuntimeError):
+class StepUnderflow(ArithmeticError):
     """Adaptive step size collapsed; the field is too stiff or singular."""
 
 

@@ -3,20 +3,23 @@
 from fractions import Fraction
 
 import pytest
+from conftest import bipolys
 from hypothesis import given
 from hypothesis import strategies as st
 
 from artifact.analyze import (
     SYMMETRY_KINDS,
+    InfinityStatus,
     check_symmetry,
     classify_linear,
     infinite_point_status,
     is_equilibrium,
     jacobian_at,
+    origin_status,
     symmetry_profile,
 )
 from artifact.charts import transition
-from artifact.conjugate import conjugate
+from artifact.conjugate import DiffSystem, ZeroField, conjugate
 from artifact.corpus import case_by_name, load_cases
 from artifact.parse import parse_system
 
@@ -107,6 +110,50 @@ class TestInfinity:
         assert data["status"] == "equilibrium"
         assert data["class"] == "stable dicritical node"
         assert data["conjugate_linear_part"] == [["-1", "0"], ["0", "-1"]]
+
+
+def evaluated_origin_status(sys):
+    """The origin's status from the general point tools, as an oracle."""
+    jac = jacobian_at(sys, (0, 0))
+    if not is_equilibrium(sys, (0, 0)):
+        return InfinityStatus("regular", None, jac)
+    return InfinityStatus("equilibrium", classify_linear(jac), jac)
+
+
+def assert_matches_oracle(sys):
+    status = origin_status(sys)
+    assert status == evaluated_origin_status(sys)
+    assert all(type(v) is Fraction for row in status.linear_part for v in row)
+
+
+class TestOriginStatus:
+    def test_corpus_systems_and_partners(self):
+        for case in load_cases():
+            partner = conjugate(case.system,
+                                out_vars=case.conjugate_vars).conjugate
+            assert_matches_oracle(case.system)
+            assert_matches_oracle(partner)
+            assert origin_status(partner) == \
+                infinite_point_status(case.system), case.name
+
+    @given(bipolys(max_exp=2), bipolys(max_exp=2), st.booleans())
+    def test_random_systems(self, p, q, drop_constants):
+        if drop_constants:
+            p -= p.coefficient(0, 0)
+            q -= q.coefficient(0, 0)
+        try:
+            sys = DiffSystem.build(XY, p, q)
+        except ZeroField:
+            return
+        assert_matches_oracle(sys)
+
+    def test_fraction_coefficients(self):
+        sys = system("1/2*x - 3/4*y + x^2", "2/3*x*y + 5/7*y")
+        status = origin_status(sys)
+        assert status.linear_part == ((Fraction(1, 2), Fraction(-3, 4)),
+                                      (Fraction(0), Fraction(5, 7)))
+        assert status.eq_class == "unstable node"
+        assert_matches_oracle(sys)
 
 
 class TestSymmetry:

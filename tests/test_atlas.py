@@ -186,3 +186,11 @@ def test_atlas_uses_only_public_dynamics_names():
              for alias in node.names]
     assert "field_eval" in names
     assert not [name for name in names if name.startswith("_")]
+
+
+def test_atlas_imports_only_origin_status_from_analyze():
+    tree = ast.parse(inspect.getsource(atlas))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "analyze"
+             for alias in node.names]
+    assert names == ["origin_status"]

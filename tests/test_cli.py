@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from artifact import analyze, cli
 from artifact.cli import main
 from artifact.corpus import load_cases
 
@@ -196,6 +197,17 @@ class TestAtlas:
         assert capsys.readouterr().err == (
             "error: the coefficient of x in dx/dt does not fit a float\n")
 
+    def test_step_underflow_exits_1(self, tmp_path, capsys):
+        # dx/dt = 10^300 x^2 is too stiff for any step the integrator
+        # may take; the exponent cap refuses 10^300, so write it out
+        path = tmp_path / "sys.txt"
+        path.write_text(f"dx/dt = 1{'0' * 300}*x^2\ndy/dt = y\n")
+        code = main(["atlas", "-i", str(path), "-o", str(tmp_path / "a.svg")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: step collapsed near t=0.0\n"
+        assert "Traceback" not in err
+
     def test_bad_seed_spec_is_usage_error(self, sys_file):
         with pytest.raises(SystemExit) as exc:
             main(["atlas", "-i", sys_file(["x", "y"], ["x", "y"]),
@@ -213,6 +225,22 @@ class TestVerify:
         for name in names:
             assert any(line.startswith(name) and " pass" in line
                        for line in lines), name
+
+
+    def test_conjugates_each_case_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args[0])
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, analyze):
+            monkeypatch.setattr(module, "conjugate", counted(module.conjugate))
+        assert main(["verify"]) == 0
+        capsys.readouterr()
+        assert len(calls) == len(load_cases()) == 27
 
 
 class TestUsageErrors:

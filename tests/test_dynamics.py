@@ -20,6 +20,7 @@ from artifact.dynamics import (
     DormandPrince54,
     IntegratorConfig,
     NumericOverflow,
+    StepUnderflow,
     Trajectory,
     conjugacy_residual,
     detect_closed,
@@ -77,6 +78,11 @@ class TestFieldEval:
 
 
 class TestIntegrate:
+    def test_step_underflow(self):
+        sys = parse_system(("x", "y"), (f"1{'0' * 300}*x^2", "y"))
+        with pytest.raises(StepUnderflow, match="step collapsed near t=0.0"):
+            integrate(sys, (1.0, 0.0), IntegratorConfig())
+
     def test_circle_closes(self):
         sys = case_by_name("5.3->5.4").system
         traj = integrate(sys, (1.0, 0.0), tight(max_time=2 * math.pi + 0.1))

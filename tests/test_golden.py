@@ -74,6 +74,47 @@ def test_conjugate_pins_every_case():
     assert sorted(CONJUGATE) == sorted(CASES)
 
 
+INFINITY = {
+    "4.4->4.5": "29fcfcfdf0a28a91",
+    "4.6->4.7": "29fcfcfdf0a28a91",
+    "4.6->4.8": "1ac08ebf50a45315",
+    "4.9->4.10": "29fcfcfdf0a28a91",
+    "4.9->4.11": "29fcfcfdf0a28a91",
+    "4.9->4.12": "ff43140fb341b654",
+    "5.1->5.2": "e39bb4e820a399d2",
+    "5.3->5.4": "af5f450495affc07",
+    "5.5->5.6": "07d7bb52811175a0",
+    "5.7->5.8": "29fcfcfdf0a28a91",
+    "5.9->5.10": "29fcfcfdf0a28a91",
+    "5.11->5.12": "29fcfcfdf0a28a91",
+    "6.1->6.2": "e39bb4e820a399d2",
+    "6.3->6.4": "af5f450495affc07",
+    "6.5->6.6": "29fcfcfdf0a28a91",
+    "6.7->6.8": "29fcfcfdf0a28a91",
+    "7.1->7.2": "23e8a76882d55d1f",
+    "7.3->7.4": "d658ee49c09958df",
+    "7.5->7.6": "d658ee49c09958df",
+    "7.7->7.8": "e8e969b682409f73",
+    "9.1->9.2": "29fcfcfdf0a28a91",
+    "9.4->9.5": "29fcfcfdf0a28a91",
+    "9.6->9.7": "29fcfcfdf0a28a91",
+    "9.8->9.9": "29fcfcfdf0a28a91",
+    "9.10->9.13": "29fcfcfdf0a28a91",
+    "9.11->9.14": "425af43d8910fc58",
+    "9.12->9.15": "0ebd7b7586f01901",
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITY))
+def test_infinity_stdout(name, tmp_path, capsys):
+    assert main(["infinity", "-i", _system_file(tmp_path, CASES[name])]) == 0
+    assert _digest(capsys.readouterr().out.encode()) == INFINITY[name]
+
+
+def test_infinity_pins_every_case():
+    assert sorted(INFINITY) == sorted(CASES)
+
+
 VERIFY = "7bbcb0b3ac9ce76e"
 
 
