@@ -19,7 +19,6 @@ from .analyze import (
     origin_status,
     symmetry_profile,
 )
-from .atlas import AtlasConfig, build_atlas, render_svg
 from .charts import AT_INFINITY, Circle, Line, Point, map_curve
 from .conjugate import conjugate
 from .corpus import load_cases
@@ -126,6 +125,7 @@ def _cmd_map_curve(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
+    from .atlas import AtlasConfig, build_atlas, render_svg  # pulls in numpy
     system = _read_system(args.input)
     fields = {"eps1": args.eps1, "eps2": args.eps2}
     if args.seeds is not None:

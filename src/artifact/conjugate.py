@@ -55,11 +55,12 @@ class DiffSystem:
     ``degree`` is the larger total degree of the two right sides, so the
     top homogeneous forms are never both zero. ``coprime`` tells whether
     P and Q share no nonconstant factor; it is computed on first access
-    and cached, since only ``--check-coprime`` and the partner's JSON
-    read it. ``_float_fields`` holds the field compiled to float code by
-    ``artifact.dynamics``, one entry per time direction, so it is built at
-    most once per instance; it goes away with the instance, and pickles
-    and copies leave it out.
+    and cached, since only ``--check-coprime`` and the JSON ``coprime``
+    of this system's conjugation read it (that flag is the partner's, and
+    a theorem decides it on this pair). ``_float_fields`` holds the field
+    compiled to float code by ``artifact.dynamics``, one entry per time
+    direction, so it is built at most once per instance; it goes away
+    with the instance, and pickles and copies leave it out.
     """
 
     vars: tuple[str, str]
@@ -106,6 +107,14 @@ class ConjugationResult:
         u, v = self.conjugate.vars
         return f"({u}^2+{v}^2)^{self.m} dtau = dt"
 
+    @cached_property
+    def _coprime(self) -> bool:
+        """The partner's answer, from the original pair (_divide_by_circle)."""
+        j = min(map(circle_valuation, self.system.rhs))
+        if j == 0:
+            return self.system.coprime
+        return is_coprime(*_divide_by_circle(*self.system.rhs, j))
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.system.degree,
@@ -113,7 +122,7 @@ class ConjugationResult:
             "m": self.m,
             "U": self.conjugate.rhs[0].to_text(),
             "V": self.conjugate.rhs[1].to_text(),
-            "coprime": self.conjugate.coprime,
+            "coprime": self._coprime,
             "time_relation": self.time_relation(),
         }
 
@@ -168,6 +177,36 @@ def _transported_pair(sys: DiffSystem, out: tuple[str, str], top: int
             -1 * (b * sum_x) + (-1 * a) * sum_y)
 
 
+# Why the partner's coprimality is decided on the original pair.
+#
+# Write s = x^2+y^2 and r^2 = u^2+v^2, and let j be the circle power the
+# two sides of (P, Q) share. Dividing it out leaves (P', Q') of degree
+# n - 2j. Since P_i = s^j * P'_(i-2j) and s(4u, 4v) = 16 * r^2, the
+# transported sums are S_X = 16^j * r^(2j) * S_X' and likewise S_Y, so
+# the partner of (P, Q) is 16^j times the partner of (P', Q'), with
+# k = k' + j and m = m' + j. It remains to compare a pair that shares no
+# circle power with its partner, which after the strip shares no r^2.
+#   - _transported_pair gives (U, V) = M * (S_X, S_Y) for a 2x2 matrix M
+#     of polynomials with det M = -(u^2+v^2)^2/16. So a factor of U and V
+#     other than r^2 divides S_X and S_Y, and conversely.
+#   - S_X and S_Y are r^(2n) * P o T and r^(2n) * Q o T, the pullbacks
+#     under the inversion T: p -> 4p/|p|^2, a birational involution. The
+#     pullback is multiplicative. It sends an irreducible g other than s
+#     to a polynomial that is not a constant times a power of r^2, and
+#     pulling that back under T gives g again, times a power of s.
+#   - s itself goes to r^4 * s o T = 16 * r^2, a constant times the
+#     circle, and s is irreducible over Q.
+# So the shared factors other than the circle match one to one, and the
+# partner is coprime exactly when (P', Q') is. (Collins, JACM 14 (1967);
+# Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, 3.5.)
+def _divide_by_circle(u: BiPoly, v: BiPoly, k: int) -> tuple[BiPoly, BiPoly]:
+    """Both sides divided exactly by (first**2 + second**2)**k."""
+    for _ in range(k):
+        u = divide_exact_by_circle(u)
+        v = divide_exact_by_circle(v)
+    return u, v
+
+
 def raw_conjugate(sys: DiffSystem,
                   out_vars: tuple[str, str] | None = None
                   ) -> tuple[BiPoly, BiPoly]:
@@ -194,10 +233,7 @@ def conjugate(sys: DiffSystem,
     if m < 0 or 2 * k > sys.degree + 2:
         raise ReductionTheoremViolated(
             f"removed circle power k={k} is impossible for n={sys.degree}")
-    u, v = u0, v0
-    for _ in range(k):
-        u = divide_exact_by_circle(u)
-        v = divide_exact_by_circle(v)
+    u, v = _divide_by_circle(u0, v0, k)
     conj = DiffSystem.build(partner_vars(sys.vars, out_vars), u, v)
     return ConjugationResult(system=sys, conjugate=conj, k=k, m=m)
 

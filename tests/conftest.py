@@ -1,7 +1,8 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and the sympy oracle for the test suite."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from artifact.poly import BiPoly
@@ -24,3 +25,33 @@ def bipolys(vars: tuple[str, str] = ("x", "y"), max_exp: int = 4,
 
 def nonzero_bipolys(vars: tuple[str, str] = ("x", "y"), **kwargs):
     return bipolys(vars, **kwargs).filter(lambda p: not p.is_zero())
+
+
+def planted_factors(axes, vars: tuple[str, str] = ("x", "y")):
+    """Nonconstant polynomials whose terms use only the given axes."""
+    def build(entries):
+        terms = {}
+        for i, j, c in entries:
+            terms[(i if 0 in axes else 0, j if 1 in axes else 0)] = c
+        return BiPoly(vars, terms)
+
+    entry = st.tuples(st.integers(0, 3), st.integers(0, 3), coefficients())
+    return st.lists(entry, min_size=1, max_size=4).map(build).filter(
+        lambda f: (f.total_degree() or 0) >= 1)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def sympy_coprime(sympy, a, b):
+    """Oracle: sympy's gcd over QQ[x, y] has total degree 0."""
+    x, y = sympy.symbols("x y")
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator)
+             for e, c in p.terms.items()}, x, y, domain=sympy.QQ)
+
+    return sympy.gcd(to_sympy(a), to_sympy(b)).total_degree() == 0

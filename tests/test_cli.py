@@ -1,14 +1,26 @@
 """End-to-end checks of the command-line interface."""
 
+import importlib
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import artifact
 from artifact import analyze, cli
 from artifact.cli import main
 from artifact.corpus import load_cases
+from artifact.parse import load_system
+
+# the package re-exports the function conjugate under the module's name
+conjugate_module = importlib.import_module("artifact.conjugate")
 
 
 @pytest.fixture
@@ -75,6 +87,42 @@ class TestConjugate:
         elapsed = time.monotonic() - started
         assert code == 0
         assert json.loads(capsys.readouterr().out)["coprime"] is False
+        assert elapsed < 5.0
+
+    def test_check_coprime_tests_the_original_pair_once(self, sys_file,
+                                                         capsys, monkeypatch):
+        calls = []
+        real = conjugate_module.is_coprime
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(conjugate_module, "is_coprime", counting)
+        path = sys_file(["x", "y"], ["x*y - 1", "x^2 - y^3"])
+        assert main(["conjugate", "--check-coprime", "-i", path]) == 0
+        assert json.loads(capsys.readouterr().out)["coprime"] is True
+        original = load_system(Path(path).read_text())
+        assert calls == [original.rhs]
+
+    def test_planted_degree_12_field_in_bounded_time(self, sys_file, capsys):
+        # both sides carry x - 2*y + 1 times a seeded dense cofactor; the
+        # partner has degree 26, and deciding its coprimality directly
+        # takes several times the limit
+        rng = random.Random(12)
+
+        def cofactor():
+            return " + ".join(f"{c}*x^{i}*y^{j}" for i in range(12)
+                              for j in range(12 - i)
+                              for c in [rng.randint(-3, 3)] if c)
+
+        rhs = [f"(x - 2*y + 1)*({cofactor()})" for _ in range(2)]
+        started = time.monotonic()
+        code = main(["conjugate", "-i", sys_file(["x", "y"], rhs)])
+        elapsed = time.monotonic() - started
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["n"], doc["k"], doc["coprime"]) == (12, 0, False)
         assert elapsed < 5.0
 
     def test_stdin(self, sys_file, capsys, monkeypatch):
@@ -241,6 +289,25 @@ class TestVerify:
         assert main(["verify"]) == 0
         capsys.readouterr()
         assert len(calls) == len(load_cases()) == 27
+
+
+def test_exact_subcommands_leave_numpy_unloaded(sys_file):
+    # only the atlas integrates in floats, so only it imports numpy
+    script = textwrap.dedent(f"""
+        import sys
+        import artifact
+        loaded = "numpy" in sys.modules
+        from artifact.cli import main
+        codes = (main(["conjugate", "-i", {sys_file(["x", "y"],
+                                                   ["x*y - 1", "x^2"])!r}]),
+                 main(["verify"]))
+        sys.exit(1 if loaded or "numpy" in sys.modules else max(codes))
+    """)
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 class TestUsageErrors:

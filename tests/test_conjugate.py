@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import artifact
-from conftest import coefficients
+from conftest import (
+    coefficients,
+    nonzero_bipolys,
+    planted_factors,
+    sympy_coprime,
+)
 from artifact.conjugate import (
     DiffSystem,
     OriginSingularity,
@@ -346,11 +351,67 @@ class TestLazyCoprime:
         conjugate(system("-y - x*(x^2 + y^2 - 1)", "x - y*(x^2 + y^2 - 1)"))
         assert calls == []
 
-    def test_json_reads_the_partner_once(self, calls):
+    def test_json_reads_the_original_pair_once(self, calls):
+        # the partner's flag is decided on the original pair (see
+        # TestPartnerCoprimeByTheorem), and --check-coprime shares it
         result = conjugate(system("x*y - 1", "x^2 - y^3"))
         doc = result.to_json_dict()
-        assert calls == [result.conjugate.rhs]
+        assert calls == [result.system.rhs]
         assert doc["coprime"] is True
-        assert result.conjugate.coprime is True
+        assert result.system.coprime is True
         result.to_json_dict()
         assert len(calls) == 1
+        assert result.conjugate.coprime is True
+
+
+class TestPartnerCoprimeByTheorem:
+    """The JSON ``coprime`` is the partner's answer, decided on the original
+    pair once the circle power its two sides share is divided out; the
+    partner's own direct test and sympy.gcd on the partner are the
+    oracles."""
+
+    @staticmethod
+    def check(sympy, p, q):
+        result = conjugate(DiffSystem.build(XY, p, q))
+        flag = result.to_json_dict()["coprime"]
+        assert flag is result.conjugate.coprime
+        assert flag == sympy_coprime(sympy, *result.conjugate.rhs)
+        return flag
+
+    @pytest.mark.parametrize("rhs,partner_coprime", [
+        # a shared circle power makes (P, Q) share a factor while the
+        # partner is coprime: the rule must divide it out first
+        (("x*(x^2 + y^2)", "y*(x^2 + y^2)"), True),
+        (("(x - y^2)*(x^2 + y^2)^2", "(x*y + 1)*(x^2 + y^2)"), True),
+        (("(x + y)*(x^2 + y^2)", "(x + y)*(x^2 + y^2)*y"), False),
+        (("x^2 + y^2", "x*(x^2 + y^2)^2"), True),
+        (("0", "(x^2 + y^2)^2"), True),
+        (("0", "x*(x^2 + y^2)"), False),
+        (("x - 2*y + 1", "0"), False),
+    ])
+    def test_examples(self, sympy, rhs, partner_coprime):
+        p, q = (parse_polynomial(side, XY) for side in rhs)
+        assert self.check(sympy, p, q) is partner_coprime
+
+    @pytest.mark.parametrize("shared", [0, 1],
+                             ids=["own-circles", "shared-circle"])
+    @pytest.mark.parametrize("axes", [None, (0,), (1,), (0, 1)],
+                             ids=["random", "x-only", "y-only", "both"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_agrees_with_the_partner(self, sympy, axes, shared, data):
+        small = nonzero_bipolys(XY, max_exp=2, max_terms=3)
+        g, h = data.draw(small, label="g"), data.draw(small, label="h")
+        if axes is not None:
+            f = data.draw(planted_factors(axes), label="f")
+            g, h = f * g, f * h
+        s = parse_polynomial("x^2 + y^2", XY)
+        a = data.draw(st.integers(0, 2), label="circle power of P")
+        b = data.draw(st.integers(0, 2), label="circle power of Q")
+        p, q = s ** (a + shared) * g, s ** (b + shared) * h
+        zero = data.draw(st.sampled_from([None, 0, 1]), label="zero side")
+        if zero == 0:
+            p = BiPoly.zero(XY)
+        elif zero == 1:
+            q = BiPoly.zero(XY)
+        self.check(sympy, p, q)

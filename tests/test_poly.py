@@ -7,7 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bipolys, coefficients, nonzero_bipolys
+from conftest import (
+    bipolys,
+    coefficients,
+    nonzero_bipolys,
+    planted_factors,
+    sympy_coprime,
+)
 from artifact.conjugate import conjugate
 from artifact.corpus import case_by_name
 from artifact.parse import parse_polynomial
@@ -188,43 +194,13 @@ class TestCoprime:
         assert not is_coprime(p * g, q * g)
 
 
-@pytest.fixture(scope="module")
-def sympy():
-    return pytest.importorskip("sympy")
-
-
-def _sympy_coprime(sympy, a, b):
-    """Oracle: sympy's gcd over QQ[x, y] has total degree 0."""
-    x, y = sympy.symbols("x y")
-
-    def to_sympy(p):
-        return sympy.Poly.from_dict(
-            {e: sympy.Rational(c.numerator, c.denominator)
-             for e, c in p.terms.items()}, x, y, domain=sympy.QQ)
-
-    return sympy.gcd(to_sympy(a), to_sympy(b)).total_degree() == 0
-
-
-def _planted_factors(axes):
-    """Nonconstant polynomials whose terms use only the given axes."""
-    def build(entries):
-        terms = {}
-        for i, j, c in entries:
-            terms[(i if 0 in axes else 0, j if 1 in axes else 0)] = c
-        return BiPoly(XY, terms)
-
-    entry = st.tuples(st.integers(0, 3), st.integers(0, 3), coefficients())
-    return st.lists(entry, min_size=1, max_size=4).map(build).filter(
-        lambda f: (f.total_degree() or 0) >= 1)
-
-
 class TestCoprimeDifferential:
     """is_coprime and its modular certificate against sympy.gcd."""
 
     @given(nonzero_bipolys(), nonzero_bipolys())
     @settings(max_examples=80, deadline=None)
     def test_random_pairs_agree_with_sympy(self, sympy, a, b):
-        expected = _sympy_coprime(sympy, a, b)
+        expected = sympy_coprime(sympy, a, b)
         assert is_coprime(a, b) == expected
         if certify_coprime(a, b):
             assert expected
@@ -234,13 +210,13 @@ class TestCoprimeDifferential:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_planted_factor_detected(self, sympy, axes, data):
-        f = data.draw(_planted_factors(axes), label="f")
+        f = data.draw(planted_factors(axes), label="f")
         g = data.draw(nonzero_bipolys(max_exp=3, max_terms=4), label="g")
         h = data.draw(nonzero_bipolys(max_exp=3, max_terms=4), label="h")
         a, b = f * g, f * h
         assert not certify_coprime(a, b)
         assert not is_coprime(a, b)
-        assert not _sympy_coprime(sympy, a, b)
+        assert not sympy_coprime(sympy, a, b)
 
     def test_pair_equal_at_small_point_is_certified(self):
         # at y = 2 both sides are x/2 - 3
@@ -304,18 +280,18 @@ class TestSubresultantChain:
     @given(nonzero_bipolys(), nonzero_bipolys())
     @settings(max_examples=80, deadline=None)
     def test_random_pairs_agree_with_sympy(self, sympy, a, b):
-        assert _subresultant_coprime(a, b) == _sympy_coprime(sympy, a, b)
+        assert _subresultant_coprime(a, b) == sympy_coprime(sympy, a, b)
 
     @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)],
                              ids=["x-only", "y-only", "both"])
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_planted_factor_found(self, sympy, axes, data):
-        f = data.draw(_planted_factors(axes), label="f")
+        f = data.draw(planted_factors(axes), label="f")
         g = data.draw(nonzero_bipolys(max_exp=3, max_terms=4), label="g")
         h = data.draw(nonzero_bipolys(max_exp=3, max_terms=4), label="h")
         assert not _subresultant_coprime(f * g, f * h)
-        assert not _sympy_coprime(sympy, f * g, f * h)
+        assert not sympy_coprime(sympy, f * g, f * h)
 
     @given(nonzero_bipolys(max_exp=3, max_terms=4),
            nonzero_bipolys(max_exp=3, max_terms=4), st.sampled_from([0, 1]))
