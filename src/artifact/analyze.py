@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conjugate import DiffSystem, conjugate
-from .poly import BiPoly
+from .poly import integer_numerators
 
 SYMMETRY_KINDS = ("origin", "axis-first", "axis-second", "diagonal",
                   "antidiagonal")
@@ -110,11 +110,11 @@ def infinite_point_status(sys: DiffSystem) -> InfinityStatus:
 def check_symmetry(sys: DiffSystem, kind: str) -> bool:
     """Test one of the five directional-field symmetries symbolically.
 
-    Each symmetry of the field is equivalent to a polynomial identity in
-    the right sides; the identity is formed exactly and compared with the
-    zero polynomial.
+    Each symmetry of the field is equivalent to a polynomial identity,
+    quadratic in the right sides, so it is formed exactly on their integer
+    numerators D*P, D*Q and compared with the zero polynomial.
     """
-    p, q = sys.rhs
+    (p, q), _ = integer_numerators(*sys.rhs)
     if kind == "origin":
         ident = p * q.scale_vars(-1, -1) - p.scale_vars(-1, -1) * q
     elif kind == "axis-first":

@@ -22,6 +22,7 @@ from .poly import (
     circle_valuation,
     divide_exact_by_circle,
     divmod_circle,
+    integer_numerators,
     is_coprime,
 )
 
@@ -127,10 +128,6 @@ class ConjugationResult:
         }
 
 
-def _circle(vars: tuple[str, str]) -> BiPoly:
-    return BiPoly(vars, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
-
-
 def wn_divisibility(sys: DiffSystem) -> tuple[bool, BiPoly]:
     """Whether the top form x*Q_n - y*P_n is a circle multiple.
 
@@ -138,8 +135,7 @@ def wn_divisibility(sys: DiffSystem) -> tuple[bool, BiPoly]:
     (False, remainder) otherwise.
     """
     n = sys.degree
-    x = BiPoly.var(sys.vars[0], sys.vars)
-    y = BiPoly.var(sys.vars[1], sys.vars)
+    x, y = (BiPoly.var(name, sys.vars) for name in sys.vars)
     zero = BiPoly.zero(sys.vars)
     px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
     w = x * py.get(n, zero) - y * px.get(n, zero)
@@ -150,31 +146,33 @@ def wn_divisibility(sys: DiffSystem) -> tuple[bool, BiPoly]:
 
 
 def _transported_pair(sys: DiffSystem, out: tuple[str, str], top: int
-                      ) -> tuple[BiPoly, BiPoly]:
+                      ) -> tuple[BiPoly, BiPoly, int]:
     """The field's parts of degree <= top carried into the other chart.
 
     Returns (a * S_X - b * S_Y, -b * S_X - a * S_Y) with a = (v^2-u^2)/4
     and b = uv/2, where S_X and S_Y sum the homogeneous parts of P and Q
-    as (u^2+v^2)^(top-j) * part_j(4u, 4v).
-    """
-    s = _circle(out)
-    sum_x = BiPoly.zero(out)
-    sum_y = BiPoly.zero(out)
-    px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
-    for j in range(top + 1):
-        weight = s ** (top - j)
-        xj = px.get(j)
-        if xj:
-            sum_x = sum_x + weight * xj.scale_vars(4, 4).with_vars(out)
-        yj = py.get(j)
-        if yj:
-            sum_y = sum_y + weight * yj.scale_vars(4, 4).with_vars(out)
-    quarter = Fraction(1, 4)
-    half = Fraction(1, 2)
-    a = BiPoly(out, {(0, 2): quarter, (2, 0): -quarter})   # (v^2 - u^2)/4
-    b = BiPoly(out, {(1, 1): half})                        # uv/2
-    return (a * sum_x - b * sum_y,
-            -1 * (b * sum_x) + (-1 * a) * sum_y)
+    as (u^2+v^2)^(top-j) * part_j(4u, 4v), times 4D (D the lcm of the
+    field's denominators) to make them ints, then 4D; _over divides."""
+    s = BiPoly._trusted(out, {(2, 0): 1, (0, 2): 1})    # u^2 + v^2
+    a = BiPoly._trusted(out, {(0, 2): 1, (2, 0): -1})   # 4a = v^2 - u^2
+    b = BiPoly._trusted(out, {(1, 1): 2})               # 4b = 2uv
+    sides, d = integer_numerators(*sys.rhs)
+    sums = []
+    for side in sides:
+        total = BiPoly._trusted(out, {})
+        for j, part in side.with_vars(out).homogeneous_components():
+            if j <= top:
+                part = part.scale_vars(4, 4)
+                total = total + (s ** (top - j) * part if j < top else part)
+        sums.append(total)
+    sum_x, sum_y = sums
+    return a * sum_x - b * sum_y, -(b * sum_x) + (-a) * sum_y, 4 * d
+
+
+def _over(u: BiPoly, v: BiPoly, scale: int) -> tuple[BiPoly, BiPoly]:
+    return tuple(BiPoly._trusted(p.vars, {e: Fraction(c, scale)
+                                          for e, c in p.terms.items()})
+                 for p in (u, v))
 
 
 # Why the partner's coprimality is decided on the original pair.
@@ -210,12 +208,10 @@ def _divide_by_circle(u: BiPoly, v: BiPoly, k: int) -> tuple[BiPoly, BiPoly]:
 def raw_conjugate(sys: DiffSystem,
                   out_vars: tuple[str, str] | None = None
                   ) -> tuple[BiPoly, BiPoly]:
-    """The unreduced partner field, exactly over the rationals.
-
-    The transported pair of the whole field (top degree n).
-    """
-    return _transported_pair(sys, partner_vars(sys.vars, out_vars),
-                             sys.degree)
+    """The unreduced partner field, exactly over the rationals: the
+    transported pair of the whole field (top degree n)."""
+    return _over(*_transported_pair(sys, partner_vars(sys.vars, out_vars),
+                                    sys.degree))
 
 
 def conjugate(sys: DiffSystem,
@@ -225,7 +221,8 @@ def conjugate(sys: DiffSystem,
     The result carries the partner, the removed power k and the
     time-reparametrization exponent m = n - k.
     """
-    u0, v0 = raw_conjugate(sys, out_vars)
+    out = partner_vars(sys.vars, out_vars)
+    u0, v0, scale = _transported_pair(sys, out, sys.degree)
     if u0.is_zero() and v0.is_zero():
         raise ZeroField("conjugate field vanished identically")
     k = min(circle_valuation(u0), circle_valuation(v0))
@@ -233,8 +230,7 @@ def conjugate(sys: DiffSystem,
     if m < 0 or 2 * k > sys.degree + 2:
         raise ReductionTheoremViolated(
             f"removed circle power k={k} is impossible for n={sys.degree}")
-    u, v = _divide_by_circle(u0, v0, k)
-    conj = DiffSystem.build(partner_vars(sys.vars, out_vars), u, v)
+    conj = DiffSystem.build(out, *_over(*_divide_by_circle(u0, v0, k), scale))
     return ConjugationResult(system=sys, conjugate=conj, k=k, m=m)
 
 
@@ -252,33 +248,26 @@ def reduction_quotients(sys: DiffSystem, k: int
     n = sys.degree
     if k < 1 or 2 * k > n + 2:
         raise ValueError(f"need 1 <= k with 2k <= n + 2, got k={k}, n={n}")
-    x = BiPoly.var(sys.vars[0], sys.vars)
-    y = BiPoly.var(sys.vars[1], sys.vars)
-    s = _circle(sys.vars)
+    x, y = (BiPoly.var(name, sys.vars) for name in sys.vars)
+    s = x * x + y * y
     zero = BiPoly.zero(sys.vars)
     px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
-    ks: list[BiPoly] = []
-    qs: list[BiPoly] = []
+    ks, qs = [], []
     for r in range(1, k + 1):
         d = n - r + 1
         fx, fy = px.get(d, zero), py.get(d, zero)
         w = x * fy - y * fx
         lhs_k = -2 * (y * w) - s * fx
         lhs_q = 2 * (x * w) - s * fy
-        quots = []
-        for lhs in (lhs_k, lhs_q):
-            q = lhs
-            try:
-                for _ in range(k - r + 1):
-                    q = divide_exact_by_circle(q)
-            except NotDivisible as exc:
-                err = NotDivisible(
-                    f"reduction identity fails at level r={r}: {exc}")
-                err.r = r
-                raise err from None
-            quots.append(q)
-        ks.append(quots[0])
-        qs.append(quots[1])
+        try:
+            kr, qr = _divide_by_circle(lhs_k, lhs_q, k - r + 1)
+        except NotDivisible as exc:
+            err = NotDivisible(
+                f"reduction identity fails at level r={r}: {exc}")
+            err.r = r
+            raise err from None
+        ks.append(kr)
+        qs.append(qr)
     return ks, qs
 
 
@@ -293,7 +282,7 @@ def rebuild_from_quotients(sys: DiffSystem, k: int,
     """
     ks, qs = reduction_quotients(sys, k)
     out = partner_vars(sys.vars, out_vars)
-    u, v = _transported_pair(sys, out, sys.degree - k)
+    u, v = _over(*_transported_pair(sys, out, sys.degree - k))
     for r in range(1, k + 1):
         scalar = Fraction(4) ** (2 * k - 2 * r - 1)
         u = u + scalar * ks[r - 1].scale_vars(4, 4).with_vars(out)

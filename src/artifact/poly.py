@@ -36,7 +36,8 @@ class BiPoly:
     The ring operations build their results, whose terms already hold,
     through the private ``_trusted`` constructor, which only drops zero
     coefficients. Treat instances as immutable; every operation returns
-    a new one.
+    a new one. Boundary rule: the exact core runs the same operations on
+    ``int`` coefficients (``integer_numerators``), but never returns one.
     """
 
     __slots__ = ("vars", "terms")
@@ -53,9 +54,8 @@ class BiPoly:
 
     @classmethod
     def _trusted(cls, vars: tuple[str, str], terms: Mapping) -> "BiPoly":
-        """A polynomial from terms already in canonical form: `vars` two
-        strings, keys int pairs, values Fraction. Zero values are dropped;
-        the dict stored is always a new one, in the order of `terms`."""
+        """A polynomial from terms already in the class's canonical form;
+        zero values are dropped, into a new dict in the order of `terms`."""
         self = object.__new__(cls)
         self.vars = vars
         self.terms = {e: c for e, c in terms.items() if c}
@@ -151,9 +151,8 @@ class BiPoly:
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return BiPoly._trusted(self.vars,
-                                   {e: v * c for e, v in self.terms.items()})
+            return BiPoly._trusted(
+                self.vars, {e: v * other for e, v in self.terms.items()})
         if not isinstance(other, BiPoly):
             return NotImplemented
         self._coerce(other)
@@ -169,11 +168,11 @@ class BiPoly:
     def __pow__(self, n: int) -> "BiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = BiPoly.const(1, self.vars)
-        base = self
+        result = BiPoly.const(1, self.vars) if n == 0 else None
+        base = BiPoly._trusted(self.vars, self.terms)
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
@@ -266,6 +265,14 @@ class BiPoly:
         return f"BiPoly({self.vars[0]},{self.vars[1]}: {self.to_text()})"
 
 
+def integer_numerators(*polys: BiPoly) -> tuple[list[BiPoly], int]:
+    """The polys times the lcm D of all their denominators (ints), and D."""
+    d = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return [BiPoly._trusted(p.vars, {e: c.numerator * (d // c.denominator)
+                                     for e, c in p.terms.items()})
+            for p in polys], d
+
+
 # -- division by the circle factor -----------------------------------------
 
 
@@ -307,9 +314,13 @@ def circle_valuation(p: BiPoly):
     """Largest k with (first**2 + second**2)**k dividing p.
 
     The zero polynomial is divisible by every power; it reports math.inf.
+    A multiple's lowest homogeneous part is one too, so that is tried first.
     """
     if not p.terms:
         return math.inf
+    if min(i + j for i, j in p.terms) < 2 or divmod_circle(
+            p.homogeneous_components()[0][1])[1].terms:
+        return 0
     k = 0
     while True:
         q, r = divmod_circle(p)
@@ -489,13 +500,13 @@ def _zx_div(u: list[int], d: list[int]) -> list[int]:
 
 def _integer_rows(p: BiPoly, axis: int) -> list[list[int]]:
     """p times its denominators' lcm, as coefficients in variable `axis`."""
-    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    (p,), _ = integer_numerators(p)
     top = max(e[axis] for e in p.terms)
     rows: list[list[int]] = [[] for _ in range(top + 1)]
     for e, c in p.terms.items():
         row = rows[e[axis]]
         row.extend([0] * (e[1 - axis] + 1 - len(row)))
-        row[e[1 - axis]] = c.numerator * (scale // c.denominator)
+        row[e[1 - axis]] = c
     return rows
 
 

@@ -415,3 +415,125 @@ class TestPartnerCoprimeByTheorem:
         elif zero == 1:
             q = BiPoly.zero(XY)
         self.check(sympy, p, q)
+
+
+def _fraction_transported_pair(sys, out, top):
+    """Reference: the transport as it ran on Fractions before the exact
+    core moved to integer numerators. Term order included, the library's
+    results must match it."""
+    s = BiPoly(out, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
+    sum_x = BiPoly.zero(out)
+    sum_y = BiPoly.zero(out)
+    px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
+    for j in range(top + 1):
+        weight = s ** (top - j)
+        xj = px.get(j)
+        if xj:
+            sum_x = sum_x + weight * xj.scale_vars(4, 4).with_vars(out)
+        yj = py.get(j)
+        if yj:
+            sum_y = sum_y + weight * yj.scale_vars(4, 4).with_vars(out)
+    quarter = Fraction(1, 4)
+    half = Fraction(1, 2)
+    a = BiPoly(out, {(0, 2): quarter, (2, 0): -quarter})   # (v^2 - u^2)/4
+    b = BiPoly(out, {(1, 1): half})                        # uv/2
+    return (a * sum_x - b * sum_y,
+            -1 * (b * sum_x) + (-1 * a) * sum_y)
+
+
+def _fraction_rebuild(sys, k, out):
+    """rebuild_from_quotients on the reference transport."""
+    ks, qs = reduction_quotients(sys, k)
+    u, v = _fraction_transported_pair(sys, out, sys.degree - k)
+    for r in range(1, k + 1):
+        scalar = Fraction(4) ** (2 * k - 2 * r - 1)
+        u = u + scalar * ks[r - 1].scale_vars(4, 4).with_vars(out)
+        v = v + scalar * qs[r - 1].scale_vars(4, 4).with_vars(out)
+    return u, v
+
+
+@st.composite
+def rational_fields(draw, max_exp=3, max_power=2):
+    """Fields with rational coefficients, circle factors on one side, on
+    both or shared, and sometimes one zero side."""
+    small = nonzero_bipolys(XY, max_exp=max_exp, max_terms=4)
+    s = BiPoly(XY, {(2, 0): 1, (0, 2): 1})
+    shared = draw(st.integers(0, 1), label="shared circle power")
+    p = draw(small, label="P") * s ** (
+        draw(st.integers(0, max_power), label="circle power of P") + shared)
+    q = draw(small, label="Q") * s ** (
+        draw(st.integers(0, max_power), label="circle power of Q") + shared)
+    zero = draw(st.sampled_from([None, 0, 1]), label="zero side")
+    if zero == 0:
+        p = BiPoly.zero(XY)
+    elif zero == 1:
+        q = BiPoly.zero(XY)
+    return DiffSystem.build(XY, p, q)
+
+
+def _same_public(got, ref):
+    """Equal terms in equal order, and Fraction coefficients only."""
+    assert list(got.terms.items()) == list(ref.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+class TestIntegerTransport:
+    """conjugate, raw_conjugate and rebuild_from_quotients work on integer
+    numerators and convert once; the Fraction transport is the oracle."""
+
+    @given(rational_fields())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_fraction_transport(self, sys):
+        raw = raw_conjugate(sys)
+        ref_raw = _fraction_transported_pair(sys, UV, sys.degree)
+        for got, ref in zip(raw, ref_raw):
+            _same_public(got, ref)
+        k = min(map(circle_valuation, ref_raw))
+        result = conjugate(sys)
+        assert (result.k, result.m) == (k, sys.degree - k)
+        for got, ref in zip(result.conjugate.rhs, ref_raw):
+            for _ in range(k):
+                ref = conjugate_module.divide_exact_by_circle(ref)
+            _same_public(got, ref)
+        if k >= 1:
+            try:
+                ref_rebuilt = _fraction_rebuild(sys, k, UV)
+            except NotDivisible:
+                with pytest.raises(NotDivisible):
+                    rebuild_from_quotients(sys, k)
+                return
+            for got, ref in zip(rebuild_from_quotients(sys, k), ref_rebuilt):
+                _same_public(got, ref)
+
+
+class TestConjugationAgainstSympy:
+    """The partner against sympy, independently of the exact core: the
+    field pushed through p -> 4p/|p|^2 by the chain rule, substituted,
+    and cancelled, equals (U, V)/(u^2+v^2)^m, and no circle power is left
+    in both of U, V."""
+
+    @given(rational_fields(max_exp=2, max_power=1))
+    @settings(max_examples=15, deadline=None)
+    def test_pushforward_is_the_partner(self, sympy, sys):
+        x, y, u, v = sympy.symbols("x y u v")
+
+        def expr(p, a, b):
+            return sum((sympy.Rational(c.numerator, c.denominator)
+                        * a**i * b**j for (i, j), c in p.terms.items()),
+                       sympy.Integer(0))
+
+        image = sympy.Matrix([4 * x / (x**2 + y**2), 4 * y / (x**2 + y**2)])
+        field = sympy.Matrix([expr(p, x, y) for p in sys.rhs])
+        pushed = (image.jacobian([x, y]) * field).subs(
+            {x: 4 * u / (u**2 + v**2), y: 4 * v / (u**2 + v**2)},
+            simultaneous=True)
+        result = conjugate(sys)
+        r2 = u**2 + v**2
+        partner = [expr(p, u, v) for p in result.conjugate.rhs]
+        raw = [expr(p, u, v) for p in raw_conjugate(sys)]
+        for lhs, reduced, unreduced in zip(pushed, partner, raw):
+            assert sympy.cancel(lhs - reduced / r2**result.m) == 0
+            assert sympy.cancel(lhs - unreduced / r2**sys.degree) == 0
+        circle = sympy.Poly(r2, u, v)
+        assert not all(sympy.Poly(side, u, v).rem(circle).is_zero
+                       for side in partner)

@@ -31,6 +31,7 @@ from artifact.poly import (
     circle_valuation,
     divide_exact_by_circle,
     divmod_circle,
+    integer_numerators,
     is_coprime,
 )
 
@@ -148,6 +149,17 @@ class TestCircleDivision:
     def test_valuation_shifts_under_circle_powers(self, p, k):
         s = BiPoly(XY, {(2, 0): 1, (0, 2): 1})
         assert circle_valuation(p * s ** k) == k + circle_valuation(p)
+
+    @given(st.one_of(bipolys(), coefficients().map(lambda c: BiPoly.const(
+        c, XY))), st.integers(0, 3))
+    def test_valuation_matches_the_full_loop(self, p, k):
+        # p * s^k covers the zero polynomial (math.inf) and, for a constant
+        # p, pure circle powers; the integer numerators give the same k
+        s = BiPoly(XY, {(2, 0): 1, (0, 2): 1})
+        p = p * s ** k
+        assert circle_valuation(p) == _ref_circle_valuation(p)
+        (ints,), _ = integer_numerators(p)
+        assert circle_valuation(ints) == _ref_circle_valuation(p)
 
     @given(bipolys())
     def test_divide_undoes_multiply(self, p):
@@ -433,6 +445,19 @@ def _ref_divmod_circle(p):
     return BiPoly(p.vars, quot), BiPoly(p.vars, rem)
 
 
+def _ref_circle_valuation(p):
+    """circle_valuation as a plain loop of divisions, with no early exit."""
+    if not p.terms:
+        return math.inf
+    k = 0
+    while True:
+        q, r = divmod_circle(p)
+        if r.terms:
+            return k
+        k += 1
+        p = q
+
+
 def _same(result, reference, *operands):
     """Equal terms in equal order, canonical types, and no shared dict."""
     assert result.vars == reference.vars
@@ -520,6 +545,44 @@ class TestTrustedRingOps:
         _same(q, ref_q, p)
         _same(r, ref_r, p)
         assert q == poly("y^2") and r == poly("x^4")
+
+
+def _same_scaled(result, reference, scale):
+    """int coefficients equal to scale times the reference's, same order."""
+    assert result.vars == reference.vars
+    assert list(result.terms) == list(reference.terms)
+    for e, c in result.terms.items():
+        assert type(c) is int and c == scale * reference.terms[e]
+
+
+class TestIntegerNumerators:
+    """The exact core's integer form: the Fraction ring operations run
+    unchanged on int coefficients and keep them ints, in the term order
+    they give on the Fractions."""
+
+    @given(bipolys(), bipolys())
+    def test_scaling(self, a, b):
+        (ia, ib), d = integer_numerators(a, b)
+        dens = [c.denominator for p in (a, b) for c in p.terms.values()]
+        assert d == math.lcm(*dens)
+        _same_scaled(ia, a, d)
+        _same_scaled(ib, b, d)
+
+    @given(bipolys(max_terms=4), bipolys(max_terms=4), st.integers(0, 3))
+    def test_ring_operations_keep_ints(self, a, b, n):
+        (ia, ib), d = integer_numerators(a, b)
+        _same_scaled(ia + ib, a + b, d)
+        _same_scaled(ia - ib, a - b, d)
+        _same_scaled(-ia, -a, d)
+        _same_scaled(ia * ib, a * b, d * d)
+        _same_scaled(-2 * ia, -2 * a, d)
+        _same_scaled(ia.scale_vars(4, 4), a.scale_vars(4, 4), d)
+        _same_scaled(ia.scale_vars(-1, 1), a.scale_vars(-1, 1), d)
+        _same_scaled(ia.swap_vars(), a.swap_vars(), d)
+        for q, ref in zip(divmod_circle(ia), divmod_circle(a)):
+            _same_scaled(q, ref, d)
+        if n:
+            _same_scaled(ia ** n, a ** n, d ** n)
 
 
 class TestExactEdges:
