@@ -1,14 +1,18 @@
 """Exact sparse polynomials in two variables over the rationals.
 
 Everything downstream (conjugation, chart algebra, curve images) runs on
-these. Coefficients are `fractions.Fraction`, terms live in a dict keyed
-by exponent pairs, and instances are never mutated after construction.
+these. Terms live in a dict keyed by exponent pairs, and instances are
+never mutated after construction. Coefficients are `fractions.Fraction`
+in every polynomial the core returns; inside, it runs the same operations
+on `int` numerators (`integer_numerators`), and the coprimality test
+works on residues mod a prime.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, count
 from typing import Mapping
 
 _ZERO = Fraction(0)
@@ -330,38 +334,44 @@ def circle_valuation(p: BiPoly):
         p = q
 
 
-# -- modular coprimality certificate ------------------------------------------
+# -- coprimality: the resultant at enough points modulo one prime ----------
 #
-# A cheap sufficient test that runs before the exact subresultant chain.
-# Coefficients are reduced mod the prime P = 2^61 - 1 as num * den^-1 (the
-# certificate gives up if P divides a denominator). Then, with each
-# variable in turn as the main one, the other variable is set to a few
-# fixed large points mod P and a univariate Euclid gcd runs over GF(P).
-# The main variable is certified once one point keeps the leading
-# coefficient (in the main variable) of a or b nonzero and gives a gcd of
-# degree 0; it is certified outright when a or b is free of it.
-#
-# Soundness. Suppose a and b share a factor G with deg_y G >= 1 (y the
-# main variable). Scale a, b into Z[x, y] and take G primitive; by Gauss's
-# lemma a = G*H with H in Z[x, y], so lc_y(a) = lc_y(G) * lc_y(H). At a
-# point x0 where lc_y(a)(x0) != 0 mod P, lc_y(G)(x0) != 0 too, so G(x0, y)
-# keeps its y-degree mod P and divides both a(x0, y) and b(x0, y): their
-# gcd over GF(P) has degree >= 1. A degree-0 gcd therefore rules out every
-# common factor of positive degree in the main variable, and certifying
-# both variables rules out every nonconstant common factor. The
-# certificate can only answer "coprime" or "don't know"; a "not coprime"
-# answer always comes from the exact chain below.
-#
+# Every nonconstant common factor has positive degree in some variable, so
+# take each variable in which both sides have positive degree as the main
+# one, y say, with a and b scaled into Z[x, y]. They share a factor of
+# positive y-degree exactly when R(x) = Res_y(a, b) is the zero polynomial.
+#   - deg R <= D = deg_x a * deg_y b + deg_x b * deg_y a, and expanding the
+#     Sylvester determinant, each row bounded by its sum, bounds every
+#     coefficient of R by B = |a|^(deg_y b) * |b|^(deg_y a), |.| the sum of
+#     the absolute values of the coefficients.
+#   - Where the leading coefficient in y of a or of b is nonzero mod a
+#     prime p at x0, R(x0) is the resultant of a(x0, y) and b(x0, y) up to
+#     a power of that coefficient, so R(x0) = 0 mod p exactly when their
+#     gcd over GF(p) has positive degree.
+#   - One degree-0 gcd, at any prime, proves R != 0: coprime in y.
+#   - With p > B, positive-degree gcds at D + 1 such points prove R = 0
+#     mod p, hence over Z: a shared factor. That p exceeds every
+#     coefficient of a and b, so a leading coefficient vanishes mod p at no
+#     more points than its degree, and the loop ends. p is the least prime
+#     of _MERSENNE_EXPONENTS above B; a larger B raises ArithmeticError.
+# The certificate runs first: the same loop at P = 2^61 - 1 on the sides
+# reduced as num * den^-1 (skipped when P divides a denominator), over
+# only the three _POINTS. It can only prove "coprime", and settles most
+# coprime pairs. It must stop after them: coprime sides can share a factor
+# mod P (xy - 1 and xy - 1 + P*x^2 are equal mod P), and then no point
+# gives a degree-0 gcd.
 # The points are large on purpose: at small integers coprime pairs often
 # coincide (x/2 - 3 and x/2 - 3*y/2 are equal at y = 2).
 #
-# References: W. S. Brown, "On Euclid's algorithm and the computation of
-# polynomial greatest common divisors", JACM 18 (1971); J. von zur Gathen
-# and J. Gerhard, Modern Computer Algebra, ch. 6.
+# References: G. E. Collins, "The calculation of multivariate polynomial
+# resultants", JACM 18 (1971); J. von zur Gathen and J. Gerhard, Modern
+# Computer Algebra, ch. 6.
 
 _P = (1 << 61) - 1
 _POINTS = (0x2545F4914F6CDD1D % _P, 0x5851F42D4C957F2D % _P,
            0x14057B7EF767814F % _P)
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                       4253, 4423)
 
 
 def _reduce_mod_p(p: BiPoly) -> dict[tuple[int, int], int] | None:
@@ -376,191 +386,89 @@ def _reduce_mod_p(p: BiPoly) -> dict[tuple[int, int], int] | None:
 
 
 def _specialize(terms: dict[tuple[int, int], int], axis: int, point: int,
-                degree: int) -> list[int]:
-    """Dense coefficients in variable `axis`, the other variable at `point`."""
+                degree: int, prime: int) -> list[int]:
+    """Coefficients mod prime in variable `axis`, the other at `point`."""
     out = [0] * (degree + 1)
     for e, c in terms.items():
-        out[e[axis]] += c * pow(point, e[1 - axis], _P)
-    out = [c % _P for c in out]
+        out[e[axis]] += c * pow(point, e[1 - axis], prime)
+    out = [c % prime for c in out]
     while out and not out[-1]:
         out.pop()
     return out
 
 
-def _gf_gcd_degree(u: list[int], v: list[int]) -> int:
-    """Degree of gcd(u, v) over GF(P); u, v trimmed, not both empty."""
+def _gf_gcd_degree(u: list[int], v: list[int], prime: int) -> int:
+    """Degree of gcd(u, v) over GF(prime); u, v trimmed, not both empty.
+    A step takes lc(v)*u - lc(u)*x^s*v, with no inverse: one costs as
+    much as 16 to 50 products mod the primes of the table."""
     while v:
-        inv = pow(v[-1], -1, _P)
-        dv = len(v) - 1
-        u = list(u)
+        lead, dv = v[-1], len(v) - 1
         while len(u) > dv:
-            factor = u[-1] * inv % _P
-            shift = len(u) - 1 - dv
-            for b, cb in enumerate(v):
-                u[shift + b] = (u[shift + b] - factor * cb) % _P
+            factor, shift = u[-1], len(u) - 1 - dv
+            u = [c * lead % prime for c in u[:-1]]  # the top term cancels
+            for b in range(dv):
+                u[shift + b] = (u[shift + b] - factor * v[b]) % prime
             while u and not u[-1]:
                 u.pop()
         u, v = v, u
     return len(u) - 1
 
 
-def certify_coprime(a: BiPoly, b: BiPoly) -> bool:
-    """True only when the modular certificate proves a, b coprime.
-
-    False means "not proved", never "shares a factor".
-    """
-    if not a.terms or not b.terms:
-        return False
-    ta, tb = _reduce_mod_p(a), _reduce_mod_p(b)
-    if ta is None or tb is None:
-        return False
-    for axis in (0, 1):
-        da = max(e[axis] for e in a.terms)
-        db = max(e[axis] for e in b.terms)
-        if da == 0 or db == 0:
-            continue
-        for point in _POINTS:
-            ua = _specialize(ta, axis, point, da)
-            ub = _specialize(tb, axis, point, db)
-            if len(ua) - 1 < da and len(ub) - 1 < db:
-                continue
-            if _gf_gcd_degree(ua, ub) == 0:
-                break
-        else:
+def _resultant_vanishes(ta: dict, tb: dict, axis: int, da: int, db: int,
+                        prime: int, points, needed: int) -> bool:
+    """The loop of the comment above on the terms of two sides of degrees
+    da, db >= 1 in variable `axis`: False at the first usable point whose
+    gcd has degree 0, True after `needed` usable points or all `points`."""
+    for point in points:
+        ua = _specialize(ta, axis, point, da, prime)
+        ub = _specialize(tb, axis, point, db, prime)
+        if len(ua) <= da and len(ub) <= db:
+            continue  # both leading coefficients vanish at this point
+        if _gf_gcd_degree(ua, ub, prime) == 0:
             return False
+        needed -= 1
+        if not needed:
+            break
     return True
 
 
-# -- exact coprimality: the subresultant chain -------------------------------
-#
-# The exact test runs Collins' subresultant chain over the integers. Each
-# side is scaled by the lcm of its denominators into Z[x, y] (a nonzero
-# constant factor does not change the answer) and written as a polynomial
-# in a main variable whose coefficients are dense integer lists in the
-# other variable (index = power). Each chain step takes the pseudo-
-# remainder prem(A, B) and divides it exactly by g*h^delta in that ring,
-# which keeps the coefficients as small as the subresultants themselves.
-# The chain ends in zero exactly when the resultant in the main variable
-# vanishes, that is, when the sides share a factor of positive degree in
-# it. Every nonconstant factor has positive degree in some variable, so
-# running the chain in each variable in which both sides have positive
-# degree decides coprimality; a factor free of the second variable is
-# caught by the chain in the first. An inexact division, impossible in
-# theory, raises NotDivisible.
-#
-# References: G. E. Collins, "Subresultants and reduced polynomial
-# remainder sequences", JACM 14 (1967); W. S. Brown and J. F. Traub, "On
-# Euclid's algorithm and the theory of subresultants", JACM 18 (1971).
+def _resultant_bounds(a: BiPoly, b: BiPoly, axis: int) -> tuple[int, int]:
+    """B and D of the comment above for a, b in Z[x, y]: bounds on the
+    coefficients and on the degree of their resultant in variable `axis`."""
+    da, db = (max(e[axis] for e in p.terms) for p in (a, b))
+    xa, xb = (max(e[1 - axis] for e in p.terms) for p in (a, b))
+    na, nb = (sum(map(abs, p.terms.values())) for p in (a, b))
+    return na**db * nb**da, xa * db + xb * da
 
 
-def _zx_mul(u: list[int], v: list[int]) -> list[int]:
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for a, ca in enumerate(u):
-        for b, cb in enumerate(v):
-            out[a + b] += ca * cb
-    return out
-
-
-def _zx_pow(u: list[int], n: int) -> list[int]:
-    out = [1]
-    for _ in range(n):
-        out = _zx_mul(out, u)
-    return out
-
-
-def _zx_sub(u: list[int], v: list[int]) -> list[int]:
-    out = u + [0] * (len(v) - len(u))
-    for b, cb in enumerate(v):
-        out[b] -= cb
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zx_div(u: list[int], d: list[int]) -> list[int]:
-    """u / d in Z[x]; raises NotDivisible when d does not divide u."""
-    u = list(u)
-    out = [0] * max(len(u) - len(d) + 1, 0)
-    while len(u) >= len(d):
-        c, r = divmod(u[-1], d[-1])
-        if r:
-            raise NotDivisible("inexact division in the subresultant chain")
-        shift = len(u) - len(d)
-        out[shift] = c
-        for b, cb in enumerate(d):
-            u[shift + b] -= c * cb
-        while u and not u[-1]:
-            u.pop()
-    if u:
-        raise NotDivisible("inexact division in the subresultant chain")
-    return out
-
-
-def _integer_rows(p: BiPoly, axis: int) -> list[list[int]]:
-    """p times its denominators' lcm, as coefficients in variable `axis`."""
-    (p,), _ = integer_numerators(p)
-    top = max(e[axis] for e in p.terms)
-    rows: list[list[int]] = [[] for _ in range(top + 1)]
-    for e, c in p.terms.items():
-        row = rows[e[axis]]
-        row.extend([0] * (e[1 - axis] + 1 - len(row)))
-        row[e[1 - axis]] = c
-    return rows
-
-
-def _prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """lc(b)^(deg a - deg b + 1) * a mod b; deg a >= deg b."""
-    lead, db = b[-1], len(b) - 1
-    r, e = list(a), len(a) - db
-    while len(r) > db:
-        c = r.pop()
-        shift = len(r) - db
-        r = [_zx_mul(lead, x) for x in r]
-        for k in range(db):
-            r[shift + k] = _zx_sub(r[shift + k], _zx_mul(c, b[k]))
-        while r and not r[-1]:
-            r.pop()
-        e -= 1
-    f = _zx_pow(lead, e)
-    return [_zx_mul(f, x) for x in r]
-
-
-def _chain(a: list[list[int]], b: list[list[int]]):
-    """Collins' subresultant chain of a, b (deg a >= deg b >= 1): yields
-    each reduced remainder, up to the first of degree 0 or the zero one."""
-    g = h = [1]
-    while True:
-        delta = len(a) - len(b)
-        d = _zx_mul(g, _zx_pow(h, delta))
-        a, b = b, [_zx_div(x, d) for x in _prem(a, b)]
-        yield b
-        if len(b) <= 1:
-            return
-        g = a[-1]
-        if delta:
-            h = _zx_div(_zx_pow(g, delta), _zx_pow(h, delta - 1))
-
-
-def _subresultant_coprime(a: BiPoly, b: BiPoly) -> bool:
-    """Exact coprimality of two nonzero polynomials (no certificate)."""
-    for axis in (0, 1):
-        ra, rb = _integer_rows(a, axis), _integer_rows(b, axis)
-        if len(ra) > 1 and len(rb) > 1:
-            for last in _chain(*sorted((ra, rb), key=len, reverse=True)):
-                pass
-            if not last:
-                return False  # the resultant vanishes: a common factor
-    return True
+def _shares_factor(a: BiPoly, b: BiPoly, axis: int) -> bool:
+    """Whether a and b, both of positive degree in variable `axis`, share
+    a factor of positive degree in it: the exact stage, after the
+    certificate. ArithmeticError when no prime of the table exceeds B."""
+    (a,), _ = integer_numerators(a)
+    (b,), _ = integer_numerators(b)
+    bound, degree = _resultant_bounds(a, b, axis)
+    prime = next((m for m in ((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
+                  if m > bound), None)
+    if prime is None:
+        raise ArithmeticError(
+            f"the coprimality test needs a prime above 2^"
+            f"{bound.bit_length() - 1}, beyond its largest, 2^"
+            f"{_MERSENNE_EXPONENTS[-1]} - 1")
+    # |coefficient| <= bound < prime, so the terms are already residues
+    return _resultant_vanishes(
+        a.terms, b.terms, axis, max(e[axis] for e in a.terms),
+        max(e[axis] for e in b.terms), prime, chain(_POINTS, count()),
+        degree + 1)
 
 
 def is_coprime(a: BiPoly, b: BiPoly) -> bool:
     """True when a and b share no nonconstant polynomial factor.
 
-    A zero side is decided directly. Otherwise the modular certificate
-    settles most coprime pairs, and the exact subresultant chain decides
-    the rest; only that chain reports a shared factor.
+    A zero side is decided directly. Otherwise, in each variable where
+    both sides have positive degree, the certificate at 2^61 - 1 settles
+    most pairs and `_shares_factor` the rest, raising ArithmeticError when
+    it would need a prime beyond its table.
     """
     if not a.terms and not b.terms:
         raise BothZero("is_coprime needs at least one nonzero polynomial")
@@ -568,4 +476,15 @@ def is_coprime(a: BiPoly, b: BiPoly) -> bool:
         return b.total_degree() == 0
     if not b.terms:
         return a.total_degree() == 0
-    return certify_coprime(a, b) or _subresultant_coprime(a, b)
+    ta, tb = _reduce_mod_p(a), _reduce_mod_p(b)
+    for axis in (0, 1):
+        da = max(e[axis] for e in a.terms)
+        db = max(e[axis] for e in b.terms)
+        if not (da and db):
+            continue
+        if ta is not None and tb is not None and not _resultant_vanishes(
+                ta, tb, axis, da, db, _P, _POINTS, len(_POINTS)):
+            continue
+        if _shares_factor(a, b, axis):
+            return False
+    return True

@@ -15,6 +15,7 @@ import pytest
 
 import artifact
 from artifact import analyze, cli
+from artifact import poly as poly_module
 from artifact.cli import main
 from artifact.corpus import load_cases
 from artifact.parse import load_system
@@ -63,6 +64,22 @@ class TestConjugate:
         assert code == 1
         assert "share a nonconstant factor" in capsys.readouterr().err
 
+    def test_check_coprime_refuses_a_bound_beyond_the_prime_table(
+            self, sys_file, capsys, monkeypatch):
+        # with only 2^61 - 1 in the table, the exact stage cannot decide
+        # this shared-factor pair, whose coefficient bound exceeds it
+        monkeypatch.setattr(poly_module, "_MERSENNE_EXPONENTS", (61,))
+        rhs = ["(x - 2*y + 1)*(1000*x^2 + 999*y + 1)",
+               "(x - 2*y + 1)*(999*y^2 - 1000*x + 7)"]
+        code = main(["conjugate", "--check-coprime",
+                     "-i", sys_file(["x", "y"], rhs)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "prime" in lines[0]
+
     def test_degree_over_parse_limit_exits_1(self, sys_file, capsys):
         code = main(["conjugate", "-i", sys_file(["x", "y"],
                                                  ["(x+y)^200", "y"])])
@@ -79,7 +96,7 @@ class TestConjugate:
 
     def test_shared_factor_partner_is_not_coprime(self, sys_file, capsys):
         # both sides carry x - 2*y + 1, so the partner's sides share a
-        # factor; only the exact chain can say so
+        # factor; only the exact stage of is_coprime can say so
         rhs = ["(x - 2*y + 1)*(- 2*x^3*y^2 + 3*y^5 + 2*x^2*y + x + 3*y - 1)",
                "(x - 2*y + 1)*(2*y^5 + 2*x^3*y + 3*y^4 - 3*x^2*y - 2*y^3 + 2)"]
         started = time.monotonic()

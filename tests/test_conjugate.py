@@ -320,7 +320,7 @@ class TestTheoremChecks:
 
 class TestSharedFactorPartner:
     """Both sides share x - 2*y + 1, so the partner's sides share a factor
-    too; the certificate cannot settle that, the exact chain decides it."""
+    too; the certificate cannot settle that, the exact stage decides it."""
 
     FIELD = ("(x - 2*y + 1)*(- 2*x^3*y^2 + 3*y^5 + 2*x^2*y + x + 3*y - 1)",
              "(x - 2*y + 1)*(2*y^5 + 2*x^3*y + 3*y^4 - 3*x^2*y - 2*y^3 + 2)")

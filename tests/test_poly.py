@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: ring ops, circle division, coprimality."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,17 +18,16 @@ from conftest import (
 from artifact.conjugate import conjugate
 from artifact.corpus import case_by_name
 from artifact.parse import parse_polynomial
+from artifact import poly as poly_module
 from artifact.poly import (
+    _MERSENNE_EXPONENTS,
     _P,
     _POINTS,
-    _chain,
-    _integer_rows,
-    _subresultant_coprime,
-    _zx_div,
+    _resultant_bounds,
+    _shares_factor,
     BiPoly,
     BothZero,
     NotDivisible,
-    certify_coprime,
     circle_valuation,
     divide_exact_by_circle,
     divmod_circle,
@@ -195,8 +195,8 @@ class TestCoprime:
         assert not is_coprime(BiPoly.zero(XY), poly("x"))
 
     def test_shared_factor_free_of_second_variable(self):
-        # common factor x is free of y, so the chain in y never sees it;
-        # the chain in the first variable catches it
+        # common factor x is free of y, so the resultant in y stays
+        # nonzero; the resultant in the first variable vanishes
         assert not is_coprime(poly("x*y + x"), poly("x*y^2 - x"))
 
     @given(nonzero_bipolys(), nonzero_bipolys(),
@@ -206,16 +206,27 @@ class TestCoprime:
         assert not is_coprime(p * g, q * g)
 
 
+@pytest.fixture
+def exact_axes(monkeypatch):
+    """The variables in which is_coprime ran the exact stage, in order."""
+    axes = []
+    real = poly_module._shares_factor
+
+    def spy(a, b, axis):
+        axes.append(axis)
+        return real(a, b, axis)
+
+    monkeypatch.setattr(poly_module, "_shares_factor", spy)
+    return axes
+
+
 class TestCoprimeDifferential:
     """is_coprime and its modular certificate against sympy.gcd."""
 
     @given(nonzero_bipolys(), nonzero_bipolys())
     @settings(max_examples=80, deadline=None)
     def test_random_pairs_agree_with_sympy(self, sympy, a, b):
-        expected = sympy_coprime(sympy, a, b)
-        assert is_coprime(a, b) == expected
-        if certify_coprime(a, b):
-            assert expected
+        assert is_coprime(a, b) == sympy_coprime(sympy, a, b)
 
     @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)],
                              ids=["x-only", "y-only", "both"])
@@ -226,22 +237,24 @@ class TestCoprimeDifferential:
         g = data.draw(nonzero_bipolys(max_exp=3, max_terms=4), label="g")
         h = data.draw(nonzero_bipolys(max_exp=3, max_terms=4), label="h")
         a, b = f * g, f * h
-        assert not certify_coprime(a, b)
         assert not is_coprime(a, b)
         assert not sympy_coprime(sympy, a, b)
 
-    def test_pair_equal_at_small_point_is_certified(self):
+    def test_pair_equal_at_small_point_is_certified(self, exact_axes):
         # at y = 2 both sides are x/2 - 3
-        assert certify_coprime(poly("1/2*x - 3"), poly("1/2*x - 3/2*y"))
+        assert is_coprime(poly("1/2*x - 3"), poly("1/2*x - 3/2*y"))
+        assert exact_axes == []
 
-    def test_corpus_partner_with_common_factor_uses_exact_path(self):
+    def test_corpus_partner_with_common_factor_uses_exact_path(
+            self, exact_axes):
         case = case_by_name("4.9->4.10")
         u, v = conjugate(case.system, out_vars=case.conjugate_vars
                          ).conjugate.rhs
-        assert not certify_coprime(u, v)
         assert not is_coprime(u, v)
+        assert exact_axes == [0]
 
-    def test_factor_hidden_at_every_point_is_not_certified(self):
+    def test_factor_hidden_at_every_point_is_not_certified(self,
+                                                           exact_axes):
         # G's leading coefficient in each variable vanishes at every fixed
         # point, so G(x0, y) and G(x, y0) are constants there; skipping
         # such points is what keeps the certificate sound
@@ -250,49 +263,38 @@ class TestCoprimeDifferential:
         for t in _POINTS:
             lead_x, lead_y = lead_x * (x - t), lead_y * (y - t)
         g = lead_x * lead_y + 1
-        assert not certify_coprime(g * x, g * y)
         assert not is_coprime(g * x, g * y)
+        assert exact_axes == [0]
 
-    def test_gives_up_when_prime_divides_a_denominator(self):
-        a = poly("x") + Fraction(1, _P)
-        assert not certify_coprime(a, poly("y"))
-        assert is_coprime(a, poly("y"))
+    def test_gives_up_when_prime_divides_a_denominator(self, exact_axes):
+        a = poly("x + y") + Fraction(1, _P)
+        assert is_coprime(a, poly("x - y"))
+        assert exact_axes == [0, 1]
 
-    def test_zero_side_is_never_certified(self):
-        assert not certify_coprime(BiPoly.zero(XY), BiPoly.const(3, XY))
-
-
-def _assert_chain_is_sympy_prs(sympy, a, b, axis):
-    """_chain against sympy's subresultant PRS, element by element up to
-    sign, with variable `axis` as the main one."""
-    rows = sorted((_integer_rows(a, axis), _integer_rows(b, axis)),
-                  key=len, reverse=True)
-    main, other = sympy.symbols("y x" if axis else "x y")
-
-    def expr(r):
-        return sum(c * other**i * main**j
-                   for j, row in enumerate(r) for i, c in enumerate(row))
-
-    ours = [expr(r) for r in _chain(*rows) if r]
-    prs = sympy.subresultants(sympy.Poly(expr(rows[0]), main, other),
-                              sympy.Poly(expr(rows[1]), main, other))
-    theirs = [p.as_expr() for p in prs[2:]]
-    assert len(ours) == len(theirs)
-    for o, t in zip(ours, theirs):
-        assert sympy.expand(o - t) == 0 or sympy.expand(o + t) == 0
+    def test_zero_side_is_never_certified(self, monkeypatch):
+        for name in ("_resultant_vanishes", "_shares_factor"):
+            monkeypatch.setattr(poly_module, name, None)
+        assert is_coprime(BiPoly.zero(XY), BiPoly.const(3, XY))
 
 
-class TestSubresultantChain:
-    """The exact chain on its own, without the certificate in front of it.
+def _exactly_coprime(a, b):
+    """The exact stage alone, in each variable where both sides have
+    positive degree."""
+    return not any(_shares_factor(a, b, axis) for axis in (0, 1)
+                   if all(max(e[axis] for e in p.terms) for p in (a, b)))
+
+
+class TestExactStage:
+    """The exact stage on its own, without the certificate in front of it.
 
     Through is_coprime the certificate settles almost every coprime pair
-    first, so the chain's "coprime" answer is checked here directly.
+    first, so the exact stage's "coprime" answer is checked here directly.
     """
 
     @given(nonzero_bipolys(), nonzero_bipolys())
     @settings(max_examples=80, deadline=None)
     def test_random_pairs_agree_with_sympy(self, sympy, a, b):
-        assert _subresultant_coprime(a, b) == sympy_coprime(sympy, a, b)
+        assert _exactly_coprime(a, b) == sympy_coprime(sympy, a, b)
 
     @pytest.mark.parametrize("axes", [(0,), (1,), (0, 1)],
                              ids=["x-only", "y-only", "both"])
@@ -302,40 +304,76 @@ class TestSubresultantChain:
         f = data.draw(planted_factors(axes), label="f")
         g = data.draw(nonzero_bipolys(max_exp=3, max_terms=4), label="g")
         h = data.draw(nonzero_bipolys(max_exp=3, max_terms=4), label="h")
-        assert not _subresultant_coprime(f * g, f * h)
+        assert not _exactly_coprime(f * g, f * h)
         assert not sympy_coprime(sympy, f * g, f * h)
 
     @given(nonzero_bipolys(max_exp=3, max_terms=4),
-           nonzero_bipolys(max_exp=3, max_terms=4), st.sampled_from([0, 1]))
-    @settings(max_examples=40, deadline=None)
-    def test_chain_is_the_subresultant_prs(self, sympy, a, b, axis):
-        assume(all(max(e[axis] for e in p.terms) for p in (a, b)))
-        _assert_chain_is_sympy_prs(sympy, a, b, axis)
-
-    def test_abnormal_chain_is_the_subresultant_prs(self, sympy):
-        # in y the degrees run 5, 4, 2, 1, 0; after the step that skips
-        # degree 3, h is no longer the last leading coefficient
-        a = poly("x^2*y^4 - 2*x*y^5 + 3*y^2 - 2*x")
-        _assert_chain_is_sympy_prs(sympy, a, poly("3*x*y^4 + 2*y"), 1)
+           nonzero_bipolys(max_exp=3, max_terms=4))
+    @settings(max_examples=30, deadline=None)
+    def test_circle_factor(self, sympy, g, h):
+        s = poly("x^2 + y^2")
+        assert not _exactly_coprime(s * g, s * h)
+        assert _exactly_coprime(s * g, h) == sympy_coprime(sympy, s * g, h)
 
     def test_certified_pairs_are_coprime(self):
         p = poly("-y - x*(x^2 + y^2 - 1)")
         q = poly("x - y*(x^2 + y^2 - 1)")
-        assert certify_coprime(p, q)
-        assert _subresultant_coprime(p, q)
+        assert _exactly_coprime(p, q)
 
     def test_corpus_partner_with_common_factor(self):
         case = case_by_name("4.9->4.10")
         u, v = conjugate(case.system, out_vars=case.conjugate_vars
                          ).conjugate.rhs
-        assert not _subresultant_coprime(u, v)
+        assert not _exactly_coprime(u, v)
 
-    def test_inexact_division_raises(self):
-        assert _zx_div([-1, 0, 1], [1, 1]) == [-1, 1]
-        with pytest.raises(NotDivisible):
-            _zx_div([1, 0, 1], [1, 1])
-        with pytest.raises(ArithmeticError):
-            _zx_div([3], [2])
+    def test_prime_exceeds_the_bound(self):
+        # the sides are equal mod 2^61 - 1, and their resultant in either
+        # variable is +-(2^61 - 1), not 0
+        a, b = poly("y - x"), poly("y - x") - _P
+        assert _exactly_coprime(a, b)
+        assert is_coprime(a, b)
+
+    def test_leading_coefficient_divisible_by_2_61_minus_1(self):
+        # 2^61 - 1 divides the leading coefficient in x of the second side,
+        # and the sides are equal mod it: no point gives a degree-0 gcd
+        # there, so only the cap on the certificate's points ends that stage
+        a = poly("x*y - 1")
+        b = a + _P * poly("x^2")
+        started = time.monotonic()
+        assert _exactly_coprime(a, b)
+        assert is_coprime(a, b)
+        assert time.monotonic() - started < 5.0
+
+    @given(nonzero_bipolys(max_exp=3, max_terms=4),
+           nonzero_bipolys(max_exp=3, max_terms=4), st.sampled_from([0, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_resultant_within_the_bounds(self, sympy, a, b, axis):
+        (a,), _ = integer_numerators(a)
+        (b,), _ = integer_numerators(b)
+        assume(all(max(e[axis] for e in p.terms) for p in (a, b)))
+        bound, degree = _resultant_bounds(a, b, axis)
+        x, y = sympy.symbols("x y")
+        main, other = (x, y) if axis == 0 else (y, x)
+
+        def expr(p):
+            return sum(c * x**i * y**j for (i, j), c in p.terms.items())
+
+        r = sympy.Poly(sympy.resultant(expr(a), expr(b), main), other)
+        assert r.is_zero or r.degree() <= degree
+        assert all(abs(c) <= bound for c in r.all_coeffs())
+
+    def test_table_entries_are_prime(self, sympy):
+        assert list(_MERSENNE_EXPONENTS) == sorted(set(_MERSENNE_EXPONENTS))
+        for e in _MERSENNE_EXPONENTS:
+            assert sympy.isprime((1 << e) - 1), e
+
+    def test_bound_beyond_the_table_is_refused(self, monkeypatch):
+        monkeypatch.setattr(poly_module, "_MERSENNE_EXPONENTS", (61,))
+        f = poly("x - 2*y + 1")
+        a = f * poly("1000*x^2 + 999*y + 1")
+        b = f * poly("999*y^2 - 1000*x + 7")
+        with pytest.raises(ArithmeticError, match="2\\^61 - 1"):
+            is_coprime(a, b)
 
 
 class TestCanonicalText:
