@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .conjugate import DiffSystem, ZeroField
-from .poly import BiPoly
+from .poly import BiPoly, power
 
 
 class ParseError(ValueError):
@@ -50,6 +51,14 @@ MAX_DEGREE = 32
 # follows; deeper input is refused instead of exhausting the call stack.
 MAX_NESTING = 100
 
+# Most term pairs one parse_polynomial multiplies, over every product and
+# every squaring of a power; a coefficient counts once more for each 1024
+# bits it has, so long literals raised to powers count their size. The
+# largest corpus expression needs 47, "(x+y+1)^32" 25 704, and a dense
+# degree-32 field 5 126; a 100 KB sum of such powers is refused after two
+# of them instead of running for seconds.
+MAX_PRODUCTS = 60_000
+
 
 def _check_degree(degree: int, what: str, where: int) -> None:
     if degree > MAX_DEGREE:
@@ -59,6 +68,26 @@ def _check_degree(degree: int, what: str, where: int) -> None:
 
 def _degree(p: BiPoly) -> int:
     return p.total_degree() or 0
+
+
+def _weight(p: BiPoly) -> int:
+    """The terms of p, each counted once more per 1024 coefficient bits."""
+    return sum(1 + (c.numerator.bit_length() + c.denominator.bit_length())
+               // 1024 for c in p.terms.values())
+
+
+def _number(literal: str, where: int) -> int | Fraction:
+    """The literal "p" or "p/q" as an int or a Fraction; a zero q, or a
+    part longer than Python's digit limit, is refused at `where`."""
+    num, _, den = literal.partition("/")
+    try:
+        return Fraction(int(num), int(den)) if den else int(num)
+    except ZeroDivisionError:
+        raise ParseError("zero denominator", where) from None
+    except ValueError:
+        raise ParseError(
+            f"number longer than the limit of "
+            f"{sys.get_int_max_str_digits()} digits", where) from None
 
 
 _NUMBER = re.compile(r"\d+(?:/\d+)?")
@@ -110,7 +139,8 @@ def _tokenize(text: str, variables: tuple[str, str]) -> list[tuple]:
 
 
 class _Parser:
-    """Recursive descent over the token stream; every method returns BiPoly."""
+    """Recursive descent over the token stream; every method returns BiPoly,
+    on int coefficients but for "p/q" literals (parse_polynomial converts)."""
 
     def __init__(self, text: str, variables: tuple[str, str]):
         self.text = text
@@ -118,6 +148,7 @@ class _Parser:
         self.tokens = _tokenize(text, variables)
         self.pos = 0
         self.depth = 0
+        self.products = 0
 
     def peek(self) -> tuple | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -145,6 +176,15 @@ class _Parser:
         value = parse()
         self.depth -= 1
         return value
+
+    def product(self, a: BiPoly, b: BiPoly, where: int) -> BiPoly:
+        """a * b, refused when it takes the parse past MAX_PRODUCTS."""
+        self.products += _weight(a) * _weight(b)
+        if self.products > MAX_PRODUCTS:
+            raise ParseError(
+                f"expansion needs more than {MAX_PRODUCTS} term products",
+                where)
+        return a * b
 
     def parse(self) -> BiPoly:
         value = self.expression()
@@ -179,7 +219,7 @@ class _Parser:
                 return value
             _check_degree(_degree(value) + _degree(rhs), "product degree",
                           tok[2])
-            value = value * rhs
+            value = self.product(value, rhs, tok[2])
 
     def signed_factor(self) -> BiPoly:
         tok = self.peek()
@@ -193,9 +233,9 @@ class _Parser:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "^":
             self.pos += 1
-            power = self.exponent()
-            _check_degree(_degree(base) * power, "power degree", tok[2])
-            return base ** power
+            n = self.exponent()
+            _check_degree(_degree(base) * n, "power degree", tok[2])
+            return power(base, n, lambda a, b: self.product(a, b, tok[2]))
         return base
 
     def exponent(self) -> int:
@@ -208,20 +248,18 @@ class _Parser:
         self.pos += 1
         if "/" in tok[1]:
             raise NonIntegerExponent("exponent must be an integer", tok[2])
-        power = int(tok[1])
-        _check_degree(power, "exponent", tok[2])
-        return power
+        n = _number(tok[1], tok[2])
+        _check_degree(n, "exponent", tok[2])
+        return n
 
     def atom(self) -> BiPoly:
         tok = self.take()
         kind, value, where = tok
         if kind == "num":
-            try:
-                return BiPoly.const(Fraction(value), self.vars)
-            except ZeroDivisionError:
-                raise ParseError("zero denominator", where) from None
+            return BiPoly._trusted(self.vars, {(0, 0): _number(value, where)})
         if kind == "var":
-            return BiPoly.var(value, self.vars)
+            return BiPoly._trusted(self.vars, {
+                (1, 0) if value == self.vars[0] else (0, 1): 1})
         if kind == "op" and value == "(":
             inner = self.nested(self.expression, where)
             self.expect_op(")")
@@ -232,7 +270,7 @@ class _Parser:
 def parse_polynomial(text: str, variables: tuple[str, str]) -> BiPoly:
     """Parse an expression into a fully expanded polynomial."""
     variables = (str(variables[0]), str(variables[1]))
-    return _Parser(text, variables).parse()
+    return BiPoly(variables, _Parser(text, variables).parse().terms)
 
 
 def parse_system(variables, rhs) -> DiffSystem:

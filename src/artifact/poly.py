@@ -172,15 +172,8 @@ class BiPoly:
     def __pow__(self, n: int) -> "BiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = BiPoly.const(1, self.vars) if n == 0 else None
-        base = BiPoly._trusted(self.vars, self.terms)
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(BiPoly._trusted(self.vars, self.terms), n,
+                     BiPoly.__mul__)
 
     # -- calculus and structure --------------------------------------------
 
@@ -238,35 +231,42 @@ class BiPoly:
         the first variable; ASCII operators, explicit '*' between factors."""
         if not self.terms:
             return "0"
-        order = sorted(self.terms, key=lambda e: (-(e[0] + e[1]), -e[0]))
+        first, second = self.vars
         pieces: list[str] = []
-        for e in order:
-            c = self.terms[e]
-            body = self._term_text(abs(c), e)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
+        for i, j in sorted(self.terms, key=lambda e: (-(e[0] + e[1]), -e[0])):
+            c = self.terms[i, j]
+            num, den = c.numerator, c.denominator
+            if num < 0:
+                pieces.append(" - " if pieces else "-")
+            elif pieces:
+                pieces.append(" + ")
+            factors = ([] if den == 1 and num in (1, -1) and i + j
+                       else [f"{abs(num)}/{den}" if den != 1 else str(abs(num))])
+            if i:
+                factors.append(first if i == 1 else f"{first}^{i}")
+            if j:
+                factors.append(second if j == 1 else f"{second}^{j}")
+            pieces.append("*".join(factors))
         return "".join(pieces)
-
-    def _term_text(self, c: Fraction, e: tuple[int, int]) -> str:
-        factors = []
-        for name, exp in zip(self.vars, e):
-            if exp == 1:
-                factors.append(name)
-            elif exp > 1:
-                factors.append(f"{name}^{exp}")
-        if not factors:
-            return str(c)
-        if c != 1:
-            factors.insert(0, str(c))
-        return "*".join(factors)
 
     def __str__(self) -> str:
         return self.to_text()
 
     def __repr__(self) -> str:
         return f"BiPoly({self.vars[0]},{self.vars[1]}: {self.to_text()})"
+
+
+def power(base: BiPoly, n: int, multiply) -> BiPoly:
+    """base ** n for n >= 0 by repeated squaring, each product taken as
+    multiply(a, b); the squarings fix the term order of the result."""
+    result = BiPoly.const(1, base.vars) if n == 0 else None
+    while n:
+        if n & 1:
+            result = base if result is None else multiply(result, base)
+        n >>= 1
+        if n:
+            base = multiply(base, base)
+    return result
 
 
 def integer_numerators(*polys: BiPoly) -> tuple[list[BiPoly], int]:

@@ -14,11 +14,11 @@ def coefficients(bound: int = 5, max_denominator: int = 4):
 
 
 def bipolys(vars: tuple[str, str] = ("x", "y"), max_exp: int = 4,
-            max_terms: int = 6):
+            max_terms: int = 6, coefs=None):
     """Small random polynomials, including the zero polynomial."""
     entry = st.tuples(
         st.tuples(st.integers(0, max_exp), st.integers(0, max_exp)),
-        coefficients())
+        coefficients() if coefs is None else coefs)
     return st.lists(entry, max_size=max_terms).map(
         lambda kv: BiPoly(vars, dict(kv)))
 

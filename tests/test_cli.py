@@ -94,6 +94,26 @@ class TestConjugate:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: nesting deeper")
 
+    @pytest.mark.parametrize("unit", ["(x+2*y+1)^16*(3*x-y+1)^16",
+                                      "(x+y+1)^32"],
+                             ids=["product", "power"])
+    def test_100kb_expansion_exits_1(self, sys_file, capsys, unit):
+        rhs = " + ".join([unit] * (100_000 // (len(unit) + 3)))
+        started = time.monotonic()
+        code = main(["conjugate", "-i", sys_file(["x", "y"], ["y", rhs])])
+        elapsed = time.monotonic() - started
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: expansion needs more than")
+        assert elapsed < 0.5
+
+    def test_long_literal_exits_1(self, sys_file, capsys):
+        code = main(["conjugate", "-i",
+                     sys_file(["x", "y"], ["1" * 5000 + "*x", "y"])])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: number longer than the limit")
+
     def test_shared_factor_partner_is_not_coprime(self, sys_file, capsys):
         # both sides carry x - 2*y + 1, so the partner's sides share a
         # factor; only the exact stage of is_coprime can say so

@@ -1,10 +1,12 @@
 """Expression grammar, positioned errors, and system input forms."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import bipolys
 from artifact.corpus import load_cases
@@ -64,6 +66,76 @@ class TestGrammar:
     @given(bipolys())
     def test_round_trip(self, p):
         assert poly(p.to_text()) == p
+
+
+# -- random expression trees ---------------------------------------------------
+#
+# Each node is (text, reference, degree bound, leaf). The reference is the
+# same tree evaluated with the Fraction BiPoly operations; the parser runs
+# on int coefficients inside and must return the same terms, in the same
+# order, as Fractions. Compound children are parenthesized; leaves are not,
+# so "3/4^2", "2 x" and "-x" reach the grammar as written.
+
+_leaves = st.one_of(
+    st.integers(0, 30).map(
+        lambda n: (str(n), BiPoly.const(n, XY), 0, True)),
+    st.tuples(st.integers(0, 30), st.integers(1, 12)).map(
+        lambda pq: (f"{pq[0]}/{pq[1]}", BiPoly.const(Fraction(*pq), XY), 0,
+                    True)),
+    st.sampled_from(XY).map(lambda v: (v, BiPoly.var(v, XY), 1, True)))
+
+
+def _wrapped(node):
+    return node[0] if node[3] else f"({node[0]})"
+
+
+def _binary(op, a, b):
+    text = f"{_wrapped(a)}{op}{_wrapped(b)}"
+    if op in (" + ", " - "):
+        ref = a[1] + b[1] if op == " + " else a[1] - b[1]
+        return text, ref, max(a[2], b[2]), False
+    return text, a[1] * b[1], a[2] + b[2], False
+
+
+def _expression_nodes(children):
+    return st.one_of(
+        st.builds(_binary, st.sampled_from([" + ", " - ", "*", " "]),
+                  children, children),
+        children.map(lambda a: ("-" + _wrapped(a), -a[1], a[2], False)),
+        st.builds(lambda a, n: (f"{_wrapped(a)}^{n}", a[1] ** n, a[2] * n,
+                                False), children, st.integers(0, 3)))
+
+
+expression_trees = st.recursive(_leaves, _expression_nodes, max_leaves=10)
+
+
+class TestIntegerBoundary:
+    """Products run on int coefficients; what leaves is all Fraction."""
+
+    def _assert_fractions(self, p):
+        assert all(type(c) is Fraction for c in p.terms.values())
+
+    @given(expression_trees)
+    def test_matches_the_fraction_evaluation(self, tree):
+        text, reference, bound, _ = tree
+        assume(bound <= MAX_DEGREE)
+        p = poly(text)
+        assert list(p.terms.items()) == list(reference.terms.items())
+        self._assert_fractions(p)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("0*x + 0", {}), ("4/6", {(0, 0): Fraction(2, 3)}),
+        ("-(-(x))*y^0", {(1, 0): Fraction(1)}), ("x^0", {(0, 0): 1}),
+        ("6/3*y", {(0, 1): Fraction(2)})])
+    def test_hand_cases(self, text, expected):
+        p = poly(text)
+        assert p.terms == expected
+        self._assert_fractions(p)
+
+    def test_corpus_coefficients_are_fractions(self):
+        for case in load_cases():
+            for p in case.system.rhs + (case.expected_u, case.expected_v):
+                self._assert_fractions(p)
 
 
 class TestErrors:
@@ -126,6 +198,66 @@ class TestDegreeLimit:
         assert len(load_cases()) == 27
         sys = parse_system(XY, ("(x + y)^16 - 3*x^5*y", "x^8*y^8 + y^16 - 1"))
         assert sys.degree == 16
+
+
+def _dense(degree):
+    """Every monomial of total degree <= degree, coefficients 1 to 5."""
+    return " + ".join(f"{(3 * i + j) % 5 + 1}*x^{i}*y^{j}"
+                      for i in range(degree + 1) for j in range(degree + 1 - i))
+
+
+def _sum_to(unit, size=100_000):
+    return " + ".join([unit] * (size // (len(unit) + 3)))
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize("text", [
+        "(x+y+1)^32", "(x+2*y+1)^16*(3*x-y+1)^16",
+        "(x+y+1)^32 + (x-y+1)^32"])
+    def test_large_expansions_within_the_budget(self, text):
+        assert poly(text).total_degree() == 32
+
+    @pytest.mark.parametrize("degree", [8, 12, 16, 32])
+    def test_dense_fields_parse(self, degree):
+        sys = parse_system(XY, (_dense(degree), _dense(degree - 1)))
+        assert sys.degree == degree
+        assert len(sys.rhs[0].terms) == (degree + 1) * (degree + 2) // 2
+
+    @pytest.mark.parametrize("unit", [
+        "(x+2*y+1)^16*(3*x-y+1)^16", "(x+y+1)^32"], ids=["product", "power"])
+    def test_100kb_sum_refused_quickly(self, unit):
+        text = _sum_to(unit)
+        assert len(text) > 99_000
+        started = time.monotonic()
+        with pytest.raises(ParseError, match="term products") as info:
+            parse_system(XY, (text, "y"))
+        assert time.monotonic() - started < 0.5
+        # each copy parses alone; the budget spans the whole expression,
+        # powers included, so the sum is refused within its first copies
+        assert info.value.position < 3 * (len(unit) + 3)
+
+    def test_large_coefficients_count_their_size(self):
+        # 270 term pairs, but a 4000-digit coefficient counts once per 1024
+        # bits, and every squaring doubles its length
+        big = "9" * 4000
+        assert poly(f"({big}*x + {big}*y + 1)^2").total_degree() == 2
+        with pytest.raises(ParseError, match="term products"):
+            poly(f"({big}*x + {big}*y + 1)^8")
+
+
+class TestLongLiterals:
+    # past Python's int string limit (4300 digits by default) int() raises
+    # a bare ValueError; the parser reports it at the literal
+    @pytest.mark.parametrize("text,position", [
+        ("1" * 5000 + "*x", 0), ("x + 2/" + "3" * 5000, 4),
+        ("x^" + "1" * 5000, 2)], ids=["integer", "denominator", "exponent"])
+    def test_refused_with_position(self, text, position):
+        with pytest.raises(ParseError, match="digits") as info:
+            poly(text)
+        assert info.value.position == position
+
+    def test_just_below_the_limit_parses(self):
+        assert poly("1" * 4000 + "*x").coefficient(1, 0) == int("1" * 4000)
 
 
 class TestNestingLimit:

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -389,6 +389,54 @@ class TestCanonicalText:
 
     def test_unit_coefficients_are_bare(self):
         assert poly("y - x").to_text() == "-x + y"
+
+    @given(bipolys(UV, coefs=st.one_of(
+        st.sampled_from([Fraction(1), Fraction(-1)]),
+        coefficients(bound=12, max_denominator=9))))
+    @example(BiPoly(UV, {(0, 0): -1, (1, 0): -1, (0, 1): 1}))
+    @example(BiPoly(UV, {(0, 0): 1, (2, 1): Fraction(-7, 3)}))
+    @example(BiPoly(UV, {(0, 0): Fraction(-1, 2)}))
+    def test_matches_the_fraction_formatter(self, p):
+        assert p.to_text() == _ref_to_text(p)
+        assert str(p) == p.to_text()
+        assert repr(p) == f"BiPoly(u,v: {p.to_text()})"
+        # the core's int form prints as the Fraction form times D
+        (scaled,), d = integer_numerators(p)
+        assert scaled.to_text() == _ref_to_text(p * d)
+
+
+# -- reference formatter --------------------------------------------------------
+#
+# to_text written on Fraction values (abs, comparisons and str(Fraction));
+# the library reads numerator and denominator instead, which ints also have.
+
+
+def _ref_term_text(vars, c, e):
+    factors = []
+    for name, exp in zip(vars, e):
+        if exp == 1:
+            factors.append(name)
+        elif exp > 1:
+            factors.append(f"{name}^{exp}")
+    if not factors:
+        return str(c)
+    if c != 1:
+        factors.insert(0, str(c))
+    return "*".join(factors)
+
+
+def _ref_to_text(p):
+    if not p.terms:
+        return "0"
+    pieces = []
+    for e in sorted(p.terms, key=lambda e: (-(e[0] + e[1]), -e[0])):
+        c = p.terms[e]
+        body = _ref_term_text(p.vars, abs(c), e)
+        if not pieces:
+            pieces.append(body if c > 0 else "-" + body)
+        else:
+            pieces.append((" + " if c > 0 else " - ") + body)
+    return "".join(pieces)
 
 
 # -- reference ring operations ------------------------------------------------
