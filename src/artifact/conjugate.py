@@ -223,8 +223,6 @@ def conjugate(sys: DiffSystem,
     """
     out = partner_vars(sys.vars, out_vars)
     u0, v0, scale = _transported_pair(sys, out, sys.degree)
-    if u0.is_zero() and v0.is_zero():
-        raise ZeroField("conjugate field vanished identically")
     k = min(circle_valuation(u0), circle_valuation(v0))
     m = sys.degree - k
     if m < 0 or 2 * k > sys.degree + 2:

@@ -388,50 +388,7 @@ def _truncate_to_length(pts: np.ndarray, lens: np.ndarray, target: float):
     return pts, np.append(lens[:stop], lens[stop - 1] + last)
 
 
-_DENSE_ROWS = 4096  # output rows per block, which bounds the temporaries
-_TURN_CAP = 3e-4  # radians of velocity turn per densified piece
 _DISTANCE_SAMPLES = 4096  # arc-length grid intervals of hausdorff_distance
-
-
-def _hermite_densify(pts: np.ndarray, times: np.ndarray,
-                     vels: np.ndarray) -> np.ndarray:
-    """Refine sampled curve points with cubic Hermite interpolation.
-
-    Tangent vectors come from the field itself, so each integration step
-    can be subdivided until the leftover chord sag is far below the
-    distances being measured: ceil(turn / _TURN_CAP) pieces, 2 to 256,
-    for a velocity turning by ``turn``. Bit for bit a loop over the steps
-    (θ as ``np.linspace`` has it; ``math.acos``, which unlike
-    ``np.arccos`` loads no tables) but where a piece boundary lies within
-    the rounding of a dot product that ``np.dot`` fuses.
-    """
-    if len(pts) < 2:
-        return pts
-    norms = np.sqrt((vels * vels).sum(axis=1))
-    scale = norms[:-1] * norms[1:]
-    cos = np.divide((vels[:-1] * vels[1:]).sum(axis=1), scale,
-                    out=np.ones_like(scale), where=scale > 0)
-    turn = np.fromiter(map(math.acos, np.clip(cos, -1.0, 1.0).tolist()),
-                       float, len(cos))
-    pieces = np.clip(np.ceil(turn / _TURN_CAP), 2, 256).astype(np.intp)
-    ends = np.cumsum(pieces)
-    step = np.repeat(np.arange(len(pieces)), pieces)  # of each output row
-    theta = (np.arange(1, ends[-1] + 1) - np.repeat(ends - pieces, pieces)) \
-        * np.repeat(1.0 / pieces, pieces)
-    theta[ends - 1] = 1.0
-    dt = np.diff(times)
-    out = np.empty((ends[-1] + 1, 2))
-    out[0] = pts[0]
-    for lo in range(0, ends[-1], _DENSE_ROWS):
-        i = step[lo:lo + _DENSE_ROWS]
-        th, h = theta[lo:lo + _DENSE_ROWS], dt[i]
-        t2, t3 = th**2, th**3
-        h00, h10 = 2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + th) * h
-        h01, h11 = -2 * t3 + 3 * t2, (t3 - t2) * h
-        # x, then y: numpy runs faster on 1-d arrays than on rows of two
-        for o, p, v in zip(out[1 + lo:1 + lo + len(i)].T, pts.T, vels.T):
-            o[:] = h00 * p[i] + h10 * v[i] + h01 * p[i + 1] + h11 * v[i + 1]
-    return out
 
 
 def hausdorff_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -452,16 +409,35 @@ def hausdorff_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.linalg.norm(gaps, axis=1).max())
 
 
+# three-node Gauss-Legendre rule on [0, 1], exact for quintics
+_GAUSS_NODES = (0.5 - math.sqrt(15) / 10, 0.5, 0.5 + math.sqrt(15) / 10)
+_GAUSS_WEIGHTS = (5 / 18, 8 / 18, 5 / 18)
+
+
+def _hermite(p0, v0, p1, v1, h, theta):
+    """Points and velocities at the fractions ``theta`` of cubic Hermite
+    steps of length ``h`` from (p0, v0) to (p1, v1); p0 exactly at theta
+    = 0. ``h`` and ``theta`` broadcast against the points' (x, y) axis.
+    """
+    chord = p1 - p0
+    c2 = 3 * chord - h * (2 * v0 + v1)
+    c3 = h * (v0 + v1) - 2 * chord
+    return (p0 + theta * (h * v0 + theta * (c2 + theta * c3)),
+            v0 + theta * (2 * c2 + 3 * theta * c3) / h)
+
+
 def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
                        cfg: IntegratorConfig | None = None) -> float:
     """How far the mapped trajectory strays from the partner's own.
 
-    Integrates the system, pushes every sample and its velocity (the
-    integrator's) through the transition map and its Jacobian,
-    integrates the partner system from the mapped start, and returns
-    ``hausdorff_distance`` of the two Hermite-densified curves, aligned
-    by arc length: time parametrizations differ by the positive factor
-    (u^2+v^2)^m and are deliberately not compared.
+    Pushes every sample of the system's trajectory and its velocity (the
+    integrator's) through the transition and its Jacobian. The partner
+    runs along the mapped orbit in its own time, dtau = |q|^(-2m) dt,
+    which Gauss-Legendre sums over each cubic Hermite step of the mapped
+    curve. The partner's trajectory from the mapped start is read at
+    those times through its own Hermite steps, up to its last time.
+    Returns the largest gap across the partner's velocity: a drift along
+    the orbit is only a timing error, and the conjugacy matches orbits.
     """
     cfg = cfg or IntegratorConfig()
     # cap the step so cubic interpolation between samples is far more
@@ -475,9 +451,30 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
         raise ValueError("the whole trajectory sat inside the origin guard")
     (x, y), (vx, vy) = pts[kept].T, vel[kept].T
     (j00, j01), (j10, j11) = transition_jacobian(x, y)
-    a = _hermite_densify(
-        np.column_stack(transition((x, y))), t[kept],
-        np.column_stack([j00 * vx + j01 * vy, j10 * vx + j11 * vy]))
+    q = np.column_stack(transition((x, y)))
+    w = np.column_stack([j00 * vx + j01 * vy, j10 * vx + j11 * vy])
+    h = np.diff(t[kept])[:, None]
+    rate = 0.0
+    for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
+        at, _ = _hermite(q[:-1], w[:-1], q[1:], w[1:], h, node)
+        inverse = 1.0 / (at[:, 0] * at[:, 0] + at[:, 1] * at[:, 1])
+        for _ in range(result.m):  # products: no pow, whose rounding varies
+            weight = weight * inverse
+        rate = rate + weight
+    tau = np.concatenate([[0.0], np.cumsum(h[:, 0] * rate)])
     q0 = transition((float(start[0]), float(start[1])))
-    t, pts, vel = integrate(result.conjugate, q0, cfg, chart=Chart.S).arrays()
-    return hausdorff_distance(a, _hermite_densify(pts, t, vel))
+    tp, r, g = integrate(result.conjugate, q0, cfg, chart=Chart.S).arrays()
+    if len(tp) < 2:  # the partner sits at an equilibrium
+        return 0.0
+    within = tau <= tp[-1]
+    tau, q = tau[within], q[within]
+    i = np.clip(np.searchsorted(tp, tau, side="right") - 1, 0, len(tp) - 2)
+    step = (tp[i + 1] - tp[i])[:, None]
+    at, v = _hermite(r[i], g[i], r[i + 1], g[i + 1], step,
+                     (tau - tp[i])[:, None] / step)
+    gap = q - at
+    speed2 = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+    along = np.divide(gap[:, 0] * v[:, 0] + gap[:, 1] * v[:, 1], speed2,
+                      out=np.zeros_like(speed2), where=speed2 > 0)
+    gap = gap - along[:, None] * v
+    return float(np.sqrt(gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]).max())

@@ -194,3 +194,55 @@ def test_atlas_imports_only_origin_status_from_analyze():
              if isinstance(node, ast.ImportFrom) and node.module == "analyze"
              for alias in node.names]
     assert names == ["origin_status"]
+
+
+class TestOverlays:
+    # on disk 1 (radius 6): a circle that crosses the boundary, a line
+    # through the disk, a line that misses it and a marked point
+    MARKERS = ((1, Circle((Fraction(5), Fraction(0)), Fraction(4))),
+               (1, Line(1, -1, 2)),
+               (1, Line(1, 0, -10)),
+               (1, Point((Fraction(1), Fraction(-2)))))
+
+    def build(self):
+        doc = build_atlas(case_by_name("5.1->5.2").system,
+                          quick_config(rays=0, rings=0, markers=self.MARKERS))
+        runs = [[(curve, run) for curve in disk.curves
+                 for run in atlas._curve_polylines(curve, disk.radius)]
+                for disk in doc.disks]
+        return doc, runs
+
+    def test_dashed_polylines(self):
+        doc, runs = self.build()
+        # disk 1: the circle's arc inside and one chord; disk 2: the
+        # circle's image and the two lines' images, circles through the
+        # origin, all inside
+        assert [len(r) for r in runs] == [2, 3]
+        assert [type(c) for c in doc.disks[0].curves] == [Circle, Line, Line]
+        assert [type(c) for c in doc.disks[1].curves] == [Circle] * 3
+        assert render_svg(doc).count(b'stroke-dasharray="6 4"') == 5
+
+    def test_runs_stay_in_their_disk(self):
+        doc, runs = self.build()
+        for disk, disk_runs in zip(doc.disks, runs):
+            for _, run in disk_runs:
+                assert len(run) >= 2
+                for x, y in run:
+                    assert math.hypot(x, y) <= disk.radius * (1 + 1e-9)
+        # the crossing circle leaves the disk, so its run is an arc
+        assert len(runs[0][0][1]) < 257
+
+    def test_chord_ends_lie_on_the_boundary(self):
+        doc, runs = self.build()
+        chords = [run for curve, run in runs[0] if isinstance(curve, Line)]
+        assert len(chords) == 1 and len(chords[0]) == 2
+        for x, y in chords[0]:
+            assert math.isclose(math.hypot(x, y), doc.disks[0].radius,
+                                rel_tol=1e-12)
+            assert x - y + 2 == pytest.approx(0.0, abs=1e-12)
+
+    def test_point_marker_is_a_marked_equilibrium(self):
+        doc, _ = self.build()
+        assert doc.disks[0].equilibria[-1] == ((1.0, -2.0), "marked")
+        assert all(label != "marked" for _, label in doc.disks[1].equilibria)
+        assert render_svg(doc).count(b"<title>marked</title>") == 1

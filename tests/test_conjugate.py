@@ -318,6 +318,40 @@ class TestTheoremChecks:
         assert done.returncode == 0, done.stderr
 
 
+    # The transport is invertible (see _divide_by_circle), so a nonzero
+    # field never transports to two zero sides; if it did, both circle
+    # valuations would be infinite and the bound on m would refuse it.
+    def test_zero_transport_raises(self, monkeypatch):
+        zero = BiPoly.zero(UV)
+        monkeypatch.setattr(conjugate_module, "_transported_pair",
+                            lambda sys, out, top: (zero, zero, 4))
+        with pytest.raises(ReductionTheoremViolated, match="k=inf"):
+            conjugate(system("x", "y"))
+
+    def test_zero_transport_raises_under_optimize(self):
+        script = textwrap.dedent("""
+            import importlib
+            import sys
+            from artifact.parse import parse_system
+            from artifact.poly import BiPoly
+            if not sys.flags.optimize:
+                sys.exit(2)
+            mod = importlib.import_module("artifact.conjugate")
+            zero = BiPoly.zero(("u", "v"))
+            mod._transported_pair = lambda sys, out, top: (zero, zero, 4)
+            try:
+                mod.conjugate(parse_system(("x", "y"), ("x", "y")))
+            except mod.ReductionTheoremViolated:
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = str(Path(artifact.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+
 class TestSharedFactorPartner:
     """Both sides share x - 2*y + 1, so the partner's sides share a factor
     too; the certificate cannot settle that, the exact stage decides it."""

@@ -3,7 +3,9 @@
 perfbench/spans.py wraps functions by module attribute; a renamed or
 removed one breaks every traced benchmark run. The check runs the
 tracer's own ``install`` on a fresh import of the library, in a child
-process, since the wrappers replace module attributes for good.
+process, since the wrappers replace module attributes for good, and
+then one op through each traced path: a conjugation, a residual and an
+atlas.
 """
 
 import os
@@ -33,6 +35,12 @@ SCRIPT = textwrap.dedent("""
     lib.conjugate.conjugate(system).to_json_dict()
     lib.analyze.symmetry_profile(system)
     lib.analyze.infinite_point_status(system)
+    spiral = lib.corpus.case_by_name("5.5->5.6").system
+    short = lib.dynamics.IntegratorConfig(max_time=1.0)
+    lib.dynamics.conjugacy_residual(spiral, lib.conjugate.conjugate(spiral),
+                                    (0.5, 0.0), short)
+    cfg = lib.atlas.AtlasConfig(rays=2, rings=1, integrator=short)
+    lib.atlas.render_svg(lib.atlas.build_atlas(spiral, cfg))
     tracer.end_op()
     calls, _, _ = tracer.totals()
     print(" ".join(sorted(calls)))
@@ -48,4 +56,5 @@ def test_install_on_a_fresh_import():
     assert done.returncode == 0, done.stderr
     spans = set(done.stdout.split())
     assert {"parse", "conjugate", "poly.circle", "conjugate.to_json",
-            "analyze.symmetry", "analyze.infinity"} <= spans
+            "analyze.symmetry", "analyze.infinity", "dynamics.residual",
+            "dynamics.integrate", "atlas.build", "atlas.render"} <= spans
