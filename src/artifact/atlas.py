@@ -278,9 +278,12 @@ def _dot_path(cx: float, cy: float, r: float) -> str:
 
 
 def _points(cx: float, cy: float, scale: float, xys) -> str:
-    """SVG ``points`` of plane coordinates in a disk viewport at (cx, cy)."""
-    return " ".join(f"{_fmt(cx + x * scale)},{_fmt(cy - y * scale)}"
-                    for x, y in xys)
+    """SVG ``points`` of plane coordinates in a disk viewport at (cx, cy),
+    each number as _fmt writes it. Every one has four decimals, so
+    "-0.0000" can only match a whole negative zero."""
+    flat = [c for x, y in xys for c in (cx + x * scale, cy - y * scale)]
+    text = " ".join(["%.4f,%.4f"] * (len(flat) // 2)) % tuple(flat)
+    return text.replace("-0.0000", "0.0000")
 
 
 def _curve_polylines(curve, radius: float):

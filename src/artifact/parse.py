@@ -194,15 +194,25 @@ class _Parser:
         return value
 
     def expression(self) -> BiPoly:
-        value = self.term()
+        """The summands added into one dict. A key is deleted as soon as
+        its coefficient cancels, as BiPoly's + and - drop it after each
+        summand, so a key that comes back goes last: "x - x + y + x" has
+        the terms y, x."""
+        terms = dict(self.term().terms)
         while True:
             tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.pos += 1
-                rhs = self.term()
-                value = value + rhs if tok[1] == "+" else value - rhs
-            else:
-                return value
+            if not (tok and tok[0] == "op" and tok[1] in "+-"):
+                return BiPoly._trusted(self.vars, terms)
+            self.pos += 1
+            for e, c in self.term().terms.items():
+                if tok[1] == "-":
+                    c = -c
+                if e in terms:
+                    c += terms[e]
+                    if not c:
+                        del terms[e]
+                        continue
+                terms[e] = c
 
     def term(self) -> BiPoly:
         value = self.signed_factor()

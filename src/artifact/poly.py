@@ -314,24 +314,41 @@ def divide_exact_by_circle(p: BiPoly) -> BiPoly:
     return q
 
 
-def circle_valuation(p: BiPoly):
-    """Largest k with (first**2 + second**2)**k dividing p.
+def strip_circle_power(u: BiPoly, v: BiPoly):
+    """(k, u / s**k, v / s**k) for the largest k with s**k dividing both
+    u and v, where s = first**2 + second**2.
 
-    The zero polynomial is divisible by every power; it reports math.inf.
-    A multiple's lowest homogeneous part is one too, so that is tried first.
+    Both sides zero give math.inf and the pair itself; one zero side
+    stays zero. A multiple's lowest homogeneous part is one too, so that
+    is tried first on each nonzero side; then both sides are divided
+    together until the first remainder.
     """
-    if not p.terms:
-        return math.inf
-    if min(i + j for i, j in p.terms) < 2 or divmod_circle(
-            p.homogeneous_components()[0][1])[1].terms:
-        return 0
+    if not (u.terms or v.terms):
+        return math.inf, u, v
+    for p in (u, v):
+        if not p.terms:
+            continue
+        low = min(i + j for i, j in p.terms)
+        if low < 2 or divmod_circle(BiPoly._trusted(p.vars, {
+                e: c for e, c in p.terms.items()
+                if e[0] + e[1] == low}))[1].terms:
+            return 0, u, v
     k = 0
     while True:
-        q, r = divmod_circle(p)
-        if r.terms:
-            return k
+        quotients = []
+        for p in (u, v):
+            q, r = divmod_circle(p)
+            if r.terms:
+                return k, u, v
+            quotients.append(q)
+        u, v = quotients
         k += 1
-        p = q
+
+
+def circle_valuation(p: BiPoly):
+    """Largest k with (first**2 + second**2)**k dividing p; math.inf for
+    the zero polynomial, which every power divides."""
+    return strip_circle_power(p, BiPoly.zero(p.vars))[0]
 
 
 # -- coprimality: the resultant at enough points modulo one prime ----------

@@ -172,6 +172,19 @@ class TestRenderSvg:
         b = render_svg(build_atlas(sys, quick_config()))
         assert a == b
 
+    @given(st.floats(), st.floats(), st.floats(),
+           st.lists(st.tuples(st.floats(), st.floats()), max_size=6))
+    def test_points_match_fmt_per_number(self, cx, cy, scale, xys):
+        expected = " ".join(
+            f"{atlas._fmt(cx + x * scale)},{atlas._fmt(cy - y * scale)}"
+            for x, y in xys)
+        assert atlas._points(cx, cy, scale, xys) == expected
+
+    def test_points_negative_zero(self):
+        assert atlas._points(0.0, 0.0, 1.0, [(-0.00004, 0.00004),
+                                             (-10.0, -0.0)]) == \
+            "0.0000,0.0000 -10.0000,0.0000"
+
     def test_arrowheads_present(self):
         doc = build_atlas(case_by_name("5.3->5.4").system, quick_config())
         svg = render_svg(doc)

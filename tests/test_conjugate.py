@@ -290,8 +290,8 @@ class TestTheoremChecks:
 
     @pytest.mark.parametrize("rhs,k", IMPOSSIBLE)
     def test_impossible_k_raises(self, monkeypatch, rhs, k):
-        monkeypatch.setattr(conjugate_module, "circle_valuation",
-                            lambda p: k)
+        monkeypatch.setattr(conjugate_module, "strip_circle_power",
+                            lambda u, v: (k, u, v))
         with pytest.raises(ReductionTheoremViolated, match=f"k={k}"):
             conjugate(system(*rhs))
 
@@ -304,7 +304,7 @@ class TestTheoremChecks:
             if not sys.flags.optimize:
                 sys.exit(2)
             mod = importlib.import_module("artifact.conjugate")
-            mod.circle_valuation = lambda p: {k}
+            mod.strip_circle_power = lambda u, v: ({k}, u, v)
             try:
                 mod.conjugate(parse_system(("x", "y"), {rhs!r}))
             except mod.ReductionTheoremViolated:

@@ -8,12 +8,14 @@ refactor pass.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from artifact.cli import main
-from artifact.conjugate import conjugate
+from artifact.conjugate import ZeroField, conjugate
 from artifact.corpus import load_cases
+from artifact.parse import parse_system
 
 CASES = {case.name: case for case in load_cases()}
 
@@ -207,3 +209,56 @@ def test_atlas_outputs(name, tmp_path):
     assert main(["atlas", "-i", _system_file(tmp_path, CASES[name]),
                  "-o", str(svg), "--json", str(doc)]) == 0
     assert _digest(svg.read_bytes(), doc.read_bytes()) == ATLAS[name]
+
+
+# Term order beyond the corpus: the partners of fields this test draws
+# itself, with their k and m, in one digest. A rewrite can keep every
+# corpus partner and still reorder these: a Horner form of the transport
+# reordered 230 of 390 wider partners. Degrees 2-8; repeated monomials
+# make the parser merge and cancel terms; a circle power is planted on
+# one or both sides of some fields, and some have a zero side.
+def _drawn_side(rng, degree: int) -> str:
+    text = ""
+    for index in range(rng.randint(1, degree + 4)):
+        i = rng.randint(0, degree)
+        j = rng.randint(0, degree - i)
+        sign = rng.choice(("+", "-")) if index else rng.choice(("", "-"))
+        coef = rng.choice(("1", "2", "3", "1/2", "5/3"))
+        text += f" {sign} {coef}*x^{i}*y^{j}"
+    return text.strip()
+
+
+def _drawn_fields(seed: int, count: int):
+    rng = random.Random(seed)
+    for index in range(count):
+        degree = 2 + index % 7
+        while True:
+            sides = [_drawn_side(rng, degree), _drawn_side(rng, degree)]
+            shape = rng.choice(("plain", "plain", "one", "both", "zero"))
+            if shape == "one":
+                side = rng.randrange(2)
+                power = rng.randint(1, 2)
+                sides[side] = f"(x^2 + y^2)^{power}*({sides[side]})"
+            elif shape == "both":
+                sides = [f"(x^2 + y^2)^{rng.randint(1, 3)}*({s})"
+                         for s in sides]
+            elif shape == "zero":
+                sides[rng.randrange(2)] = "0"
+            try:
+                yield parse_system(("x", "y"), sides)
+                break
+            except ZeroField:
+                continue
+
+
+WIDE_TERM_ORDER = "6d75853fc5848d9e"
+
+
+def test_drawn_partner_term_order():
+    h = hashlib.sha256()
+    for system in _drawn_fields(seed=20170, count=400):
+        result = conjugate(system)
+        h.update(repr((result.k, result.m, [list(p.terms.items())
+                                            for p in result.conjugate.rhs])
+                      ).encode())
+    assert h.hexdigest()[:16] == WIDE_TERM_ORDER

@@ -123,6 +123,24 @@ class TestIntegerBoundary:
         assert list(p.terms.items()) == list(reference.terms.items())
         self._assert_fractions(p)
 
+    @given(st.lists(st.tuples(st.sampled_from("+-"),
+                              st.sampled_from(("1", "2", "1/2")),
+                              st.integers(0, 2), st.integers(0, 2)),
+                    min_size=1, max_size=12))
+    def test_flat_sum_matches_the_fold(self, summands):
+        # one chain of summands, without parentheses, cancelling often
+        text, reference = "", BiPoly.zero(XY)
+        for sign, c, i, j in summands:
+            text += f" {sign if text or sign == '-' else ''} {c}*x^{i}*y^{j}"
+            mono = BiPoly(XY, {(i, j): Fraction(c)})
+            reference = reference + mono if sign == "+" else reference - mono
+        p = poly(text)
+        assert list(p.terms.items()) == list(reference.terms.items())
+        self._assert_fractions(p)
+
+    def test_cancelled_term_comes_back_last(self):
+        assert list(poly("x - x + y + x").terms) == [(0, 1), (1, 0)]
+
     @pytest.mark.parametrize("text,expected", [
         ("0*x + 0", {}), ("4/6", {(0, 0): Fraction(2, 3)}),
         ("-(-(x))*y^0", {(1, 0): Fraction(1)}), ("x^0", {(0, 0): 1}),

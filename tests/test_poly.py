@@ -33,6 +33,7 @@ from artifact.poly import (
     divmod_circle,
     integer_numerators,
     is_coprime,
+    strip_circle_power,
 )
 
 XY = ("x", "y")
@@ -160,6 +161,27 @@ class TestCircleDivision:
         assert circle_valuation(p) == _ref_circle_valuation(p)
         (ints,), _ = integer_numerators(p)
         assert circle_valuation(ints) == _ref_circle_valuation(p)
+
+    @given(bipolys(), bipolys(), st.integers(0, 3), st.integers(0, 3),
+           st.booleans())
+    @example(BiPoly.zero(XY), BiPoly.zero(XY), 0, 0, False)
+    @example(BiPoly.zero(XY), poly("x^2 + y^2 - 1/2*x*y"), 0, 2, True)
+    def test_strip_matches_valuation_and_division(self, p, q, ju, jv, ints):
+        # circle powers planted on neither, one or both sides, zero sides,
+        # and int numerators beside Fraction coefficients
+        s = BiPoly(XY, {(2, 0): 1, (0, 2): 1})
+        u, v = p * s ** ju, q * s ** jv
+        if ints:
+            (u, v), _ = integer_numerators(u, v)
+        k, su, sv = strip_circle_power(u, v)
+        assert k == min(_ref_circle_valuation(u), _ref_circle_valuation(v))
+        if k == math.inf:
+            assert su is u and sv is v
+            return
+        for _ in range(k):
+            u, v = divide_exact_by_circle(u), divide_exact_by_circle(v)
+        assert list(su.terms.items()) == list(u.terms.items())
+        assert list(sv.terms.items()) == list(v.terms.items())
 
     @given(bipolys())
     def test_divide_undoes_multiply(self, p):
