@@ -14,12 +14,8 @@ from .conjugate import (
     ConjugationResult,
     DiffSystem,
     ZeroField,
-    conjugate,
     pushforward_residual,
     raw_conjugate,
-    rebuild_from_quotients,
-    reduction_quotients,
-    wn_divisibility,
 )
 from .parse import (
     BothRhsZero,
@@ -43,16 +39,12 @@ __all__ = [
     "ParseError",
     "ZeroField",
     "circle_valuation",
-    "conjugate",
     "divide_exact_by_circle",
     "is_coprime",
     "parse_polynomial",
     "parse_system",
     "pushforward_residual",
     "raw_conjugate",
-    "rebuild_from_quotients",
-    "reduction_quotients",
     "system_from_json",
     "system_from_text",
-    "wn_divisibility",
 ]

@@ -1,10 +1,12 @@
-"""Equilibria, linear classification, the point at infinity, symmetries.
+"""Chart origins, linear classification, the point at infinity, symmetries.
 
 The point added at the far end of the plane is an equilibrium exactly
 when the partner system vanishes at its own origin, and it inherits that
 origin's type; classification works on the Jacobian alone and is stable
 under positive time rescaling, so the reduced partner pair is the right
-thing to classify.
+thing to classify. A chart origin is read from the constant and linear
+coefficients; the equilibrium test and the Jacobian at any other
+rational point are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -17,22 +19,6 @@ from .poly import integer_numerators
 
 SYMMETRY_KINDS = ("origin", "axis-first", "axis-second", "diagonal",
                   "antidiagonal")
-
-
-def is_equilibrium(sys: DiffSystem, point: tuple) -> bool:
-    """True when both right sides vanish exactly at the point."""
-    x, y = Fraction(point[0]), Fraction(point[1])
-    return sys.rhs[0].evaluate(x, y) == 0 and sys.rhs[1].evaluate(x, y) == 0
-
-
-def jacobian_at(sys: DiffSystem, point: tuple
-                ) -> tuple[tuple[Fraction, Fraction],
-                           tuple[Fraction, Fraction]]:
-    """Exact Jacobian of the field at a rational point."""
-    x, y = Fraction(point[0]), Fraction(point[1])
-    p, q = sys.rhs
-    return ((p.partial(0).evaluate(x, y), p.partial(1).evaluate(x, y)),
-            (q.partial(0).evaluate(x, y), q.partial(1).evaluate(x, y)))
 
 
 def classify_linear(jac) -> str:

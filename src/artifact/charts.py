@@ -1,10 +1,13 @@
-"""Sphere geometry: projections, chart maps, transitions, curve images.
+"""The two planes and the map between them: transitions, curve images.
 
-Two tangent planes touch the unit sphere at its poles. Each plane
-projects onto the sphere from the opposite pole, the two chart maps
-invert those projections, and the change of coordinates between the
-planes is p -> 4p/|p|^2, an involution fixing the circle of radius 2.
-All of it is exact over the rationals.
+Two tangent planes touch the unit sphere at its poles, and each projects
+onto the sphere from the opposite pole. The change of coordinates
+between the planes is p -> 4p/|p|^2, an involution fixing the circle of
+radius 2. The transition and the curve images are exact over the
+rationals, and the transition and its Jacobian also map floats and numpy
+arrays. The projections onto the sphere, their inverses and their
+Jacobians are checked in the tests (``tests/oracles.py``) but computed by
+no command.
 """
 
 from __future__ import annotations
@@ -13,10 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-
-
-class PoleExcluded(ValueError):
-    """The projection pole itself has no image in this chart."""
 
 
 class OriginSingularity(ValueError):
@@ -48,34 +47,6 @@ class AtInfinity:
 
 
 AT_INFINITY = AtInfinity()
-
-
-def stereo_project(chart: Chart, p: tuple) -> tuple:
-    """Plane point -> sphere point, exact on rationals.
-
-    The N chart sends (x, y) to (4x, 4y, s - 4)/(s + 4) with s = x^2 + y^2;
-    the S chart flips the sign of the last coordinate.
-    """
-    x, y = p
-    s = x * x + y * y
-    d = s + 4
-    if chart is Chart.N:
-        return (4 * x / d, 4 * y / d, (s - 4) / d)
-    return (4 * x / d, 4 * y / d, (4 - s) / d)
-
-
-def chart_project(chart: Chart, sp: tuple) -> tuple:
-    """Sphere point -> plane point; the projection pole is excluded."""
-    xs, ys, zs = sp
-    if chart is Chart.N:
-        if zs >= 1:
-            raise PoleExcluded("the north pole has no image in the N chart")
-        w = 1 - zs
-    else:
-        if zs <= -1:
-            raise PoleExcluded("the south pole has no image in the S chart")
-        w = 1 + zs
-    return (2 * xs / w, 2 * ys / w)
 
 
 def _squared_norm(x, y):
@@ -116,29 +87,6 @@ def transition_jacobian(px, py) -> tuple[tuple, tuple]:
     s2 = s * s
     return ((4 * (py * py - px * px) / s2, -8 * px * py / s2),
             (-8 * px * py / s2, 4 * (px * px - py * py) / s2))
-
-
-def extended_transition(p: tuple):
-    """Transition on the extended plane: origin and infinity swap."""
-    if isinstance(p, AtInfinity):
-        return (Fraction(0), Fraction(0))
-    x, y = p
-    if not (x * x + y * y):
-        return AT_INFINITY
-    return transition(p)
-
-
-def psi_jacobians(p: tuple) -> tuple:
-    """The three projection Jacobians at a plane point.
-
-    Returns (D(x*,y*)/D(x,y), D(x*,z*)/D(x,y), D(y*,z*)/D(x,y)); they
-    never vanish simultaneously, which is what makes the projection an
-    immersion of the whole plane.
-    """
-    x, y = p
-    s = x * x + y * y
-    d3 = (s + 4) ** 3
-    return (-16 * (s - 4) / d3, 64 * y / d3, -64 * x / d3)
 
 
 # -- curve descriptors -------------------------------------------------------
@@ -215,21 +163,6 @@ class Point:
     def to_json_dict(self) -> dict:
         return {"kind": "point",
                 "point": [str(self.at[0]), str(self.at[1])]}
-
-
-def curve_from_json(data: dict):
-    kind = data.get("kind")
-    if kind == "circle":
-        return Circle((Fraction(data["center"][0]), Fraction(data["center"][1])),
-                      Fraction(data["radius2"]))
-    if kind == "line":
-        return Line(Fraction(data["A"]), Fraction(data["B"]),
-                    Fraction(data["C"]))
-    if kind == "point":
-        return Point((Fraction(data["point"][0]), Fraction(data["point"][1])))
-    if kind == "at-infinity":
-        return AT_INFINITY
-    raise ValueError(f"unknown curve kind {kind!r}")
 
 
 def map_curve(curve):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cache
 from importlib import resources
 
 from .conjugate import DiffSystem
@@ -83,12 +82,3 @@ def load_cases() -> list[OracleCase]:
         ))
     return cases
 
-
-@cache
-def _cases_by_name() -> dict[str, OracleCase]:
-    return {case.name: case for case in load_cases()}
-
-
-def case_by_name(name: str) -> OracleCase:
-    """One embedded case; the corpus is parsed once and the cases shared."""
-    return _cases_by_name()[name]

@@ -177,16 +177,6 @@ class BiPoly:
 
     # -- calculus and structure --------------------------------------------
 
-    def partial(self, axis: int) -> "BiPoly":
-        """Partial derivative along variable 0 (first) or 1 (second)."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            if axis == 0 and i:
-                out[(i - 1, j)] = c * i
-            elif axis == 1 and j:
-                out[(i, j - 1)] = c * j
-        return BiPoly._trusted(self.vars, out)
-
     def evaluate(self, x, y):
         """Value at (x, y): exact for Fraction/int inputs, float otherwise."""
         total = _ZERO

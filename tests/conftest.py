@@ -1,10 +1,13 @@
-"""Shared hypothesis strategies and the sympy oracle for the test suite."""
+"""Shared hypothesis strategies, corpus lookup and the sympy oracle for
+the test suite."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import strategies as st
 
+from artifact.corpus import load_cases
 from artifact.poly import BiPoly
 
 
@@ -38,6 +41,17 @@ def planted_factors(axes, vars: tuple[str, str] = ("x", "y")):
     entry = st.tuples(st.integers(0, 3), st.integers(0, 3), coefficients())
     return st.lists(entry, min_size=1, max_size=4).map(build).filter(
         lambda f: (f.total_degree() or 0) >= 1)
+
+
+@cache
+def _cases_by_name() -> dict:
+    return {case.name: case for case in load_cases()}
+
+
+def case_by_name(name: str):
+    """One bundled corpus case; the corpus is parsed once and the cases
+    shared."""
+    return _cases_by_name()[name]
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,248 @@
+"""The paper's identities that the program checks but never computes.
+
+The commands compute the partner system, the infinitely remote point,
+the symmetries and the atlas. The paper states more: the divisibility
+of the top form W_n, the level-r reduction quotients K_r and Q_r with
+the closed-form rebuild of the reduced pair, the stereographic
+projections with their inverses and Jacobians, the transition on the
+extended plane, and the equilibria and Jacobians at any rational point.
+No command needs these, so they live here, where the tests check them
+against what the library computes. Nothing here shares the library's
+transport: the rebuild runs on the Fraction form of it below.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from artifact.charts import (
+    AT_INFINITY,
+    AtInfinity,
+    Chart,
+    Circle,
+    Line,
+    Point,
+    transition,
+)
+from artifact.conjugate import DiffSystem, partner_vars
+from artifact.poly import (
+    BiPoly,
+    NotDivisible,
+    divide_exact_by_circle,
+    divmod_circle,
+)
+
+# -- the partner pair and its reduction --------------------------------------
+
+
+def fraction_transported_pair(sys: DiffSystem, out: tuple[str, str],
+                              top: int) -> tuple[BiPoly, BiPoly]:
+    """The field's parts of degree <= top carried into the other chart,
+    on Fractions throughout: (a * S_X - b * S_Y, -b * S_X - a * S_Y) with
+    a = (v^2-u^2)/4, b = uv/2 and S_X, S_Y the sums of the parts of P and
+    Q as (u^2+v^2)^(top-j) * part_j(4u, 4v). This is the transport as it
+    ran before the library moved to integer numerators; term order
+    included, the library's partner must match it."""
+    s = BiPoly(out, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
+    sum_x = BiPoly.zero(out)
+    sum_y = BiPoly.zero(out)
+    px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
+    for j in range(top + 1):
+        weight = s ** (top - j)
+        xj = px.get(j)
+        if xj:
+            sum_x = sum_x + weight * xj.scale_vars(4, 4).with_vars(out)
+        yj = py.get(j)
+        if yj:
+            sum_y = sum_y + weight * yj.scale_vars(4, 4).with_vars(out)
+    quarter = Fraction(1, 4)
+    half = Fraction(1, 2)
+    a = BiPoly(out, {(0, 2): quarter, (2, 0): -quarter})   # (v^2 - u^2)/4
+    b = BiPoly(out, {(1, 1): half})                        # uv/2
+    return (a * sum_x - b * sum_y,
+            -1 * (b * sum_x) + (-1 * a) * sum_y)
+
+
+def wn_divisibility(sys: DiffSystem) -> tuple[bool, BiPoly]:
+    """Whether the top form x*Q_n - y*P_n is a circle multiple.
+
+    Returns (True, quotient) when it is (the quotient may be zero), and
+    (False, remainder) otherwise.
+    """
+    n = sys.degree
+    x, y = (BiPoly.var(name, sys.vars) for name in sys.vars)
+    zero = BiPoly.zero(sys.vars)
+    px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
+    w = x * py.get(n, zero) - y * px.get(n, zero)
+    quot, rem = divmod_circle(w)
+    if rem:
+        return False, rem
+    return True, quot
+
+
+def divide_by_circle(u: BiPoly, v: BiPoly, k: int) -> tuple[BiPoly, BiPoly]:
+    """Both sides divided exactly by (first**2 + second**2)**k."""
+    for _ in range(k):
+        u = divide_exact_by_circle(u)
+        v = divide_exact_by_circle(v)
+    return u, v
+
+
+def reduction_quotients(sys: DiffSystem, k: int
+                        ) -> tuple[list[BiPoly], list[BiPoly]]:
+    """Exact quotients K_r, Q_r (r = 1..k) of the level-r reduction identities.
+
+    For each r, with F = rhs part of degree n-r+1 and w = x*F_y - y*F_x:
+    -2y*w - (x^2+y^2)*F_x = (x^2+y^2)^(k-r+1) * K_r and
+    +2x*w - (x^2+y^2)*F_y = (x^2+y^2)^(k-r+1) * Q_r. Raises NotDivisible
+    (with the failing level r attached) when either identity has no
+    polynomial solution, meaning the closed rebuild form does not apply
+    at this k.
+    """
+    n = sys.degree
+    if k < 1 or 2 * k > n + 2:
+        raise ValueError(f"need 1 <= k with 2k <= n + 2, got k={k}, n={n}")
+    x, y = (BiPoly.var(name, sys.vars) for name in sys.vars)
+    s = x * x + y * y
+    zero = BiPoly.zero(sys.vars)
+    px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
+    ks, qs = [], []
+    for r in range(1, k + 1):
+        d = n - r + 1
+        fx, fy = px.get(d, zero), py.get(d, zero)
+        w = x * fy - y * fx
+        lhs_k = -2 * (y * w) - s * fx
+        lhs_q = 2 * (x * w) - s * fy
+        try:
+            kr, qr = divide_by_circle(lhs_k, lhs_q, k - r + 1)
+        except NotDivisible as exc:
+            err = NotDivisible(
+                f"reduction identity fails at level r={r}: {exc}")
+            err.r = r
+            raise err from None
+        ks.append(kr)
+        qs.append(qr)
+    return ks, qs
+
+
+def rebuild_from_quotients(sys: DiffSystem, k: int,
+                           out_vars: tuple[str, str] | None = None
+                           ) -> tuple[BiPoly, BiPoly]:
+    """Closed-form reduced pair built from the K_r/Q_r quotients.
+
+    Must agree exactly with conjugate(sys) whenever k is the true shared
+    circle power. The correction term for level r carries the scalar
+    4^(2k-2r-1), which is 1/4 at r = k.
+    """
+    ks, qs = reduction_quotients(sys, k)
+    out = partner_vars(sys.vars, out_vars)
+    u, v = fraction_transported_pair(sys, out, sys.degree - k)
+    for r in range(1, k + 1):
+        scalar = Fraction(4) ** (2 * k - 2 * r - 1)
+        u = u + scalar * ks[r - 1].scale_vars(4, 4).with_vars(out)
+        v = v + scalar * qs[r - 1].scale_vars(4, 4).with_vars(out)
+    return u, v
+
+
+# -- points of the field ------------------------------------------------------
+
+
+def partial(p: BiPoly, axis: int) -> BiPoly:
+    """Partial derivative along variable 0 (first) or 1 (second)."""
+    out = {}
+    for (i, j), c in p.terms.items():
+        if axis == 0 and i:
+            out[(i - 1, j)] = c * i
+        elif axis == 1 and j:
+            out[(i, j - 1)] = c * j
+    return BiPoly(p.vars, out)
+
+
+def is_equilibrium(sys: DiffSystem, point: tuple) -> bool:
+    """True when both right sides vanish exactly at the point."""
+    x, y = Fraction(point[0]), Fraction(point[1])
+    return sys.rhs[0].evaluate(x, y) == 0 and sys.rhs[1].evaluate(x, y) == 0
+
+
+def jacobian_at(sys: DiffSystem, point: tuple
+                ) -> tuple[tuple[Fraction, Fraction],
+                           tuple[Fraction, Fraction]]:
+    """Exact Jacobian of the field at a rational point."""
+    x, y = Fraction(point[0]), Fraction(point[1])
+    p, q = sys.rhs
+    return ((partial(p, 0).evaluate(x, y), partial(p, 1).evaluate(x, y)),
+            (partial(q, 0).evaluate(x, y), partial(q, 1).evaluate(x, y)))
+
+
+# -- the sphere ---------------------------------------------------------------
+
+
+class PoleExcluded(ValueError):
+    """The projection pole itself has no image in this chart."""
+
+
+def stereo_project(chart: Chart, p: tuple) -> tuple:
+    """Plane point -> sphere point, exact on rationals.
+
+    The N chart sends (x, y) to (4x, 4y, s - 4)/(s + 4) with s = x^2 + y^2;
+    the S chart flips the sign of the last coordinate.
+    """
+    x, y = p
+    s = x * x + y * y
+    d = s + 4
+    if chart is Chart.N:
+        return (4 * x / d, 4 * y / d, (s - 4) / d)
+    return (4 * x / d, 4 * y / d, (4 - s) / d)
+
+
+def chart_project(chart: Chart, sp: tuple) -> tuple:
+    """Sphere point -> plane point; the projection pole is excluded."""
+    xs, ys, zs = sp
+    if chart is Chart.N:
+        if zs >= 1:
+            raise PoleExcluded("the north pole has no image in the N chart")
+        w = 1 - zs
+    else:
+        if zs <= -1:
+            raise PoleExcluded("the south pole has no image in the S chart")
+        w = 1 + zs
+    return (2 * xs / w, 2 * ys / w)
+
+
+def psi_jacobians(p: tuple) -> tuple:
+    """The three projection Jacobians at a plane point.
+
+    Returns (D(x*,y*)/D(x,y), D(x*,z*)/D(x,y), D(y*,z*)/D(x,y)); they
+    never vanish simultaneously, which is what makes the projection an
+    immersion of the whole plane.
+    """
+    x, y = p
+    s = x * x + y * y
+    d3 = (s + 4) ** 3
+    return (-16 * (s - 4) / d3, 64 * y / d3, -64 * x / d3)
+
+
+def extended_transition(p: tuple):
+    """Transition on the extended plane: origin and infinity swap."""
+    if isinstance(p, AtInfinity):
+        return (Fraction(0), Fraction(0))
+    x, y = p
+    if not (x * x + y * y):
+        return AT_INFINITY
+    return transition(p)
+
+
+def curve_from_json(data: dict):
+    """The curve descriptor a ``to_json_dict`` wrote."""
+    kind = data.get("kind")
+    if kind == "circle":
+        return Circle((Fraction(data["center"][0]), Fraction(data["center"][1])),
+                      Fraction(data["radius2"]))
+    if kind == "line":
+        return Line(Fraction(data["A"]), Fraction(data["B"]),
+                    Fraction(data["C"]))
+    if kind == "point":
+        return Point((Fraction(data["point"][0]), Fraction(data["point"][1])))
+    if kind == "at-infinity":
+        return AT_INFINITY
+    raise ValueError(f"unknown curve kind {kind!r}")

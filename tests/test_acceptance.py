@@ -8,6 +8,8 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import chart_project, psi_jacobians, stereo_project
+
 from artifact.analyze import (
     SYMMETRY_KINDS,
     infinite_point_status,
@@ -20,10 +22,7 @@ from artifact.charts import (
     Circle,
     Line,
     Point,
-    chart_project,
     map_curve,
-    psi_jacobians,
-    stereo_project,
     transition,
 )
 from artifact.conjugate import (

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from conftest import bipolys
+from conftest import bipolys, case_by_name
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import is_equilibrium, jacobian_at
 
 from artifact.analyze import (
     SYMMETRY_KINDS,
@@ -13,14 +14,12 @@ from artifact.analyze import (
     check_symmetry,
     classify_linear,
     infinite_point_status,
-    is_equilibrium,
-    jacobian_at,
     origin_status,
     symmetry_profile,
 )
 from artifact.charts import transition
 from artifact.conjugate import DiffSystem, ZeroField, conjugate
-from artifact.corpus import case_by_name, load_cases
+from artifact.corpus import load_cases
 from artifact.parse import parse_system
 
 XY = ("x", "y")

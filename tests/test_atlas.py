@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import case_by_name
+
 from artifact import atlas
 from artifact.atlas import (
     AtlasConfig,
@@ -17,7 +19,6 @@ from artifact.atlas import (
     render_svg,
 )
 from artifact.charts import Circle, Line, Point, map_curve
-from artifact.corpus import case_by_name
 from artifact.dynamics import IntegratorConfig, NumericOverflow
 
 

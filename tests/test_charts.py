@@ -9,6 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import case_by_name
+from oracles import (
+    PoleExcluded,
+    chart_project,
+    curve_from_json,
+    extended_transition,
+    psi_jacobians,
+    stereo_project,
+)
+
 from artifact.charts import (
     AT_INFINITY,
     Chart,
@@ -16,17 +26,10 @@ from artifact.charts import (
     Line,
     OriginSingularity,
     Point,
-    PoleExcluded,
-    chart_project,
-    curve_from_json,
-    extended_transition,
     map_curve,
-    psi_jacobians,
-    stereo_project,
     transition,
     transition_jacobian,
 )
-from artifact.corpus import case_by_name
 from artifact.dynamics import IntegratorConfig, integrate
 
 rationals = st.fractions(min_value=Fraction(-20), max_value=Fraction(20),

@@ -1,6 +1,5 @@
 """End-to-end checks of the command-line interface."""
 
-import importlib
 import io
 import json
 import os
@@ -15,13 +14,11 @@ import pytest
 
 import artifact
 from artifact import analyze, cli
+from artifact import conjugate as conjugate_module
 from artifact import poly as poly_module
 from artifact.cli import main
 from artifact.corpus import load_cases
 from artifact.parse import load_system
-
-# the package re-exports the function conjugate under the module's name
-conjugate_module = importlib.import_module("artifact.conjugate")
 
 
 @pytest.fixture

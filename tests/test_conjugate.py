@@ -1,12 +1,12 @@
 """Partner-system computation: raw transform, reduction, cross-checks."""
 
-import importlib
 import os
 import random
 import subprocess
 import sys
 import textwrap
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,11 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import artifact
+import artifact.conjugate as conjugate_module
 from conftest import (
     coefficients,
     nonzero_bipolys,
     planted_factors,
     sympy_coprime,
+)
+from oracles import (
+    divide_by_circle,
+    fraction_transported_pair,
+    rebuild_from_quotients,
+    reduction_quotients,
+    wn_divisibility,
 )
 from artifact.conjugate import (
     DiffSystem,
@@ -27,22 +35,16 @@ from artifact.conjugate import (
     ReductionTheoremViolated,
     ZeroField,
     conjugate,
-    reduction_quotients,
     pushforward_residual,
     raw_conjugate,
-    rebuild_from_quotients,
     transition_jacobian,
-    wn_divisibility,
 )
-from artifact.corpus import case_by_name, load_cases
+from artifact.corpus import load_cases
 from artifact.parse import parse_polynomial, parse_system
 from artifact.poly import BiPoly, NotDivisible, circle_valuation
 
 XY = ("x", "y")
 UV = ("u", "v")
-
-# the package re-exports the function conjugate under the module's name
-conjugate_module = importlib.import_module("artifact.conjugate")
 
 
 def poly(text, vars=UV):
@@ -281,6 +283,13 @@ class TestGuards:
             DiffSystem.build(XY, BiPoly.zero(XY), BiPoly.zero(XY))
 
 
+def test_package_does_not_shadow_the_submodule():
+    import artifact.conjugate as module
+    assert isinstance(module, types.ModuleType)
+    assert module is sys.modules["artifact.conjugate"] is artifact.conjugate
+    assert module.conjugate is conjugate
+
+
 class TestTheoremChecks:
     """The bounds 0 <= m and 2k <= n + 2 are checked without assert."""
 
@@ -298,12 +307,11 @@ class TestTheoremChecks:
     @pytest.mark.parametrize("rhs,k", IMPOSSIBLE)
     def test_impossible_k_raises_under_optimize(self, rhs, k):
         script = textwrap.dedent(f"""
-            import importlib
             import sys
+            import artifact.conjugate as mod
             from artifact.parse import parse_system
             if not sys.flags.optimize:
                 sys.exit(2)
-            mod = importlib.import_module("artifact.conjugate")
             mod.strip_circle_power = lambda u, v: ({k}, u, v)
             try:
                 mod.conjugate(parse_system(("x", "y"), {rhs!r}))
@@ -318,27 +326,27 @@ class TestTheoremChecks:
         assert done.returncode == 0, done.stderr
 
 
-    # The transport is invertible (see _divide_by_circle), so a nonzero
-    # field never transports to two zero sides; if it did, both circle
-    # valuations would be infinite and the bound on m would refuse it.
+    # The transport is invertible (see ConjugationResult._coprime), so a
+    # nonzero field never transports to two zero sides; if it did, both
+    # circle valuations would be infinite and the bound on m would refuse
+    # it.
     def test_zero_transport_raises(self, monkeypatch):
         zero = BiPoly.zero(UV)
         monkeypatch.setattr(conjugate_module, "_transported_pair",
-                            lambda sys, out, top: (zero, zero, 4))
+                            lambda sys, out: (zero, zero, 4))
         with pytest.raises(ReductionTheoremViolated, match="k=inf"):
             conjugate(system("x", "y"))
 
     def test_zero_transport_raises_under_optimize(self):
         script = textwrap.dedent("""
-            import importlib
             import sys
+            import artifact.conjugate as mod
             from artifact.parse import parse_system
             from artifact.poly import BiPoly
             if not sys.flags.optimize:
                 sys.exit(2)
-            mod = importlib.import_module("artifact.conjugate")
             zero = BiPoly.zero(("u", "v"))
-            mod._transported_pair = lambda sys, out, top: (zero, zero, 4)
+            mod._transported_pair = lambda sys, out: (zero, zero, 4)
             try:
                 mod.conjugate(parse_system(("x", "y"), ("x", "y")))
             except mod.ReductionTheoremViolated:
@@ -451,41 +459,6 @@ class TestPartnerCoprimeByTheorem:
         self.check(sympy, p, q)
 
 
-def _fraction_transported_pair(sys, out, top):
-    """Reference: the transport as it ran on Fractions before the exact
-    core moved to integer numerators. Term order included, the library's
-    results must match it."""
-    s = BiPoly(out, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
-    sum_x = BiPoly.zero(out)
-    sum_y = BiPoly.zero(out)
-    px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
-    for j in range(top + 1):
-        weight = s ** (top - j)
-        xj = px.get(j)
-        if xj:
-            sum_x = sum_x + weight * xj.scale_vars(4, 4).with_vars(out)
-        yj = py.get(j)
-        if yj:
-            sum_y = sum_y + weight * yj.scale_vars(4, 4).with_vars(out)
-    quarter = Fraction(1, 4)
-    half = Fraction(1, 2)
-    a = BiPoly(out, {(0, 2): quarter, (2, 0): -quarter})   # (v^2 - u^2)/4
-    b = BiPoly(out, {(1, 1): half})                        # uv/2
-    return (a * sum_x - b * sum_y,
-            -1 * (b * sum_x) + (-1 * a) * sum_y)
-
-
-def _fraction_rebuild(sys, k, out):
-    """rebuild_from_quotients on the reference transport."""
-    ks, qs = reduction_quotients(sys, k)
-    u, v = _fraction_transported_pair(sys, out, sys.degree - k)
-    for r in range(1, k + 1):
-        scalar = Fraction(4) ** (2 * k - 2 * r - 1)
-        u = u + scalar * ks[r - 1].scale_vars(4, 4).with_vars(out)
-        v = v + scalar * qs[r - 1].scale_vars(4, 4).with_vars(out)
-    return u, v
-
-
 @st.composite
 def rational_fields(draw, max_exp=3, max_power=2):
     """Fields with rational coefficients, circle factors on one side, on
@@ -512,32 +485,28 @@ def _same_public(got, ref):
 
 
 class TestIntegerTransport:
-    """conjugate, raw_conjugate and rebuild_from_quotients work on integer
-    numerators and convert once; the Fraction transport is the oracle."""
+    """conjugate and raw_conjugate work on integer numerators and convert
+    once; the Fraction transport is the oracle, and the closed-form
+    rebuild on it must give the same reduced pair wherever it applies."""
 
     @given(rational_fields())
     @settings(max_examples=60, deadline=None)
     def test_matches_the_fraction_transport(self, sys):
         raw = raw_conjugate(sys)
-        ref_raw = _fraction_transported_pair(sys, UV, sys.degree)
+        ref_raw = fraction_transported_pair(sys, UV, sys.degree)
         for got, ref in zip(raw, ref_raw):
             _same_public(got, ref)
         k = min(map(circle_valuation, ref_raw))
         result = conjugate(sys)
         assert (result.k, result.m) == (k, sys.degree - k)
-        for got, ref in zip(result.conjugate.rhs, ref_raw):
-            for _ in range(k):
-                ref = conjugate_module.divide_exact_by_circle(ref)
+        for got, ref in zip(result.conjugate.rhs, divide_by_circle(*ref_raw, k)):
             _same_public(got, ref)
         if k >= 1:
             try:
-                ref_rebuilt = _fraction_rebuild(sys, k, UV)
+                rebuilt = rebuild_from_quotients(sys, k)
             except NotDivisible:
-                with pytest.raises(NotDivisible):
-                    rebuild_from_quotients(sys, k)
-                return
-            for got, ref in zip(rebuild_from_quotients(sys, k), ref_rebuilt):
-                _same_public(got, ref)
+                return     # the closed form does not apply at this k
+            assert rebuilt == result.conjugate.rhs
 
 
 class TestConjugationAgainstSympy:

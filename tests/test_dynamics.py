@@ -12,11 +12,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import case_by_name
+
 from artifact import dynamics
 from artifact.atlas import AtlasConfig, build_atlas
 from artifact.charts import Chart, transition, transition_jacobian
 from artifact.conjugate import conjugate
-from artifact.corpus import case_by_name, load_cases
+from artifact.corpus import load_cases
 from artifact.dynamics import (
     DormandPrince54,
     IntegratorConfig,

@@ -1,0 +1,66 @@
+"""Every public function and class in the library has a caller.
+
+A public top-level ``def`` or ``class`` in ``src/artifact`` must be
+named somewhere outside its own definition: elsewhere in the library
+(the package ``__init__`` does not count, since re-exporting is not
+calling) or in the benchmark under ``perfbench/``, whose tracer looks
+some names up by string. Code that only tests call belongs in
+``tests/oracles.py``.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted(p for p in (ROOT / "src" / "artifact").glob("*.py")
+                 if p.name != "__init__.py")
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _definitions(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _names_used(tree):
+    """How often each name is loaded, read as an attribute or given as
+    a string holding just that identifier (as ``getattr`` takes it)
+    under ``tree``."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            used[node.value] += 1
+    return used
+
+
+def unreferenced():
+    """``module.name`` for each public definition nothing else names; a
+    definition's own body does not count as a use of it."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in LIBRARY + BENCHMARK}
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    return [f"{path.stem}.{node.name}" for path in LIBRARY
+            for node in _definitions(trees[path])
+            if used[node.name] <= _names_used(node)[node.name]]
+
+
+def test_every_public_definition_has_a_caller():
+    missing = unreferenced()
+    assert not missing, (
+        "named nowhere in src/artifact (outside __init__) or perfbench: "
+        + ", ".join(missing))
+
+
+def test_the_scan_sees_the_library():
+    names = {f"{path.stem}.{node.name}" for path in LIBRARY
+             for node in _definitions(ast.parse(path.read_text()))}
+    assert {"conjugate.conjugate", "poly.BiPoly", "atlas.build_atlas",
+            "dynamics.integrate"} <= names

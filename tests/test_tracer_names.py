@@ -29,14 +29,15 @@ SCRIPT = textwrap.dedent("""
     lib = workloads.import_library(root / "src")
     tracer = spans.Tracer()
     spans.install(lib, tracer)
-    case = lib.corpus.case_by_name("4.4->4.5")
+    cases = {c.name: c for c in lib.corpus.load_cases()}
+    case = cases["4.4->4.5"]
     texts = tuple(p.to_text() for p in case.system.rhs)
     tracer.begin_op(0)
     system = lib.parse.parse_system(case.system.vars, texts)
     lib.conjugate.conjugate(system).to_json_dict()
     lib.analyze.symmetry_profile(system)
     lib.analyze.infinite_point_status(system)
-    spiral = lib.corpus.case_by_name("5.5->5.6").system
+    spiral = cases["5.5->5.6"].system
     short = lib.dynamics.IntegratorConfig(max_time=1.0)
     lib.dynamics.conjugacy_residual(spiral, lib.conjugate.conjugate(spiral),
                                     (0.5, 0.0), short)
