@@ -8,9 +8,14 @@ remote point that the first one cannot show.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
+import pickle
+import signal
+import threading
 from array import array
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -205,20 +210,127 @@ def _image_curve(curve):
     return image
 
 
+def _run(job) -> Trajectory:
+    """One seed run: integrate, then clip the exit onto the disk."""
+    system, seed, icfg, direction, chart, radius, sign = job
+    traj = integrate(system, seed, icfg, direction=direction, chart=chart)
+    _clip_exit(traj, radius, system, sign)
+    return traj
+
+
+def _may_fork(runs: int) -> bool:
+    """Whether a second process could take half of the runs.
+
+    Not for fewer than two runs, without ``fork``, on one CPU, or while
+    other threads are alive (forking a threaded process can deadlock).
+    """
+    if runs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _child_runs(jobs, share, parent: int, mask, read_fd: int,
+                write_fd: int) -> None:
+    """The forked child: run the share in order and send, as one pickle,
+    the leading runs that succeeded. Stops at the first failing run, and
+    between runs once the parent is gone. Never returns."""
+    try:
+        os.close(read_fd)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        sent = []
+        for i in share:
+            if os.getppid() != parent:
+                break
+            try:
+                sent.append(_run(jobs[i]))
+            except (ArithmeticError, ValueError):
+                break
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
+
+
+def _run_split(jobs) -> dict:
+    """The runs that one forked child and this process deliver, by index;
+    a run that fails, or that the child never sends, is missing.
+
+    The child takes the runs with index i % 4 in (1, 2), so each side
+    gets about half the forward and half the backward runs. This process
+    runs the rest, stopping at its first failure, then reads the child's
+    pipe to its end. It kills and reaps the child before it returns or
+    raises, whatever it raises. The child is a fork, not a fresh
+    interpreter: it inherits the loaded library and the runs, so nothing
+    is imported or sent to it. A fresh interpreter's start-up alone costs
+    more than a typical atlas.
+    """
+    share = [i for i in range(len(jobs)) if i % 4 in (1, 2)]
+    parent = os.getpid()
+    done, pid = {}, -1
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:   # no descriptors left; the runs stay serial
+        return done
+    # signals wait until pid is stored, so no handler that raises can
+    # leave a child behind
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+    try:
+        with contextlib.suppress(OSError):
+            pid = os.fork()
+        if pid == 0:
+            _child_runs(jobs, share, parent, mask, read_fd, write_fd)
+        os.close(write_fd)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if pid < 0:
+            return done
+        for i in range(len(jobs)):
+            if i % 4 in (0, 3):
+                try:
+                    done[i] = _run(jobs[i])
+                except (ArithmeticError, ValueError):
+                    break
+        with open(read_fd, "rb", closefd=False) as pipe:
+            blob = pipe.read()
+    finally:
+        os.close(read_fd)
+        if pid > 0:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    try:
+        sent = pickle.loads(blob)
+    except (pickle.UnpicklingError, EOFError):  # the child died first
+        sent = []
+    done.update(zip(share, sent))
+    return done
+
+
+def _run_all(jobs) -> list:
+    """Every run's trajectory, as a serial loop gives them: a failing
+    run raises what it raises there, and runs after it do not count."""
+    done = _run_split(jobs) if _may_fork(len(jobs)) else {}
+    return [done[i] if i in done else _run(job) for i, job in enumerate(jobs)]
+
+
 def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocument:
     """Assemble the two-disk portrait document for a system.
 
     Seeds a polar grid in each disk (plus configured extras), runs each
     seed forward and backward clipped to its disk, and marks chart
     origins that are equilibria; the partner disk's origin stands for
-    the original plane's infinitely remote point.
+    the original plane's infinitely remote point. The runs of both disks
+    are split between this process and one forked child when a second
+    CPU is free; the document does not depend on the split.
     """
     cfg = cfg or AtlasConfig()
     r1, r2 = cfg.radii()
     result = conjugate(sys)
     partner = result.conjugate
 
-    disks = []
+    disks, ranges, jobs = [], [], []
     for disk_no, (system, chart, radius) in enumerate(
             [(sys, Chart.N, r1), (partner, Chart.S, r2)], start=1):
         seeds = _grid_seeds(radius, cfg.rays, cfg.rings)
@@ -232,16 +344,11 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
                 if d == disk_no and isinstance(own, Circle):
                     seeds += _circle_bracket_seeds(own)
         icfg = replace(cfg.integrator, outer_radius=radius)
-        trajectories = []
-        for seed in seeds:
-            if math.hypot(*seed) >= radius:
-                continue
-            for direction, sign in (("forward", 1.0), ("backward", -1.0)):
-                traj = integrate(system, seed, icfg,
-                                 direction=direction, chart=chart)
-                _clip_exit(traj, radius, system, sign)
-                if len(traj.samples) >= 2:
-                    trajectories.append(traj)
+        first = len(jobs)
+        jobs += [(system, seed, icfg, direction, chart, radius, sign)
+                 for seed in seeds if math.hypot(*seed) < radius
+                 for direction, sign in (("forward", 1.0), ("backward", -1.0))]
+        ranges.append((first, len(jobs)))
         label = origin_status(system).eq_class
         equilibria = [] if label is None else [((0.0, 0.0), label)]
         for d, marker in cfg.markers:
@@ -249,11 +356,14 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
                 px, py = float(marker.at[0]), float(marker.at[1])
                 if math.hypot(px, py) <= radius:
                     equilibria.append(((px, py), "marked"))
-        arrows = [a for a in map(_mid_arc_arrow, trajectories) if a]
         disks.append(DiskChart(chart=chart, vars=system.vars, radius=radius,
-                               trajectories=trajectories,
-                               equilibria=equilibria, arrows=arrows,
-                               curves=curves))
+                               trajectories=[], equilibria=equilibria,
+                               arrows=[], curves=curves))
+
+    runs = _run_all(jobs)
+    for disk, (first, end) in zip(disks, ranges):
+        disk.trajectories = [t for t in runs[first:end] if len(t.samples) >= 2]
+        disk.arrows = [a for a in map(_mid_arc_arrow, disk.trajectories) if a]
 
     provenance = {
         "system": sys.to_json_dict(),

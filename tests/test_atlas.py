@@ -2,13 +2,19 @@
 
 import ast
 import inspect
+import json
 import math
+import os
+import pickle
+import signal
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import case_by_name
+from test_golden import ATLAS
 
 from artifact import atlas
 from artifact.atlas import (
@@ -260,3 +266,186 @@ class TestOverlays:
         assert doc.disks[0].equilibria[-1] == ((1.0, -2.0), "marked")
         assert all(label != "marked" for _, label in doc.disks[1].equilibria)
         assert render_svg(doc).count(b"<title>marked</title>") == 1
+
+
+# -- the seed runs split between this process and one forked child ---------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that called os.fork while the test ran."""
+    calls, real = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _no_fork():
+    raise OSError("fork refused by the test")
+
+
+def serial_atlas(monkeypatch, system, cfg=None):
+    """The document of the in-process loop alone: fork always fails."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", _no_fork)
+        return build_atlas(system, cfg)
+
+
+def assert_same_document(split, serial):
+    # Trajectory equality also covers velocities and step counts
+    assert split.disks == serial.disks
+    assert render_svg(split) == render_svg(serial)
+    assert json.dumps(split.to_json_dict()) == \
+        json.dumps(serial.to_json_dict())
+
+
+def expected_forks() -> int:
+    return 1 if atlas._may_fork(2) else 0
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitRuns:
+    @pytest.mark.parametrize("name", sorted(ATLAS))
+    def test_corpus_atlas_matches_serial(self, name, monkeypatch, forks):
+        system = case_by_name(name).system
+        split = build_atlas(system)
+        assert len(forks) == expected_forks()
+        assert_same_document(split, serial_atlas(monkeypatch, system))
+
+    def test_markers_and_extra_seeds_match_serial(self, monkeypatch, forks):
+        cfg = quick_config(
+            extra_seeds=((1, (0.5, 0.25)), (2, (1.0, -1.5))),
+            markers=((1, Circle((Fraction(0), Fraction(0)), Fraction(1))),
+                     (1, Point((Fraction(1, 2), Fraction(0))))))
+        system = case_by_name("7.3->7.4").system
+        split = build_atlas(system, cfg)
+        assert len(forks) == expected_forks()
+        assert split.disks[0].equilibria[-1] == ((0.5, 0.0), "marked")
+        assert_same_document(split, serial_atlas(monkeypatch, system, cfg))
+
+    @pytest.mark.parametrize("name", ["4.9->4.10", "9.12->9.15"])
+    def test_failure_matches_serial(self, name, monkeypatch):
+        system = case_by_name(name).system
+        with pytest.raises(ArithmeticError) as split:
+            build_atlas(system)
+        with pytest.raises(ArithmeticError) as serial:
+            serial_atlas(monkeypatch, system)
+        assert type(split.value) is type(serial.value)
+        assert str(split.value) == str(serial.value)
+
+    def test_first_failure_in_serial_order_wins(self, monkeypatch, forks):
+        # every backward run fails: run 1 (the child's) comes before
+        # run 3 (this process's), so run 1's error must surface
+        real = atlas.integrate
+
+        def no_backward(system, start, *args, direction, **kwargs):
+            if direction == "backward":
+                raise ValueError(f"backward from {start}")
+            return real(system, start, *args, direction=direction, **kwargs)
+
+        monkeypatch.setattr(atlas, "integrate", no_backward)
+        with pytest.raises(ValueError, match=r"backward from \(3\.0, 0\.0\)"):
+            build_atlas(case_by_name("5.1->5.2").system, quick_config())
+        assert len(forks) == expected_forks()
+
+    def test_child_that_dies_gives_the_serial_result(self, monkeypatch, forks):
+        system = case_by_name("5.3->5.4").system
+        serial = serial_atlas(monkeypatch, system, quick_config())
+        parent, real = os.getpid(), atlas.integrate
+
+        def die_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(atlas, "integrate", die_in_child)
+        assert_same_document(build_atlas(system, quick_config()), serial)
+        assert len(forks) == expected_forks()
+        assert_no_child_left()
+
+    def test_bytes_that_do_not_unpickle_give_the_serial_result(
+            self, monkeypatch, forks):
+        system = case_by_name("5.3->5.4").system
+        serial = serial_atlas(monkeypatch, system, quick_config())
+        real = pickle.loads
+        monkeypatch.setattr(pickle, "loads", lambda blob: real(blob[:-1]))
+        assert_same_document(build_atlas(system, quick_config()), serial)
+        assert len(forks) == expected_forks()
+
+    def test_no_fork_on_one_cpu(self, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        build_atlas(case_by_name("5.3->5.4").system, quick_config())
+        assert forks == []
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_no_fork_on_one_cpu_without_affinity(self, cpus, monkeypatch,
+                                                  forks):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        build_atlas(case_by_name("5.3->5.4").system, quick_config())
+        assert forks == []
+
+    def test_fork_on_two_cpus_without_affinity(self, monkeypatch, forks):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        build_atlas(case_by_name("5.3->5.4").system, quick_config())
+        assert len(forks) == 1
+
+    def test_no_fork_while_another_thread_lives(self, forks):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(30,))
+        waiter.start()
+        try:
+            build_atlas(case_by_name("5.3->5.4").system, quick_config())
+        finally:
+            release.set()
+            waiter.join(timeout=30)
+        assert not waiter.is_alive()
+        assert forks == []
+
+    def test_no_fork_without_runs(self, forks):
+        build_atlas(case_by_name("5.3->5.4").system,
+                    quick_config(rays=0, rings=0))
+        assert forks == []
+
+
+class _Alarm(BaseException):
+    pass
+
+
+def _raise_alarm(signum, frame):
+    raise _Alarm()
+
+
+class TestNoChildLeft:
+    def test_after_return(self, forks):
+        build_atlas(case_by_name("5.3->5.4").system)
+        assert len(forks) == expected_forks()
+        assert_no_child_left()
+
+    def test_after_exception(self, forks):
+        with pytest.raises(NumericOverflow):
+            build_atlas(case_by_name("4.9->4.10").system)
+        assert len(forks) <= 1
+        assert_no_child_left()
+
+    def test_after_alarm_mid_atlas(self, forks):
+        # 9.6->9.7 runs for far longer than the alarm
+        previous = signal.signal(signal.SIGALRM, _raise_alarm)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(_Alarm):
+                build_atlas(case_by_name("9.6->9.7").system)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == expected_forks()
+        assert_no_child_left()
