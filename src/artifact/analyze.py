@@ -17,8 +17,12 @@ from fractions import Fraction
 from .conjugate import DiffSystem, conjugate
 from .poly import integer_numerators
 
-SYMMETRY_KINDS = ("origin", "axis-first", "axis-second", "diagonal",
-                  "antidiagonal")
+# each symmetry is a signed permutation of the axes, (swap, sx, sy):
+# (x, y) -> (sx*y, sy*x) if swap else (sx*x, sy*y)
+_SYMMETRIES = {"origin": (False, -1, -1), "axis-first": (False, 1, -1),
+               "axis-second": (False, -1, 1), "diagonal": (True, 1, 1),
+               "antidiagonal": (True, -1, -1)}
+SYMMETRY_KINDS = tuple(_SYMMETRIES)
 
 
 def classify_linear(jac) -> str:
@@ -93,31 +97,24 @@ def infinite_point_status(sys: DiffSystem) -> InfinityStatus:
     return origin_status(conjugate(sys).conjugate)
 
 
-def check_symmetry(sys: DiffSystem, kind: str) -> bool:
-    """Test one of the five directional-field symmetries symbolically.
-
-    Each symmetry of the field is equivalent to a polynomial identity,
-    quadratic in the right sides, so it is formed exactly on their integer
-    numerators D*P, D*Q and compared with the zero polynomial.
-    """
-    (p, q), _ = integer_numerators(*sys.rhs)
-    if kind == "origin":
-        ident = p * q.scale_vars(-1, -1) - p.scale_vars(-1, -1) * q
-    elif kind == "axis-first":
-        ident = p * q.scale_vars(1, -1) + p.scale_vars(1, -1) * q
-    elif kind == "axis-second":
-        ident = p * q.scale_vars(-1, 1) + p.scale_vars(-1, 1) * q
-    elif kind == "diagonal":
-        ident = p * p.swap_vars() - q * q.swap_vars()
-    elif kind == "antidiagonal":
-        ident = (p.scale_vars(-1, -1) * p.swap_vars()
-                 - q.scale_vars(-1, -1) * q.swap_vars())
-    else:
-        raise ValueError(f"unknown symmetry kind {kind!r}; "
-                         f"expected one of {SYMMETRY_KINDS}")
+def _holds(p, q, swap: bool, sx: int, sy: int) -> bool:
+    """Whether F = (p, q) keeps its directions under the signed permutation
+    L = (swap, sx, sy): whether F(Lz) x L F(z) vanishes. Times sy, one
+    sign, sx*sy, is left."""
+    pl, ql = p.scale_vars(sx, sy), q.scale_vars(sx, sy)
+    if swap:
+        pl, ql, p, q = pl.swap_vars(), ql.swap_vars(), q, p
+    ident = pl * q - ql * p if sx == sy else pl * q + ql * p
     return ident.is_zero()
 
 
 def symmetry_profile(sys: DiffSystem) -> dict[str, bool]:
-    """All five symmetry checks at once."""
-    return {kind: check_symmetry(sys, kind) for kind in SYMMETRY_KINDS}
+    """Which of the five directional-field symmetries the system has.
+
+    Each is one signed permutation L of the axes, tested by an identity
+    quadratic in the integer numerators D*P, D*Q of the right sides. As
+    |Lp| = |p|, L commutes with the transition, so the partner system
+    has the same symmetries.
+    """
+    (p, q), _ = integer_numerators(*sys.rhs)
+    return {kind: _holds(p, q, *perm) for kind, perm in _SYMMETRIES.items()}

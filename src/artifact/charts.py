@@ -107,11 +107,6 @@ class Circle:
         if self.radius2 <= 0:
             raise ValueError("radius squared must be positive")
 
-    def contains(self, p: tuple) -> bool:
-        x, y = Fraction(p[0]), Fraction(p[1])
-        cx, cy = self.center
-        return (x - cx) ** 2 + (y - cy) ** 2 == self.radius2
-
     def to_json_dict(self) -> dict:
         return {"kind": "circle",
                 "center": [str(self.center[0]), str(self.center[1])],
@@ -141,10 +136,6 @@ class Line:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
-    def contains(self, p: tuple) -> bool:
-        x, y = Fraction(p[0]), Fraction(p[1])
-        return self.a * x + self.b * y + self.c == 0
-
     def to_json_dict(self) -> dict:
         return {"kind": "line", "A": str(self.a), "B": str(self.b),
                 "C": str(self.c)}
@@ -157,24 +148,32 @@ class Point:
     def __post_init__(self):
         object.__setattr__(self, "at", _as_fraction_pair(self.at))
 
-    def contains(self, p: tuple) -> bool:
-        return _as_fraction_pair(p) == self.at
-
     def to_json_dict(self) -> dict:
         return {"kind": "point",
                 "point": [str(self.at[0]), str(self.at[1])]}
 
 
+def coefficients(curve) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(A, B, C, D) with the circle or line A(x^2+y^2) + Bx + Cy + D = 0.
+
+    A is 1 for a circle and 0 for a line.
+    """
+    if isinstance(curve, Circle):
+        cx, cy = curve.center
+        return (Fraction(1), -2 * cx, -2 * cy,
+                cx * cx + cy * cy - curve.radius2)
+    if isinstance(curve, Line):
+        return (Fraction(0), curve.a, curve.b, curve.c)
+    raise TypeError(f"not a circle or line: {curve!r}")
+
+
 def map_curve(curve):
     """Exact image of a circle, line, or point under the transition map.
 
-    Case analysis:
-      circle through the origin        -> line missing the origin
-      circle elsewhere                 -> circle (origin-centered ones stay
-                                          origin-centered, radius 4/old)
-      point                            -> point (origin goes to infinity)
-      line through the origin          -> the same line
-      line missing the origin          -> circle through the origin
+    The transition is an inversion, so it maps A(x^2+y^2) + Bx + Cy + D = 0
+    to D(u^2+v^2) + 4Bu + 4Cv + 16A = 0: a line when D = 0 (the curve
+    passes through the origin), a circle otherwise. A point maps to its
+    image, and the origin and the infinitely remote point swap.
     """
     if isinstance(curve, Point):
         x, y = curve.at
@@ -183,18 +182,9 @@ def map_curve(curve):
         return Point(transition(curve.at))
     if isinstance(curve, AtInfinity):
         return Point((Fraction(0), Fraction(0)))
-    if isinstance(curve, Line):
-        if curve.c == 0:
-            return curve
-        scale = Fraction(-2, 1) / curve.c
-        return Circle((scale * curve.a, scale * curve.b),
-                      4 * (curve.a ** 2 + curve.b ** 2) / curve.c ** 2)
-    if isinstance(curve, Circle):
-        cx, cy = curve.center
-        through = cx * cx + cy * cy - curve.radius2
-        if through == 0:
-            # passes through the origin; image is a straight line
-            return Line(-cx, -cy, Fraction(2))
-        return Circle((4 * cx / through, 4 * cy / through),
-                      16 * curve.radius2 / through ** 2)
-    raise TypeError(f"not a curve descriptor: {curve!r}")
+    a, b, c, d = coefficients(curve)
+    a, b, c, d = d, 4 * b, 4 * c, 16 * a
+    if a == 0:
+        return Line(b, c, d)
+    return Circle((-b / (2 * a), -c / (2 * a)),
+                  (b * b + c * c) / (4 * a * a) - d / a)

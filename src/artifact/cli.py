@@ -13,13 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .analyze import (
-    SYMMETRY_KINDS,
-    infinite_point_status,
-    origin_status,
-    symmetry_profile,
-)
-from .charts import AT_INFINITY, Circle, Line, Point, map_curve
+from .analyze import infinite_point_status, origin_status, symmetry_profile
+from .charts import AT_INFINITY, Circle, Line, Point, coefficients, map_curve
 from .conjugate import conjugate
 from .corpus import load_cases
 from .parse import ParseError, load_system
@@ -67,16 +62,13 @@ def _json_text(payload) -> str:
 def _curve_text(curve) -> str:
     if curve is AT_INFINITY:
         return "the infinitely remote point"
-    u = BiPoly.var("u", ("u", "v"))
-    v = BiPoly.var("v", ("u", "v"))
-    if isinstance(curve, Line):
-        return (curve.a * u + curve.b * v + curve.c).to_text() + " = 0"
-    if isinstance(curve, Circle):
-        cx, cy = curve.center
-        lhs = (u - cx) ** 2 + (v - cy) ** 2 - curve.radius2
-        return lhs.to_text() + " = 0"
-    px, py = curve.at
-    return f"({px}, {py})"
+    if isinstance(curve, Point):
+        px, py = curve.at
+        return f"({px}, {py})"
+    a, b, c, d = coefficients(curve)
+    lhs = BiPoly(("u", "v"), {(2, 0): a, (0, 2): a, (1, 0): b, (0, 1): c,
+                              (0, 0): d})
+    return lhs.to_text() + " = 0"
 
 
 def _cmd_conjugate(args) -> int:
@@ -94,9 +86,7 @@ def _cmd_conjugate(args) -> int:
 
 def _cmd_symmetry(args) -> int:
     system = _read_system(args.input)
-    profile = symmetry_profile(system)
-    payload = {kind: profile[kind] for kind in SYMMETRY_KINDS}
-    _emit(_json_text(payload), None)
+    _emit(_json_text(symmetry_profile(system)), None)
     return 0
 
 

@@ -442,8 +442,7 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
     cfg = cfg or IntegratorConfig()
     # cap the step so cubic interpolation between samples is far more
     # accurate than the distances being measured
-    cfg = replace(cfg, max_step=min(cfg.max_step, 0.02),
-                  initial_step=min(cfg.initial_step, 0.02))
+    cfg = replace(cfg, max_step=min(cfg.max_step, 0.02))
     t, pts, vel = integrate(sys, start, cfg).arrays()
     # only ever the final sample, on a guard stop
     kept = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1] > cfg.origin_guard ** 2

@@ -7,6 +7,7 @@ from functools import cache
 import pytest
 from hypothesis import strategies as st
 
+from artifact.charts import AT_INFINITY, Circle, Line, Point
 from artifact.corpus import load_cases
 from artifact.poly import BiPoly
 
@@ -28,6 +29,27 @@ def bipolys(vars: tuple[str, str] = ("x", "y"), max_exp: int = 4,
 
 def nonzero_bipolys(vars: tuple[str, str] = ("x", "y"), **kwargs):
     return bipolys(vars, **kwargs).filter(lambda p: not p.is_zero())
+
+
+def curves():
+    """Circles, lines and points with small rational data, drawn often
+    from the transition's special cases: circles through the origin and
+    centred on it, lines through it, the origin and the infinitely
+    remote point."""
+    r = coefficients(bound=20, max_denominator=12)
+    positive = r.filter(lambda v: v > 0)
+    point = st.tuples(r, r)
+    off_origin = point.filter(any)
+    return st.one_of(
+        st.builds(Circle, point, positive),
+        positive.map(lambda r2: Circle((0, 0), r2)),
+        off_origin.map(lambda c: Circle(c, c[0] ** 2 + c[1] ** 2)),
+        st.tuples(off_origin, r).map(lambda t: Line(*t[0], t[1])),
+        off_origin.map(lambda ab: Line(*ab, 0)),
+        point.map(Point),
+        st.just(Point((0, 0))),
+        st.just(AT_INFINITY),
+    )
 
 
 def planted_factors(axes, vars: tuple[str, str] = ("x", "y")):

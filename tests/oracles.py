@@ -9,6 +9,11 @@ extended plane, and the equilibria and Jacobians at any rational point.
 No command needs these, so they live here, where the tests check them
 against what the library computes. Nothing here shares the library's
 transport: the rebuild runs on the Fraction form of it below.
+
+The library states two facts about the transition by one rule each: curve
+images by the inversion rule on (A, B, C, D), the five symmetries by one
+signed-permutation identity. Their case-by-case forms (each curve type,
+each symmetry's own identity) are kept here, to check the rules against.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from artifact.poly import (
     NotDivisible,
     divide_exact_by_circle,
     divmod_circle,
+    integer_numerators,
 )
 
 # -- the partner pair and its reduction --------------------------------------
@@ -174,6 +180,29 @@ def jacobian_at(sys: DiffSystem, point: tuple
             (partial(q, 0).evaluate(x, y), partial(q, 1).evaluate(x, y)))
 
 
+# -- the symmetries, one written identity each --------------------------------
+
+
+def symmetry_by_identity(sys: DiffSystem, kind: str) -> bool:
+    """One of the five directional-field symmetries, by its own polynomial
+    identity on the integer numerators D*P, D*Q."""
+    (p, q), _ = integer_numerators(*sys.rhs)
+    if kind == "origin":
+        ident = p * q.scale_vars(-1, -1) - p.scale_vars(-1, -1) * q
+    elif kind == "axis-first":
+        ident = p * q.scale_vars(1, -1) + p.scale_vars(1, -1) * q
+    elif kind == "axis-second":
+        ident = p * q.scale_vars(-1, 1) + p.scale_vars(-1, 1) * q
+    elif kind == "diagonal":
+        ident = p * p.swap_vars() - q * q.swap_vars()
+    elif kind == "antidiagonal":
+        ident = (p.scale_vars(-1, -1) * p.swap_vars()
+                 - q.scale_vars(-1, -1) * q.swap_vars())
+    else:
+        raise ValueError(f"unknown symmetry kind {kind!r}")
+    return ident.is_zero()
+
+
 # -- the sphere ---------------------------------------------------------------
 
 
@@ -232,6 +261,9 @@ def extended_transition(p: tuple):
     return transition(p)
 
 
+# -- curves, case by case -----------------------------------------------------
+
+
 def curve_from_json(data: dict):
     """The curve descriptor a ``to_json_dict`` wrote."""
     kind = data.get("kind")
@@ -246,3 +278,63 @@ def curve_from_json(data: dict):
     if kind == "at-infinity":
         return AT_INFINITY
     raise ValueError(f"unknown curve kind {kind!r}")
+
+
+def on_curve(curve, p: tuple) -> bool:
+    """Whether the rational point p lies on the circle, line or point."""
+    x, y = Fraction(p[0]), Fraction(p[1])
+    if isinstance(curve, Circle):
+        cx, cy = curve.center
+        return (x - cx) ** 2 + (y - cy) ** 2 == curve.radius2
+    if isinstance(curve, Line):
+        return curve.a * x + curve.b * y + curve.c == 0
+    return (x, y) == curve.at
+
+
+def map_curve_by_cases(curve):
+    """Image of a circle, line or point under the transition, by cases:
+      circle through the origin        -> line missing the origin
+      circle elsewhere                 -> circle (origin-centered ones stay
+                                          origin-centered, radius 4/old)
+      point                            -> point (origin goes to infinity)
+      line through the origin          -> the same line
+      line missing the origin          -> circle through the origin
+    """
+    if isinstance(curve, Point):
+        x, y = curve.at
+        if x == 0 and y == 0:
+            return AT_INFINITY
+        return Point(transition(curve.at))
+    if isinstance(curve, AtInfinity):
+        return Point((Fraction(0), Fraction(0)))
+    if isinstance(curve, Line):
+        if curve.c == 0:
+            return curve
+        scale = Fraction(-2, 1) / curve.c
+        return Circle((scale * curve.a, scale * curve.b),
+                      4 * (curve.a ** 2 + curve.b ** 2) / curve.c ** 2)
+    cx, cy = curve.center
+    through = cx * cx + cy * cy - curve.radius2
+    if through == 0:
+        # passes through the origin; image is a straight line
+        return Line(-cx, -cy, Fraction(2))
+    return Circle((4 * cx / through, 4 * cy / through),
+                  16 * curve.radius2 / through ** 2)
+
+
+def curve_text_by_cases(curve) -> str:
+    """The text ``artifact map-curve`` prints for a curve, by cases:
+    (u - cx)^2 + (v - cy)^2 - r^2 = 0 for a circle, a*u + b*v + c = 0 for
+    a line."""
+    if curve is AT_INFINITY:
+        return "the infinitely remote point"
+    u = BiPoly.var("u", ("u", "v"))
+    v = BiPoly.var("v", ("u", "v"))
+    if isinstance(curve, Line):
+        return (curve.a * u + curve.b * v + curve.c).to_text() + " = 0"
+    if isinstance(curve, Circle):
+        cx, cy = curve.center
+        lhs = (u - cx) ** 2 + (v - cy) ** 2 - curve.radius2
+        return lhs.to_text() + " = 0"
+    px, py = curve.at
+    return f"({px}, {py})"

@@ -2,16 +2,14 @@
 
 from fractions import Fraction
 
-import pytest
 from conftest import bipolys, case_by_name
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import is_equilibrium, jacobian_at
+from oracles import is_equilibrium, jacobian_at, symmetry_by_identity
 
 from artifact.analyze import (
     SYMMETRY_KINDS,
     InfinityStatus,
-    check_symmetry,
     classify_linear,
     infinite_point_status,
     origin_status,
@@ -21,8 +19,18 @@ from artifact.charts import transition
 from artifact.conjugate import DiffSystem, ZeroField, conjugate
 from artifact.corpus import load_cases
 from artifact.parse import parse_system
+from artifact.poly import BiPoly
 
 XY = ("x", "y")
+
+# each symmetry kind as the matrix M of z -> Mz; every M is its own inverse
+MATRICES = {
+    "origin": ((-1, 0), (0, -1)),
+    "axis-first": ((1, 0), (0, -1)),
+    "axis-second": ((-1, 0), (0, 1)),
+    "diagonal": ((0, 1), (1, 0)),
+    "antidiagonal": ((0, -1), (-1, 0)),
+}
 
 
 def system(px, qy):
@@ -157,17 +165,14 @@ class TestOriginStatus:
 
 class TestSymmetry:
     def test_saddle_axis_symmetry(self):
-        assert check_symmetry(system("x", "-y"), "axis-first")
+        assert symmetry_profile(system("x", "-y"))["axis-first"]
 
     def test_spiral_origin_symmetry(self):
-        assert check_symmetry(case_by_name("5.5->5.6").system, "origin")
+        assert symmetry_profile(case_by_name("5.5->5.6").system)["origin"]
 
     def test_spiral_axis_symmetry_fails(self):
-        assert not check_symmetry(case_by_name("5.5->5.6").system, "axis-first")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            check_symmetry(system("x", "y"), "mirror")
+        assert not symmetry_profile(
+            case_by_name("5.5->5.6").system)["axis-first"]
 
     def test_corpus_profiles(self):
         for case in load_cases():
@@ -175,13 +180,40 @@ class TestSymmetry:
                 continue
             assert symmetry_profile(case.system) == case.symmetries, case.name
 
+    def test_corpus_matches_written_identities(self):
+        for case in load_cases():
+            assert symmetry_profile(case.system) == {
+                kind: symmetry_by_identity(case.system, kind)
+                for kind in SYMMETRY_KINDS}, case.name
+
+    @settings(max_examples=300)
+    @given(bipolys(max_exp=3, max_terms=4), bipolys(max_exp=3, max_terms=4),
+           st.sampled_from(SYMMETRY_KINDS + (None,)), st.sampled_from((1, -1)))
+    def test_planted_symmetries_match_written_identities(self, p, q, kind,
+                                                         sign):
+        # F + sign * M F(Mz) keeps its directions under M (sign 1 keeps
+        # the flow, -1 reverses it); kind None leaves the field as drawn
+        if kind is not None:
+            (a, b), (c, d) = MATRICES[kind]
+            x, y = BiPoly.var("x", XY), BiPoly.var("y", XY)
+            pm = p.evaluate(a * x + b * y, c * x + d * y)
+            qm = q.evaluate(a * x + b * y, c * x + d * y)
+            p, q = (p + sign * (a * pm + b * qm),
+                    q + sign * (c * pm + d * qm))
+        assume(p or q)
+        sys = DiffSystem.build(XY, p, q)
+        profile = symmetry_profile(sys)
+        assert profile == {k: symmetry_by_identity(sys, k)
+                           for k in SYMMETRY_KINDS}
+        assert kind is None or profile[kind]
+
     def test_transfer_to_partner_system(self):
         for case in load_cases():
             partner = conjugate(case.system,
                                 out_vars=case.conjugate_vars).conjugate
             for kind in SYMMETRY_KINDS:
-                assert check_symmetry(case.system, kind) == \
-                    check_symmetry(partner, kind), (case.name, kind)
+                assert symmetry_profile(case.system)[kind] == \
+                    symmetry_profile(partner)[kind], (case.name, kind)
 
 
 class TestEquilibriumTransfer:

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import case_by_name
+from conftest import case_by_name, curves
 from oracles import (
     PoleExcluded,
     chart_project,
     curve_from_json,
     extended_transition,
+    map_curve_by_cases,
+    on_curve,
     psi_jacobians,
     stereo_project,
 )
@@ -26,6 +28,7 @@ from artifact.charts import (
     Line,
     OriginSingularity,
     Point,
+    coefficients,
     map_curve,
     transition,
     transition_jacobian,
@@ -246,7 +249,7 @@ class TestMapCurve:
     def test_offset_line_becomes_circle_through_origin(self):
         image = map_curve(Line(1, 1, 1))
         assert image == Circle((-2, -2), 8)
-        assert image.contains((0, 0))
+        assert on_curve(image, (0, 0))
 
     def test_inside_and_outside_swap(self):
         inner = transition((Fraction(1, 2), Fraction(0)))
@@ -269,16 +272,46 @@ class TestMapCurve:
             image = map_curve(curve)
             assert len(samples) == 10
             for p in samples:
-                assert curve.contains(p)
-                assert image.contains(transition(p))
+                assert on_curve(curve, p)
+                assert on_curve(image, transition(p))
         # the point case: a point is its own sample
-        assert map_curve(Point((1, 1))).contains(transition((1, 1)))
+        assert on_curve(map_curve(Point((1, 1))), transition((1, 1)))
 
     def test_double_image_returns_original(self):
         for curve in (Circle((-1, 0), 1), Circle((3, 0), 1),
                       Circle((0, 0), 16), Point((1, 1)),
                       Line(1, -1, 0), Line(1, 1, 1)):
             assert map_curve(map_curve(curve)) == curve
+
+
+class TestInversionRule:
+    """``map_curve``'s one rule on (A, B, C, D) against the case list."""
+
+    @settings(max_examples=300)
+    @given(curves())
+    def test_matches_case_analysis(self, curve):
+        image, want = map_curve(curve), map_curve_by_cases(curve)
+        assert type(image) is type(want)
+        assert image == want
+        assert image.to_json_dict() == want.to_json_dict()
+
+    @given(curves().filter(lambda c: isinstance(c, (Circle, Line))), points)
+    def test_coefficients_state_the_curve(self, curve, p):
+        a, b, c, d = coefficients(curve)
+        x, y = p
+        value = a * (x * x + y * y) + b * x + c * y + d
+        if isinstance(curve, Circle):
+            cx, cy = curve.center
+            assert a == 1
+            assert value == (x - cx) ** 2 + (y - cy) ** 2 - curve.radius2
+        else:
+            assert a == 0
+            assert value == curve.a * x + curve.b * y + curve.c
+        assert (value == 0) == on_curve(curve, p)
+
+    def test_not_a_circle_or_line(self):
+        with pytest.raises(TypeError):
+            coefficients(Point((1, 1)))
 
 
 class TestDescriptors:

@@ -11,6 +11,9 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import curves
+from hypothesis import given, settings
+from oracles import curve_text_by_cases
 
 import artifact
 from artifact import analyze, cli
@@ -240,6 +243,12 @@ class TestMapCurve:
     def test_degenerate_line(self, capsys):
         assert main(["map-curve", "--line", "0", "0", "1"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @settings(max_examples=300)
+    @given(curves())
+    def test_text_matches_case_analysis(self, curve):
+        # one BiPoly A(u^2+v^2) + Bu + Cv + D against a formula per type
+        assert cli._curve_text(curve) == curve_text_by_cases(curve)
 
 
 class TestAtlas:

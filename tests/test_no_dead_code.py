@@ -1,11 +1,12 @@
-"""Every public function and class in the library has a caller.
+"""Every public function, class and method in the library has a caller.
 
-A public top-level ``def`` or ``class`` in ``src/artifact`` must be
-named somewhere outside its own definition: elsewhere in the library
-(the package ``__init__`` does not count, since re-exporting is not
-calling) or in the benchmark under ``perfbench/``, whose tracer looks
-some names up by string. Code that only tests call belongs in
-``tests/oracles.py``.
+A public top-level ``def`` or ``class`` in ``src/artifact``, and each
+public method of a public class, must be named somewhere outside its own
+definition: elsewhere in the library (the package ``__init__`` does not
+count, since re-exporting is not calling) or in the benchmark under
+``perfbench/``, whose tracer looks some names up by string. A method
+counts as named when any attribute of that name is read. Code that only
+tests call belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -16,13 +17,22 @@ ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted(p for p in (ROOT / "src" / "artifact").glob("*.py")
                  if p.name != "__init__.py")
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _definitions(tree):
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("_")]
+    """(qualified name, node) for each public top-level definition and
+    each public method of a public class; ``_`` names, dunders among
+    them, are private."""
+    for node in tree.body:
+        if isinstance(node, _FUNCTIONS + (ast.ClassDef,)) \
+                and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, _FUNCTIONS) \
+                            and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
 
 
 def _names_used(tree):
@@ -42,13 +52,14 @@ def _names_used(tree):
 
 
 def unreferenced():
-    """``module.name`` for each public definition nothing else names; a
-    definition's own body does not count as a use of it."""
+    """``module.name`` (``module.Class.method`` for a method) for each
+    public definition nothing else names; a definition's own body does
+    not count as a use of it."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in LIBRARY + BENCHMARK}
     used = sum((_names_used(tree) for tree in trees.values()), Counter())
-    return [f"{path.stem}.{node.name}" for path in LIBRARY
-            for node in _definitions(trees[path])
+    return [f"{path.stem}.{name}" for path in LIBRARY
+            for name, node in _definitions(trees[path])
             if used[node.name] <= _names_used(node)[node.name]]
 
 
@@ -60,7 +71,9 @@ def test_every_public_definition_has_a_caller():
 
 
 def test_the_scan_sees_the_library():
-    names = {f"{path.stem}.{node.name}" for path in LIBRARY
-             for node in _definitions(ast.parse(path.read_text()))}
+    names = {f"{path.stem}.{name}" for path in LIBRARY
+             for name, _ in _definitions(ast.parse(path.read_text()))}
     assert {"conjugate.conjugate", "poly.BiPoly", "atlas.build_atlas",
-            "dynamics.integrate"} <= names
+            "dynamics.integrate", "poly.BiPoly.to_text",
+            "charts.Line.to_json_dict"} <= names
+    assert not any(".__" in name or "._" in name for name in names)
