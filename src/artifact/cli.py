@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -173,8 +174,19 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads every word starting "-digit" or "-.digit" as a
+    value. Its own test takes only "-1" and "-0.5" shapes as negative
+    numbers, so a rational such as "-1/3" would be an unknown option. No
+    option here starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="artifact",
         description="Stereographic conjugation toolkit for planar "
                     "polynomial systems.")

@@ -434,16 +434,19 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
     integrator's) through the transition and its Jacobian. The partner
     runs along the mapped orbit in its own time, dtau = |q|^(-2m) dt,
     which Gauss-Legendre sums over each cubic Hermite step of the mapped
-    curve. The partner's trajectory from the mapped start is read at
-    those times through its own Hermite steps, up to its last time.
-    Returns the largest gap across the partner's velocity: a drift along
-    the orbit is only a timing error, and the conjugacy matches orbits.
+    curve. The partner's trajectory from the mapped start runs once, up
+    to the last of those times, with its step left to error control, and
+    is read at each of them through its own Hermite steps; so every kept
+    sample is compared unless the partner stops early (leaves its outer
+    disk, enters its origin guard or settles at an equilibrium). Returns
+    the largest gap across the partner's velocity: a drift along the
+    orbit is only a timing error, and the conjugacy matches orbits.
     """
     cfg = cfg or IntegratorConfig()
-    # cap the step so cubic interpolation between samples is far more
-    # accurate than the distances being measured
-    cfg = replace(cfg, max_step=min(cfg.max_step, 0.02))
-    t, pts, vel = integrate(sys, start, cfg).arrays()
+    # cap the original's step: its samples are the points compared, and
+    # the cubic through them must be far more accurate than the gaps
+    first = replace(cfg, max_step=min(cfg.max_step, 0.02))
+    t, pts, vel = integrate(sys, start, first).arrays()
     # only ever the final sample, on a guard stop
     kept = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1] > cfg.origin_guard ** 2
     if not kept.any():
@@ -461,12 +464,20 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
             weight = weight * inverse
         rate = rate + weight
     tau = np.concatenate([[0.0], np.cumsum(h[:, 0] * rate)])
+    end = float(tau[-1])
+    if end == 0.0:  # one kept sample: nothing to compare
+        return 0.0
     q0 = transition((float(start[0]), float(start[1])))
-    tp, r, g = integrate(result.conjugate, q0, cfg, chart=Chart.S).arrays()
+    partner = integrate(result.conjugate, q0,
+                        replace(cfg, max_time=end, max_step=end),
+                        chart=Chart.S)
+    tp, r, g = partner.arrays()
     if len(tp) < 2:  # the partner sits at an equilibrium
         return 0.0
-    within = tau <= tp[-1]
-    tau, q = tau[within], q[within]
+    # a partner at the time limit may stop a relative 1e-12 short of it
+    if partner.termination not in ("time-limit", "closed"):
+        within = tau <= tp[-1]
+        tau, q = tau[within], q[within]
     i = np.clip(np.searchsorted(tp, tau, side="right") - 1, 0, len(tp) - 2)
     step = (tp[i + 1] - tp[i])[:, None]
     at, v = _hermite(r[i], g[i], r[i + 1], g[i + 1], step,

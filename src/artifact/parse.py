@@ -53,11 +53,15 @@ MAX_NESTING = 100
 
 # Most term pairs one parse_polynomial multiplies, over every product and
 # every squaring of a power; a coefficient counts once more for each 1024
-# bits it has, so long literals raised to powers count their size. The
-# largest corpus expression needs 47, "(x+y+1)^32" 25 704, and a dense
-# degree-32 field 5 126; a 100 KB sum of such powers is refused after two
-# of them instead of running for seconds.
+# bits it has, so long literals raised to powers count their size, and a
+# coefficient that is not an integer counts FRACTION_WEIGHT times, since a
+# pair of them costs about 15 times an integer pair (a gcd normalises each
+# product and sum). The largest corpus expression needs 144, "(x+y+1)^32"
+# 25 704, and a dense degree-32 field 5 126; a 100 KB sum of such powers
+# is refused after two of them instead of running for seconds, and one
+# with p/q coefficients within the first.
 MAX_PRODUCTS = 60_000
+FRACTION_WEIGHT = 4
 
 
 def _check_degree(degree: int, what: str, where: int) -> None:
@@ -71,8 +75,10 @@ def _degree(p: BiPoly) -> int:
 
 
 def _weight(p: BiPoly) -> int:
-    """The terms of p, each counted once more per 1024 coefficient bits."""
-    return sum(1 + (c.numerator.bit_length() + c.denominator.bit_length())
+    """The terms of p, each counted once more per 1024 coefficient bits,
+    and FRACTION_WEIGHT times when its coefficient is not an integer."""
+    return sum((1 if c.denominator == 1 else FRACTION_WEIGHT)
+               + (c.numerator.bit_length() + c.denominator.bit_length())
                // 1024 for c in p.terms.values())
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ import artifact
 from artifact import analyze, cli
 from artifact import conjugate as conjugate_module
 from artifact import poly as poly_module
+from artifact.charts import Circle, Line, Point, map_curve
 from artifact.cli import main
 from artifact.corpus import load_cases
 from artifact.parse import load_system
@@ -240,6 +242,24 @@ class TestMapCurve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["image"]["kind"] == "circle"
 
+    @pytest.mark.parametrize("flag,values,curve,text", [
+        ("--circle", ["-1/2", "-3/4", "1/9"],
+         Circle((Fraction(-1, 2), Fraction(-3, 4)), Fraction(1, 9)),
+         "u^2 + v^2 + 576/101*u + 864/101*v + 2304/101 = 0"),
+        ("--line", ["1", "-1/3", "1"], Line(1, Fraction(-1, 3), 1),
+         "u^2 + v^2 + 4*u - 4/3*v = 0"),
+        ("--point", ["-1/3", "-2/5"],
+         Point((Fraction(-1, 3), Fraction(-2, 5))), "(-300/61, -360/61)"),
+    ], ids=["circle", "line", "point"])
+    def test_negative_rational_arguments(self, capsys, flag, values, curve,
+                                         text):
+        # argparse's own test would read "-1/3" as an unknown option
+        assert main(["map-curve", flag, *values]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["input"] == curve.to_json_dict()
+        assert doc["image"] == map_curve(curve).to_json_dict()
+        assert doc["text"] == text
+
     def test_degenerate_line(self, capsys):
         assert main(["map-curve", "--line", "0", "0", "1"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -279,6 +299,17 @@ class TestAtlas:
                      "--eps1", "8/5"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_rational_eps_reaches_the_range_check(self, sys_file,
+                                                           capsys):
+        args = cli.build_parser().parse_args(
+            ["atlas", "-i", "f", "--eps1", "-1/5", "--eps2", "-.5"])
+        assert (args.eps1, args.eps2) == (Fraction(-1, 5), Fraction(-1, 2))
+        code = main(["atlas", "-i", sys_file(["x", "y"], ["x", "y"]),
+                     "--eps1", "-1/5"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: disk parameter must lie in (0, 1]: -1/5\n")
 
     def test_coefficient_too_large_for_float(self, tmp_path, capsys):
         path = tmp_path / "sys.txt"
@@ -367,4 +398,10 @@ class TestUsageErrors:
     def test_bad_rational(self):
         with pytest.raises(SystemExit) as exc:
             main(["map-curve", "--circle", "one", "0", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("word", ["-x", "-1/0"])
+    def test_dash_word_that_is_no_rational(self, word):
+        with pytest.raises(SystemExit) as exc:
+            main(["map-curve", "--line", "1", word, "1"])
         assert exc.value.code == 2

@@ -214,6 +214,29 @@ SECTION5 = ["5.1->5.2", "5.3->5.4", "5.5->5.6",
             "5.7->5.8", "5.9->5.10", "5.11->5.12"]
 
 
+@pytest.fixture
+def residual_spy(monkeypatch):
+    """Records what conjugacy_residual integrates (``runs``) and how many
+    samples it compares (``compared``): its last Hermite read is the
+    partner's, at one fraction per compared sample."""
+    spy = types.SimpleNamespace(runs=[], compared=None,
+                                integrate=dynamics.integrate)
+    hermite = dynamics._hermite
+
+    def integrate(*args, **kwargs):
+        traj = spy.integrate(*args, **kwargs)
+        spy.runs.append(traj)
+        return traj
+
+    def read(p0, v0, p1, v1, h, theta):
+        spy.compared = len(p0)
+        return hermite(p0, v0, p1, v1, h, theta)
+
+    monkeypatch.setattr(dynamics, "integrate", integrate)
+    monkeypatch.setattr(dynamics, "_hermite", read)
+    return spy
+
+
 class TestConjugacyResidual:
     def test_spiral_pair(self):
         case = case_by_name("5.5->5.6")
@@ -228,11 +251,53 @@ class TestConjugacyResidual:
                                tight(max_time=2 * math.pi + 0.1))
         assert r < 1e-5
 
-    def test_equilibrium_maps_to_equilibrium(self):
+    def test_equilibrium_maps_to_equilibrium(self, residual_spy):
         case = case_by_name("6.1->6.2")
         res = conjugate(case.system)
         r = conjugacy_residual(case.system, res, (1.0, 1.0), tight())
         assert r == 0.0
+        # one kept sample, so no partner time to run to
+        assert [t.chart for t in residual_spy.runs] == [Chart.N]
+
+    # seed-1 starts of the residual benchmark whose mapped orbit leaves
+    # for the outer disk, where the partner's clock runs fast: the
+    # partner's last time is far past the original's time limit
+    @pytest.mark.parametrize("name,start", [
+        ("5.11->5.12", (1.7457623471978385, -0.31157200015433917)),
+        ("5.7->5.8", (-1.9473280337805035, 1.34987632838584)),
+    ], ids=["5.11->5.12", "5.7->5.8"])
+    def test_every_kept_sample_is_compared(self, residual_spy, name, start):
+        case = case_by_name(name)
+        cfg = tight(max_time=6.0)
+        r = conjugacy_residual(case.system, conjugate(case.system), start,
+                               cfg)
+        assert r < 1e-5
+        first, partner = residual_spy.runs
+        assert partner.termination == "time-limit"
+        assert partner.samples[-1][0] > 10 * cfg.max_time
+        assert residual_spy.compared == len(first.samples)
+
+    def test_partner_a_hair_short_of_its_time_limit(self, residual_spy):
+        # integrate may stop a relative 1e-12 short of max_time; the last
+        # sample's partner time is then just past the partner's last
+        # time, and must still be compared
+        run = residual_spy.integrate
+
+        def short(sys, start, cfg=None, direction="forward", chart=Chart.N):
+            if chart is Chart.S:
+                cfg = dataclasses.replace(
+                    cfg, max_time=cfg.max_time * (1 - 5e-13))
+            return run(sys, start, cfg, direction, chart)
+
+        residual_spy.integrate = short
+        case = case_by_name("5.11->5.12")
+        start = (1.7457623471978385, -0.31157200015433917)
+        r = conjugacy_residual(case.system, conjugate(case.system), start,
+                               tight(max_time=6.0))
+        assert r < 1e-5
+        first, partner = residual_spy.runs
+        assert partner.termination == "time-limit"
+        assert residual_spy.compared == len(first.samples)
 
     @pytest.mark.parametrize("name", SECTION5)
     def test_random_starts(self, name):
@@ -590,13 +655,14 @@ def loop_step(curve, k, h, theta):
 def loop_residual(sys, result, start, cfg):
     """Reference residual, one sample at a time: maps each sample on its
     own and evaluates both fields there again, sums the partner time step
-    by step, and walks the partner's steps forward to each of those times."""
-    cfg = dataclasses.replace(cfg, max_step=min(cfg.max_step, 0.02),
-                              initial_step=min(cfg.initial_step, 0.02))
+    by step, runs the partner once to the last of them with no step cap,
+    and walks the partner's steps forward to each of those times."""
+    first = dataclasses.replace(cfg, max_step=min(cfg.max_step, 0.02),
+                                initial_step=min(cfg.initial_step, 0.02))
     field = dynamics._field(sys)
     guard2 = cfg.origin_guard ** 2
     times, mapped = [], []
-    for t, xx, yy in integrate(sys, start, cfg).samples:
+    for t, xx, yy in integrate(sys, start, first).samples:
         if xx * xx + yy * yy <= guard2:
             continue
         fx, fy = dynamics._finite(field, xx, yy)
@@ -616,16 +682,23 @@ def loop_residual(sys, result, start, cfg):
                 weight = weight * inverse
             rate = rate + weight
         taus.append(taus[-1] + h * rate)
+    if taus[-1] == 0.0:
+        return 0.0
     q0 = transition((float(start[0]), float(start[1])))
     partner_field = dynamics._field(result.conjugate)
-    second = integrate(result.conjugate, q0, cfg, chart=Chart.S).samples
+    run = integrate(result.conjugate, q0,
+                    dataclasses.replace(cfg, max_time=taus[-1],
+                                        max_step=taus[-1]),
+                    chart=Chart.S)
+    second = run.samples
     if len(second) < 2:
         return 0.0
+    reached = run.termination in ("time-limit", "closed")
     partner = [((xx, yy), dynamics._finite(partner_field, xx, yy))
                for _, xx, yy in second]
     worst, k = 0.0, 0
     for tau, ((qx, qy), _) in zip(taus, mapped):
-        if tau > second[-1][0]:
+        if tau > second[-1][0] and not reached:
             break
         while k < len(second) - 2 and second[k + 1][0] <= tau:
             k += 1

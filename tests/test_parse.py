@@ -254,6 +254,23 @@ class TestWorkBudget:
         # powers included, so the sum is refused within its first copies
         assert info.value.position < 3 * (len(unit) + 3)
 
+    def test_fraction_coefficients_count_their_cost(self):
+        # a pair of p/q coefficients costs about 15 integer pairs: the
+        # integer power parses, the same power over p/q is refused
+        assert poly("(x+2*y+1)^32").total_degree() == 32
+        assert poly("(1/3*x+2/7*y+1/5)^16").total_degree() == 16
+        with pytest.raises(ParseError, match="term products"):
+            poly("(1/3*x+2/7*y+1/5)^32")
+
+    def test_100kb_fraction_sum_refused_within_its_first_copy(self):
+        unit = "(1/3*x+2/7*y+1/5)^16*(3/11*x-5/13*y+1/17)^16"
+        text = _sum_to(unit)
+        started = time.monotonic()
+        with pytest.raises(ParseError, match="term products") as info:
+            parse_system(XY, (text, "y"))
+        assert time.monotonic() - started < 0.25
+        assert info.value.position < len(unit)
+
     def test_large_coefficients_count_their_size(self):
         # 270 term pairs, but a 4000-digit coefficient counts once per 1024
         # bits, and every squaring doubles its length
