@@ -17,6 +17,7 @@ import pickle
 import signal
 import threading
 from array import array
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
@@ -179,7 +180,20 @@ def _mid_arc_arrow(traj: Trajectory):
     total = lens[-1]
     if total == 0:
         return None
-    idx = min(range(1, len(pts) - 1), key=lambda i: abs(lens[i] - total / 2))
+    half = total / 2
+
+    def gap(length):
+        return abs(length - half)
+
+    # the inner sample whose gap to half the length is least, the first
+    # of equals: the gaps fall up to the first length >= half, then rise
+    last = len(pts) - 1
+    idx = bisect_left(lens, half, 1, last)
+    if idx == last or (idx > 1 and gap(lens[idx - 1]) <= gap(lens[idx])):
+        # the first sample below half with the least gap; rounding can
+        # give that gap to a run of lengths, repeated samples among them
+        idx = bisect_left(lens, -gap(lens[idx - 1]), 1, idx,
+                          key=lambda length: -gap(length))
     ux, uy = pts[idx + 1][0] - pts[idx - 1][0], pts[idx + 1][1] - pts[idx - 1][1]
     norm = math.hypot(ux, uy)
     if norm == 0:

@@ -15,6 +15,8 @@ import math
 from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import add, gt, lt, sub
 
 import numpy as np
 
@@ -42,6 +44,11 @@ class IntegratorConfig:
     origin_guard: float = 1e-6
 
     def __post_init__(self):
+        # an infinite time limit never ends a trajectory, and NaN fails
+        # every comparison below
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite: {value}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if not 0 <= self.origin_guard < self.outer_radius:
@@ -169,7 +176,7 @@ class DormandPrince54:
     weight rows). The last stage evaluates the field at the step's new
     point, since its row of A equals the propagation weights B ("first
     same as last", FSAL): it is the first stage of the next step, so a
-    trial step costs six field evaluations. ``_rk_step`` spells these
+    trial step costs six field evaluations. ``integrate`` spells these
     coefficients out as straight-line code.
     """
 
@@ -188,60 +195,13 @@ class DormandPrince54:
          22 / 525, -1 / 40)
 
 
-# Butcher's names, numbered like the stages k1..k7. The fused step leaves
-# out the zero weights b2, b7 and e2; the last row of A is B, so the last
-# stage is taken at the new point.
+# Butcher's names, numbered like the stages k1..k7. The step in
+# ``integrate`` leaves out the zero weights b2, b7 and e2; the last row of
+# A is B, so the last stage is taken at the new point.
 (_, (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
  (_A61, _A62, _A63, _A64, _A65), _) = DormandPrince54.A
 _B1, _, _B3, _B4, _B5, _B6, _ = DormandPrince54.B
 _E1, _, _E3, _E4, _E5, _E6, _E7 = DormandPrince54.E
-
-
-def _rk_step(f, x, y, h, k1x, k1y):
-    """One fused trial step from (x, y) with first stage (k1x, k1y).
-
-    Returns the new point, the embedded error estimate and the field at
-    the new point (the next step's first stage), or None when a stage
-    blows past finite floats; the caller treats that as a rejected step,
-    exactly like a failed error test.
-
-    With a field from ``_compile`` the result equals a loop of ``sum``
-    over the whole tableau bit for bit. Leaving out the zero weights and
-    the 0 that ``sum`` starts from changes no bit: the field's zeros all
-    carry one sign, and the weights of each sum have both signs. A
-    non-finite second stage rejects the step, as in that loop, where a
-    zero weight turns it into NaN.
-    """
-    try:
-        k2x, k2y = f(x + h * (_A21 * k1x), y + h * (_A21 * k1y))
-        k3x, k3y = f(x + h * (_A31 * k1x + _A32 * k2x),
-                     y + h * (_A31 * k1y + _A32 * k2y))
-        k4x, k4y = f(x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
-                     y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y))
-        k5x, k5y = f(x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x
-                              + _A54 * k4x),
-                     y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y
-                              + _A54 * k4y))
-        k6x, k6y = f(x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x
-                              + _A64 * k4x + _A65 * k5x),
-                     y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y
-                              + _A64 * k4y + _A65 * k5y))
-        nx = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x
-                      + _B6 * k6x)
-        ny = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y
-                      + _B6 * k6y)
-        k7x, k7y = f(nx, ny)
-        ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x
-                  + _E6 * k6x + _E7 * k7x)
-        ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y
-                  + _E6 * k6y + _E7 * k7y)
-    except OverflowError:
-        return None
-    isfinite = math.isfinite
-    if (isfinite(nx) and isfinite(ny) and isfinite(ex) and isfinite(ey)
-            and isfinite(k2x) and isfinite(k2y)):
-        return nx, ny, ex, ey, k7x, k7y
-    return None
 
 
 def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
@@ -262,64 +222,128 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
     first stage for the retry. So a trial step costs six field
     evaluations, plus one at the start. The returned trajectory counts
     accepted and rejected steps and keeps the field at every sample.
+
+    The whole step runs in this one frame, spelled out as straight-line
+    code. With a field from ``_compile`` it equals a loop of ``sum`` over
+    the whole tableau bit for bit: leaving out the zero weights and the 0
+    that ``sum`` starts from changes no bit, since the field's zeros all
+    carry one sign and the weights of each sum have both signs. A stage
+    that overflows or is not finite rejects the step like a failed error
+    test; a non-finite second stage does too, as in that loop, where a
+    zero weight turns it into NaN. Step control compares where it could
+    call ``min``, ``max`` and ``abs``, and each comparison picks the
+    float the builtin would, the first of equals included.
     """
     cfg = cfg or IntegratorConfig()
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward: {direction}")
     f = _field(sys, 1.0 if direction == "forward" else -1.0)
     x, y = float(start[0]), float(start[1])
-    if math.hypot(x, y) > cfg.outer_radius:
+    hypot, isfinite, sqrt = math.hypot, math.isfinite, math.sqrt
+    outer, guard = cfg.outer_radius, cfg.origin_guard
+    if hypot(x, y) > outer:
         raise ValueError("start lies outside the outer disk")
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     max_step, max_time = cfg.max_step, cfg.max_time
+    t_end = max_time * (1 - 1e-12)
     t = 0.0
     h = min(cfg.initial_step, max_step, max_time)
     samples = [(0.0, x, y)]
     accepted = rejected = 0
     termination = None
-    kx, ky = _finite(f, x, y)
-    velocities = [kx, ky]  # a list appends faster than an array
-    if math.hypot(kx, ky) < abs_tol:
+    k1x, k1y = _finite(f, x, y)
+    velocities = [k1x, k1y]  # a list appends faster than an array
+    sample, velocity = samples.append, velocities.append
+    if hypot(k1x, k1y) < abs_tol:
         termination = "converged-to-equilibrium"
     while termination is None:
-        h = min(h, max_step, max_time - t)
-        trial = _rk_step(f, x, y, h, kx, ky)
-        if trial is not None:
-            nx, ny, ex, ey, nkx, nky = trial
-            sx = abs_tol + rel_tol * max(abs(x), abs(nx))
-            sy = abs_tol + rel_tol * max(abs(y), abs(ny))
-            try:
-                err = math.sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2)
-            except OverflowError:
-                raise NumericOverflow(
-                    f"error estimate overflowed near t={t}") from None
-        if trial is None or err > 1.0:
+        # h = min(h, max_step, max_time - t)
+        if max_step < h:
+            h = max_step
+        rest = max_time - t
+        if rest < h:
+            h = rest
+        try:
+            k2x, k2y = f(x + h * (_A21 * k1x), y + h * (_A21 * k1y))
+            k3x, k3y = f(x + h * (_A31 * k1x + _A32 * k2x),
+                         y + h * (_A31 * k1y + _A32 * k2y))
+            k4x, k4y = f(x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
+                         y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y))
+            k5x, k5y = f(x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x
+                                  + _A54 * k4x),
+                         y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y
+                                  + _A54 * k4y))
+            k6x, k6y = f(x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x
+                                  + _A64 * k4x + _A65 * k5x),
+                         y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y
+                                  + _A64 * k4y + _A65 * k5y))
+            nx = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x
+                          + _B6 * k6x)
+            ny = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y
+                          + _B6 * k6y)
+            k7x, k7y = f(nx, ny)
+            ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x
+                      + _E6 * k6x + _E7 * k7x)
+            ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y
+                      + _E6 * k6y + _E7 * k7y)
+        except OverflowError:
+            err = None
+        else:
+            if (isfinite(nx) and isfinite(ny) and isfinite(ex)
+                    and isfinite(ey) and isfinite(k2x) and isfinite(k2y)):
+                # max(abs(x), abs(nx)); 0.0 - x is abs(x) for x <= 0,
+                # -0.0 included
+                sx = x if x > 0.0 else 0.0 - x
+                ax = nx if nx > 0.0 else 0.0 - nx
+                if ax > sx:
+                    sx = ax
+                sy = y if y > 0.0 else 0.0 - y
+                ay = ny if ny > 0.0 else 0.0 - ny
+                if ay > sy:
+                    sy = ay
+                sx = abs_tol + rel_tol * sx
+                sy = abs_tol + rel_tol * sy
+                try:
+                    err = sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2)
+                except OverflowError:
+                    raise NumericOverflow(
+                        f"error estimate overflowed near t={t}") from None
+            else:
+                err = None
+        if err is None or err > 1.0:
             rejected += 1
-            h *= 0.2 if trial is None else max(0.2, 0.9 * err ** -0.2)
-            if h < 1e-14 * max(1.0, abs(t)):
+            if err is None:
+                h *= 0.2
+            else:  # max(0.2, 0.9 * err ** -0.2)
+                grow = 0.9 * err ** -0.2
+                h *= grow if grow > 0.2 else 0.2
+            # max(1.0, abs(t)), with t >= 0
+            if h < 1e-14 * (t if t > 1.0 else 1.0):
                 raise StepUnderflow(f"step collapsed near t={t}")
             continue
         accepted += 1
         t += h
-        x, y, kx, ky = nx, ny, nkx, nky
-        samples.append((t, x, y))
-        velocities.append(kx)
-        velocities.append(ky)
-        radius = math.hypot(x, y)
-        if radius <= cfg.origin_guard:
+        x, y, k1x, k1y = nx, ny, k7x, k7y
+        sample((t, x, y))
+        velocity(k1x)
+        velocity(k1y)
+        radius = hypot(x, y)
+        if radius <= guard:
             termination = "entered-origin-guard"
             break
-        if radius >= cfg.outer_radius:
+        if radius >= outer:
             termination = "exited-outer-disk"
             break
         # finite: the last stage enters the error estimate
-        if math.hypot(kx, ky) < abs_tol:
+        if hypot(k1x, k1y) < abs_tol:
             termination = "converged-to-equilibrium"
             break
-        if t >= max_time * (1 - 1e-12):
+        if t >= t_end:
             termination = "time-limit"
             break
-        h *= min(5.0, 0.9 * (err ** -0.2 if err > 0 else 5.0))
+        # min(5.0, 0.9 * (err ** -0.2 if err > 0 else 5.0))
+        grow = 0.9 * (err ** -0.2 if err > 0 else 5.0)
+        h *= grow if grow < 5.0 else 5.0
     traj = Trajectory(chart, samples, termination, accepted, rejected,
                       array("d", velocities))
     if termination == "time-limit" and len(samples) >= 10:
@@ -330,32 +354,47 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
     return traj
 
 
+# Slack on the segment prefilter of ``detect_closed``, relative to the
+# largest of tol, |start| and the samples' distances from the start: the
+# rounding of either test is a few units in the last place of those.
+_CLOSURE_SLACK = 1e-12
+
+
 def detect_closed(traj: Trajectory, tol: float) -> bool:
     """Does the trajectory come back to its start?
 
     True when, after first leaving a 2*tol neighborhood of the start,
     some later segment passes within tol of the start while heading
     within 5 degrees of the initial direction.
+
+    Every sample's distance to the start is taken once. A segment of
+    length s between samples at distances da and db stays at least
+    (da + db - s) / 2 from the start (the triangle inequality), so the
+    exact closest-approach test runs only on segments where that bound
+    is under tol, plus a rounding slack; the others cannot pass it.
     """
     if len(traj.samples) < 10:
         raise ValueError("closure detection needs at least 10 samples")
     pts = [(sx, sy) for _, sx, sy in traj.samples]
-    x0, y0 = pts[0]
-    d0 = None
-    for xx, yy in pts[1:]:
-        norm = math.hypot(xx - x0, yy - y0)
-        if norm > 0:
-            d0 = ((xx - x0) / norm, (yy - y0) / norm)
-            break
-    if d0 is None:
+    p0 = x0, y0 = pts[0]
+    # math.dist(p, p0) is math.hypot of the differences, bit for bit
+    dist = list(map(math.dist, pts, repeat(p0)))
+    moved = next((i for i in range(1, len(pts)) if dist[i] > 0), None)
+    if moved is None:
         return False  # never moved
+    norm = dist[moved]
+    xx, yy = pts[moved]
+    d0 = ((xx - x0) / norm, (yy - y0) / norm)
+    # the segment that first leaves 2*tol is not tested; the next one is
+    left = next(compress(count(1), map(gt, dist[1:], repeat(2 * tol))), None)
+    if left is None:
+        return False
+    slack = _CLOSURE_SLACK * (tol + math.hypot(x0, y0) + max(dist))
+    bounds = map(sub, map(add, dist[left:], dist[left + 1:]),
+                 map(math.dist, pts[left + 1:], pts[left:]))
     cos_cap = math.cos(math.radians(5.0))
-    left = False
-    for (ax, ay), (bx, by) in zip(pts, pts[1:]):
-        if not left:
-            if math.hypot(bx - x0, by - y0) > 2 * tol:
-                left = True
-            continue
+    for i in compress(count(left), map(lt, bounds, repeat(2 * (tol + slack)))):
+        (ax, ay), (bx, by) = pts[i], pts[i + 1]
         ux, uy = bx - ax, by - ay
         seg = math.hypot(ux, uy)
         if seg == 0:

@@ -14,11 +14,19 @@ The library states two facts about the transition by one rule each: curve
 images by the inversion rule on (A, B, C, D), the five symmetries by one
 signed-permutation identity. Their case-by-case forms (each curve type,
 each symmetry's own identity) are kept here, to check the rules against.
+
+The float side keeps the plain forms of three hot loops whose library
+versions do less interpreter work for the same answer: the integrator
+with its step as a function, the closure test on every segment and the
+scan for the atlas arrow.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from fractions import Fraction
+from itertools import accumulate
 
 from artifact.charts import (
     AT_INFINITY,
@@ -30,6 +38,40 @@ from artifact.charts import (
     transition,
 )
 from artifact.conjugate import DiffSystem, partner_vars
+from artifact.dynamics import (
+    _A21,
+    _A31,
+    _A32,
+    _A41,
+    _A42,
+    _A43,
+    _A51,
+    _A52,
+    _A53,
+    _A54,
+    _A61,
+    _A62,
+    _A63,
+    _A64,
+    _A65,
+    _B1,
+    _B3,
+    _B4,
+    _B5,
+    _B6,
+    _E1,
+    _E3,
+    _E4,
+    _E5,
+    _E6,
+    _E7,
+    IntegratorConfig,
+    NumericOverflow,
+    StepUnderflow,
+    Trajectory,
+    _field,
+    _finite,
+)
 from artifact.poly import (
     BiPoly,
     NotDivisible,
@@ -338,3 +380,203 @@ def curve_text_by_cases(curve) -> str:
         return lhs.to_text() + " = 0"
     px, py = curve.at
     return f"({px}, {py})"
+
+
+# -- the integrator's step, its closure test and the atlas arrow -------------
+#
+# ``integrate`` runs the whole Dormand-Prince step in its own frame and
+# picks its step factors by comparisons; ``detect_closed`` tests only the
+# segments that can reach the start; the atlas finds its arrow by bisection.
+# The forms they replaced are kept here verbatim: a step function called
+# once per trial step, a closure test on every segment and a scan over
+# every sample. The library must give their answers bit for bit.
+
+
+def loop_rk_step(f, x, y, h, k1x, k1y):
+    """One fused trial step from (x, y) with first stage (k1x, k1y).
+
+    Returns the new point, the embedded error estimate and the field at
+    the new point (the next step's first stage), or None when a stage
+    blows past finite floats; the caller treats that as a rejected step,
+    exactly like a failed error test.
+
+    With a field from ``_compile`` the result equals a loop of ``sum``
+    over the whole tableau bit for bit. Leaving out the zero weights and
+    the 0 that ``sum`` starts from changes no bit: the field's zeros all
+    carry one sign, and the weights of each sum have both signs. A
+    non-finite second stage rejects the step, as in that loop, where a
+    zero weight turns it into NaN.
+    """
+    try:
+        k2x, k2y = f(x + h * (_A21 * k1x), y + h * (_A21 * k1y))
+        k3x, k3y = f(x + h * (_A31 * k1x + _A32 * k2x),
+                     y + h * (_A31 * k1y + _A32 * k2y))
+        k4x, k4y = f(x + h * (_A41 * k1x + _A42 * k2x + _A43 * k3x),
+                     y + h * (_A41 * k1y + _A42 * k2y + _A43 * k3y))
+        k5x, k5y = f(x + h * (_A51 * k1x + _A52 * k2x + _A53 * k3x
+                              + _A54 * k4x),
+                     y + h * (_A51 * k1y + _A52 * k2y + _A53 * k3y
+                              + _A54 * k4y))
+        k6x, k6y = f(x + h * (_A61 * k1x + _A62 * k2x + _A63 * k3x
+                              + _A64 * k4x + _A65 * k5x),
+                     y + h * (_A61 * k1y + _A62 * k2y + _A63 * k3y
+                              + _A64 * k4y + _A65 * k5y))
+        nx = x + h * (_B1 * k1x + _B3 * k3x + _B4 * k4x + _B5 * k5x
+                      + _B6 * k6x)
+        ny = y + h * (_B1 * k1y + _B3 * k3y + _B4 * k4y + _B5 * k5y
+                      + _B6 * k6y)
+        k7x, k7y = f(nx, ny)
+        ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x
+                  + _E6 * k6x + _E7 * k7x)
+        ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y
+                  + _E6 * k6y + _E7 * k7y)
+    except OverflowError:
+        return None
+    isfinite = math.isfinite
+    if (isfinite(nx) and isfinite(ny) and isfinite(ex) and isfinite(ey)
+            and isfinite(k2x) and isfinite(k2y)):
+        return nx, ny, ex, ey, k7x, k7y
+    return None
+
+
+def loop_integrate(sys: DiffSystem, start,
+                   cfg: IntegratorConfig | None = None,
+                   direction: str = "forward", chart: Chart = Chart.N
+                   ) -> Trajectory:
+    """Adaptive Dormand-Prince 5(4) trajectory from a starting point.
+
+    Stops at the configured time limit, on leaving the outer disk, on
+    entering the origin guard, or when the field magnitude drops below
+    the absolute tolerance (an equilibrium). A trajectory that runs to
+    the time limit and demonstrably returns to its start is relabeled
+    "closed".
+
+    The field is compiled once per system and direction and kept on the
+    system. The step is FSAL: the last stage of an accepted step is the
+    field at the new point, which serves as the equilibrium test there
+    and as the next step's first stage, and a rejected step keeps its
+    first stage for the retry. So a trial step costs six field
+    evaluations, plus one at the start. The returned trajectory counts
+    accepted and rejected steps and keeps the field at every sample.
+    """
+    cfg = cfg or IntegratorConfig()
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be forward or backward: {direction}")
+    f = _field(sys, 1.0 if direction == "forward" else -1.0)
+    x, y = float(start[0]), float(start[1])
+    if math.hypot(x, y) > cfg.outer_radius:
+        raise ValueError("start lies outside the outer disk")
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+    max_step, max_time = cfg.max_step, cfg.max_time
+    t = 0.0
+    h = min(cfg.initial_step, max_step, max_time)
+    samples = [(0.0, x, y)]
+    accepted = rejected = 0
+    termination = None
+    kx, ky = _finite(f, x, y)
+    velocities = [kx, ky]  # a list appends faster than an array
+    if math.hypot(kx, ky) < abs_tol:
+        termination = "converged-to-equilibrium"
+    while termination is None:
+        h = min(h, max_step, max_time - t)
+        trial = loop_rk_step(f, x, y, h, kx, ky)
+        if trial is not None:
+            nx, ny, ex, ey, nkx, nky = trial
+            sx = abs_tol + rel_tol * max(abs(x), abs(nx))
+            sy = abs_tol + rel_tol * max(abs(y), abs(ny))
+            try:
+                err = math.sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2)
+            except OverflowError:
+                raise NumericOverflow(
+                    f"error estimate overflowed near t={t}") from None
+        if trial is None or err > 1.0:
+            rejected += 1
+            h *= 0.2 if trial is None else max(0.2, 0.9 * err ** -0.2)
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise StepUnderflow(f"step collapsed near t={t}")
+            continue
+        accepted += 1
+        t += h
+        x, y, kx, ky = nx, ny, nkx, nky
+        samples.append((t, x, y))
+        velocities.append(kx)
+        velocities.append(ky)
+        radius = math.hypot(x, y)
+        if radius <= cfg.origin_guard:
+            termination = "entered-origin-guard"
+            break
+        if radius >= cfg.outer_radius:
+            termination = "exited-outer-disk"
+            break
+        # finite: the last stage enters the error estimate
+        if math.hypot(kx, ky) < abs_tol:
+            termination = "converged-to-equilibrium"
+            break
+        if t >= max_time * (1 - 1e-12):
+            termination = "time-limit"
+            break
+        h *= min(5.0, 0.9 * (err ** -0.2 if err > 0 else 5.0))
+    traj = Trajectory(chart, samples, termination, accepted, rejected,
+                      array("d", velocities))
+    if termination == "time-limit" and len(samples) >= 10:
+        # loose enough to absorb the sag of sampled chords on a curved orbit
+        tol = 1e-3 * max(1.0, math.hypot(samples[0][1], samples[0][2]))
+        if loop_detect_closed(traj, tol):
+            traj.termination = "closed"
+    return traj
+
+
+def loop_detect_closed(traj: Trajectory, tol: float) -> bool:
+    """Does the trajectory come back to its start?
+
+    True when, after first leaving a 2*tol neighborhood of the start,
+    some later segment passes within tol of the start while heading
+    within 5 degrees of the initial direction.
+    """
+    if len(traj.samples) < 10:
+        raise ValueError("closure detection needs at least 10 samples")
+    pts = [(sx, sy) for _, sx, sy in traj.samples]
+    x0, y0 = pts[0]
+    d0 = None
+    for xx, yy in pts[1:]:
+        norm = math.hypot(xx - x0, yy - y0)
+        if norm > 0:
+            d0 = ((xx - x0) / norm, (yy - y0) / norm)
+            break
+    if d0 is None:
+        return False  # never moved
+    cos_cap = math.cos(math.radians(5.0))
+    left = False
+    for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+        if not left:
+            if math.hypot(bx - x0, by - y0) > 2 * tol:
+                left = True
+            continue
+        ux, uy = bx - ax, by - ay
+        seg = math.hypot(ux, uy)
+        if seg == 0:
+            continue
+        # closest approach of the segment to the start point
+        proj = max(0.0, min(1.0, ((x0 - ax) * ux + (y0 - ay) * uy) / seg ** 2))
+        cx, cy = ax + proj * ux, ay + proj * uy
+        if math.hypot(cx - x0, cy - y0) < tol:
+            if (ux * d0[0] + uy * d0[1]) / seg >= cos_cap:
+                return True
+    return False
+
+
+def loop_mid_arc_arrow(traj: Trajectory):
+    """Arrow at the sample nearest half the polyline's arc length."""
+    pts = [(x, y) for _, x, y in traj.samples]
+    if len(pts) < 3:
+        return None
+    lens = list(accumulate(map(math.dist, pts[1:], pts), initial=0.0))
+    total = lens[-1]
+    if total == 0:
+        return None
+    idx = min(range(1, len(pts) - 1), key=lambda i: abs(lens[i] - total / 2))
+    ux, uy = pts[idx + 1][0] - pts[idx - 1][0], pts[idx + 1][1] - pts[idx - 1][1]
+    norm = math.hypot(ux, uy)
+    if norm == 0:
+        return None
+    return pts[idx], (ux / norm, uy / norm)

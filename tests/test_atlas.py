@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pickle
+import random
 import signal
 import threading
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import case_by_name
+from oracles import loop_mid_arc_arrow
 from test_golden import ATLAS
 
 from artifact import atlas
@@ -24,8 +26,8 @@ from artifact.atlas import (
     disk_radius,
     render_svg,
 )
-from artifact.charts import Circle, Line, Point, map_curve
-from artifact.dynamics import IntegratorConfig, NumericOverflow
+from artifact.charts import Chart, Circle, Line, Point, map_curve
+from artifact.dynamics import IntegratorConfig, NumericOverflow, Trajectory
 
 
 def quick_config(**kw):
@@ -197,6 +199,63 @@ class TestRenderSvg:
         svg = render_svg(doc)
         assert svg.count(b'fill="#1f4e79"') == \
             sum(len(d.arrows) for d in doc.disks)
+
+
+def polyline(points):
+    return Trajectory(Chart.N, [(float(i), x, y)
+                                for i, (x, y) in enumerate(points)],
+                      "time-limit")
+
+
+class TestMidArcArrow:
+    """The arrow's sample is found by bisection on the cumulative
+    lengths; ``loop_mid_arc_arrow`` (tests/oracles.py) scans every sample
+    for the least gap to half the length, the first of equals winning.
+    ``repr`` tells -0.0 from 0.0."""
+
+    def test_corpus_atlases(self):
+        count = 0
+        for name in sorted(ATLAS):
+            doc = build_atlas(case_by_name(name).system)
+            for disk in doc.disks:
+                for traj in disk.trajectories:
+                    assert repr(atlas._mid_arc_arrow(traj)) == \
+                        repr(loop_mid_arc_arrow(traj)), name
+                    count += 1
+        assert count == 2016
+
+    def test_ties_on_a_grid(self):
+        # unit and zero steps on the grid: every length is an integer, so
+        # gaps tie exactly, across runs of repeated samples too
+        rng = random.Random(5)
+        moves = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
+                 (0.0, 0.0), (0.0, 0.0)]
+        for _ in range(3000):
+            pts = [(0.0, 0.0)]
+            for _ in range(rng.randint(2, 14)):
+                dx, dy = rng.choice(moves)
+                pts.append((pts[-1][0] + dx, pts[-1][1] + dy))
+            traj = polyline(pts)
+            assert repr(atlas._mid_arc_arrow(traj)) == \
+                repr(loop_mid_arc_arrow(traj)), pts
+
+    def test_rounding_ties_distinct_lengths(self):
+        # lengths 0.5 and 0.5 + 2^-53 below half of 4: both gaps round to
+        # 1.5, so the first sample wins, not the nearer one
+        tiny = 2.0 ** -53
+        pts = [(0.0, 0.0), (0.5, 0.0), (0.5 + tiny, 0.0), (4.0, 0.0)]
+        arrow = atlas._mid_arc_arrow(polyline(pts))
+        assert arrow == loop_mid_arc_arrow(polyline(pts))
+        assert arrow[0] == (0.5, 0.0)
+
+    @pytest.mark.parametrize("pts", [
+        [(0.0, 0.0), (1.0, 0.0)],
+        [(1.0, 1.0)] * 5,
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)],
+    ])
+    def test_no_arrow(self, pts):
+        assert atlas._mid_arc_arrow(polyline(pts)) is None
+        assert loop_mid_arc_arrow(polyline(pts)) is None
 
 
 def test_atlas_uses_only_public_dynamics_names():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import case_by_name
+from oracles import loop_detect_closed, loop_integrate, loop_rk_step
 
 from artifact import dynamics
 from artifact.atlas import AtlasConfig, build_atlas
@@ -20,6 +21,7 @@ from artifact.charts import Chart, transition, transition_jacobian
 from artifact.conjugate import conjugate
 from artifact.corpus import load_cases
 from artifact.dynamics import (
+    TERMINATIONS,
     DormandPrince54,
     IntegratorConfig,
     NumericOverflow,
@@ -59,6 +61,21 @@ class TestConfig:
     def test_invalid_rejected(self, bad):
         with pytest.raises(ValueError):
             IntegratorConfig(**bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(
+        IntegratorConfig)])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            IntegratorConfig(**{name: value})
+
+    def test_infinite_partner_time_raises(self, monkeypatch):
+        # a partner time that overflows would be the partner's time limit
+        monkeypatch.setattr(dynamics, "_GAUSS_WEIGHTS", (math.inf,) * 3)
+        case = case_by_name("5.5->5.6")
+        with pytest.raises(ValueError, match="must be finite: inf"):
+            conjugacy_residual(case.system, conjugate(case.system),
+                               (0.3, 0.1), IntegratorConfig(max_time=0.5))
 
 
 class TestFieldEval:
@@ -208,6 +225,160 @@ class TestDetectClosed:
         stub = Trajectory(Chart.N, [(0.0, 1.0, 0.0)] * 5, "time-limit")
         with pytest.raises(ValueError):
             detect_closed(stub, 1e-3)
+
+
+def polyline(points):
+    return Trajectory(Chart.N, [(float(i), x, y)
+                                for i, (x, y) in enumerate(points)],
+                      "time-limit")
+
+
+def closure_trajectories(count):
+    """At least ``count`` integrated trajectories of 10 samples or more:
+    seeded starts, times and directions on the corpus fields outside
+    chapter 9 (some of whose runs crawl), with loose tolerances so that
+    they stay cheap."""
+    fields = [sys for name, sys in corpus_fields()
+              if not name.startswith("9.")]
+    rng = random.Random(7)
+    trajs = []
+    while len(trajs) < count:
+        cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8,
+                               max_step=rng.choice([0.05, 0.25]),
+                               max_time=rng.uniform(1.0, 8.0),
+                               outer_radius=20.0)
+        start = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+        try:
+            traj = integrate(rng.choice(fields), start, cfg,
+                             rng.choice(["forward", "backward"]))
+        except (ArithmeticError, ValueError):
+            continue
+        if len(traj.samples) >= 10:
+            trajs.append(traj)
+    return trajs
+
+
+def return_at(delta, offset=(0.0, 0.0)):
+    """A loop from the origin (heading +x) that comes back down the
+    line x = delta to (delta, 0) and leaves along +x, all moved by
+    ``offset``: the closest approach to the start, delta, is at the end
+    of a segment pointing straight away from it, where the bound
+    (da + db - s) / 2 equals the distance itself."""
+    ox, oy = offset
+    loop = [(0.0, 0.0), (0.25, 0.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.5),
+            (1.0, 1.0), (0.5, 1.25), (0.0, 1.25), (delta, 1.0),
+            (delta, 0.5), (delta, 0.0), (delta + 1.0, 0.0),
+            (delta + 2.0, 0.0)]
+    return [(ox + x, oy + y) for x, y in loop]
+
+
+def segment_gaps(pts):
+    """The closest approach of each segment to the first point, by the
+    closure test's own formula."""
+    (x0, y0) = pts[0]
+    for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+        ux, uy = bx - ax, by - ay
+        seg = math.hypot(ux, uy)
+        if seg:
+            proj = max(0.0, min(1.0, ((x0 - ax) * ux + (y0 - ay) * uy)
+                                / seg ** 2))
+            yield math.hypot(ax + proj * ux - x0, ay + proj * uy - y0)
+
+
+class TestDetectClosedAgainstLoop:
+    """``detect_closed`` skips the segments whose bound (da + db - s) / 2
+    keeps them at least tol from the start; ``loop_detect_closed``
+    (tests/oracles.py) tests every segment. They decide alike."""
+
+    def test_integrated_trajectories(self):
+        trajs = closure_trajectories(5000)
+        for tol in (1e-3, 1e-2, 0.1, 0.5):
+            closed = 0
+            for traj in trajs:
+                got = detect_closed(traj, tol)
+                assert got == loop_detect_closed(traj, tol), tol
+                closed += got
+            # both answers occur often
+            assert 50 < closed < len(trajs) - 50
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-2, 0.1])
+    def test_closest_approach_at_tol(self, tol):
+        for factor, closed in [(1 - 1e-12, True), (1.0, False),
+                               (1 + 1e-12, False)]:
+            traj = polyline(return_at(tol * factor))
+            assert detect_closed(traj, tol) is closed
+            assert loop_detect_closed(traj, tol) is closed
+            # away from the origin the coordinates round
+            for offset in [(100.0, -30.0), (-0.3, 7e3), (1e-9, 1e-9)]:
+                traj = polyline(return_at(tol * factor, offset))
+                assert detect_closed(traj, tol) == \
+                    loop_detect_closed(traj, tol)
+
+    def test_tol_at_each_segment_gap(self):
+        # every gap and the float just above it as tol: the test's strict
+        # < decides on the last bit. On the loops of return_at the bound
+        # is sharp, and without its slack the prefilter drops some of
+        # these passes (about 2% of them).
+        rng = random.Random(11)
+        answers = set()
+        loops = []
+        for _ in range(60):
+            center = (rng.uniform(-50, 50), rng.uniform(-50, 50))
+            radius = 10 ** rng.uniform(-2, 1)
+            turn = rng.uniform(1.0, 1.2) * 2 * math.pi
+            pts = []
+            for k in range(rng.randint(10, 60)):
+                angle = turn * k / 40
+                r = radius * (1 + rng.uniform(-0.05, 0.05)) if k else radius
+                pts.append((center[0] + r * math.cos(angle),
+                            center[1] + r * math.sin(angle)))
+            loops.append(pts)
+        for _ in range(400):
+            offset = rng.choice([(0.0, 0.0), (rng.uniform(-100, 100),
+                                              rng.uniform(-100, 100))])
+            loops.append(return_at(10 ** rng.uniform(-6, -1), offset))
+        for pts in loops:
+            traj = polyline(pts)
+            for gap in segment_gaps(pts):
+                for tol in (gap, math.nextafter(gap, math.inf)):
+                    got = detect_closed(traj, tol)
+                    assert got == loop_detect_closed(traj, tol)
+                    answers.add(got)
+        assert answers == {False, True}
+
+    def test_zero_length_segments(self):
+        loop = return_at(0.5e-3)
+        # the start, the leg back and the closing segment each repeated
+        pts = [loop[0]] * 3 + [p for p in loop[1:] for _ in (0, 1)]
+        assert detect_closed(polyline(pts), 1e-3)
+        assert loop_detect_closed(polyline(pts), 1e-3)
+
+    def test_never_leaves(self):
+        # circles the start at 1.9 * tol, through the start's direction
+        traj = polyline([(0.0, 0.0)] + [
+            (1.9e-3 * math.cos(k / 3), 1.9e-3 * math.sin(k / 3))
+            for k in range(30)])
+        assert not detect_closed(traj, 1e-3)
+        assert not loop_detect_closed(traj, 1e-3)
+
+    def test_never_moves(self):
+        traj = polyline([(0.5, -0.25)] * 12)
+        assert not detect_closed(traj, 1e-3)
+        assert not loop_detect_closed(traj, 1e-3)
+
+    @pytest.mark.parametrize("degrees,closed", [(4.0, True), (-4.0, True),
+                                                (6.0, False),
+                                                (-6.0, False)])
+    def test_heading_off_by(self, degrees, closed):
+        # the loop returns through the start itself, heading this far
+        # off its first direction (+x)
+        c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+        pts = [(0.0, 0.0), (0.25, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 1.0),
+               (0.0, 1.0), (-1.0, 1.0), (-1.0 * c, -1.0 * s),
+               (-0.5 * c, -0.5 * s), (0.5 * c, 0.5 * s), (1.0 * c, 1.0 * s)]
+        traj = polyline(pts)
+        assert detect_closed(traj, 1e-3) is closed
+        assert loop_detect_closed(traj, 1e-3) is closed
 
 
 SECTION5 = ["5.1->5.2", "5.3->5.4", "5.5->5.6",
@@ -480,6 +651,11 @@ class TestCompiledField:
 
 
 class TestFusedStep:
+    """The step as one function (``loop_rk_step``, the form ``integrate``
+    ran before it took the step into its own frame) against the tableau
+    loop; ``TestIntegrateAgainstLoop`` holds ``integrate`` to that form
+    trajectory by trajectory."""
+
     def test_tableau_consistent(self):
         def exact(row):
             return [Fraction(w).limit_denominator(10**6) for w in row]
@@ -504,7 +680,7 @@ class TestFusedStep:
             pts = field_points(rng, 60, 2.0) + [(1e80, -1e80), (1e30, 2.0)]
             for x, y in pts:
                 h = 10 ** rng.uniform(-4, 0)
-                fused = dynamics._rk_step(f, x, y, h, *f(x, y))
+                fused = loop_rk_step(f, x, y, h, *f(x, y))
                 reference = tableau_step(f, x, y, h)
                 if reference is None:
                     assert fused is None, (x, y, h)
@@ -525,7 +701,7 @@ class TestFusedStep:
         a21 = DormandPrince54.A[1][0]
         assert math.isinf(f(x + h * (a21 * k1x), y + h * (a21 * k1y))[0])
         assert tableau_step(f, x, y, h) is None
-        assert dynamics._rk_step(f, x, y, h, k1x, k1y) is None
+        assert loop_rk_step(f, x, y, h, k1x, k1y) is None
 
     def test_six_evaluations_per_trial_step(self, compile_log):
         calls = compile_log.calls
@@ -545,8 +721,8 @@ class TestFusedStep:
         # OverflowError), and the retry starts from the same first stage
         sys = parse_system(("x", "y"), ("x*y", "x*y"))
         f = dynamics._compile(sys)
-        assert dynamics._rk_step(f, 1000.0, 1000.0, 1.0,
-                                 *f(1000.0, 1000.0)) is None
+        assert loop_rk_step(f, 1000.0, 1000.0, 1.0,
+                            *f(1000.0, 1000.0)) is None
         calls.clear()
         cfg = IntegratorConfig(initial_step=1.0, max_step=1.0,
                                outer_radius=1e4)
@@ -562,6 +738,108 @@ class TestFusedStep:
         traj = integrate(sys, (1.0, 0.0), IntegratorConfig(max_time=1.0))
         assert traj.accepted > 0
         assert set(traj.to_json_dict()) == {"chart", "termination", "samples"}
+
+
+def outcome(run, *args, **kwargs):
+    """What an integration gives, bits and all: the samples and
+    velocities as float.hex, the step counts and the termination, or
+    the type and message of what it raised."""
+    try:
+        traj = run(*args, **kwargs)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return ([bits(sample) for sample in traj.samples],
+            bits(traj.velocities), traj.accepted, traj.rejected,
+            traj.termination)
+
+
+def assert_same_as_loop(*args, **kwargs):
+    """``integrate`` gives what ``loop_integrate`` gives; returns it."""
+    got = outcome(integrate, *args, **kwargs)
+    assert got == outcome(loop_integrate, *args, **kwargs)
+    return got
+
+
+TERMINATION_RUNS = {
+    "time-limit": ("5.5->5.6", False, (0.1, 0.0), tight(max_time=2.0)),
+    "exited-outer-disk": ("5.1->5.2", False, (0.1, 0.0),
+                          tight(max_time=10.0)),
+    "entered-origin-guard": ("7.1->7.2", True, (3.0, 0.0),
+                             IntegratorConfig()),
+    "converged-to-equilibrium": ("6.1->6.2", False, (1.0, 1.0), tight()),
+    "closed": ("5.3->5.4", False, (1.0, 0.0),
+               tight(max_time=2 * math.pi + 0.1)),
+}
+
+
+class TestIntegrateAgainstLoop:
+    """``integrate`` runs its step in its own frame and picks its step
+    factors by comparisons; ``loop_integrate`` (tests/oracles.py) is the
+    form it replaced, a step function and ``min``/``max``/``abs``. The
+    two give the same trajectory bit for bit."""
+
+    def test_corpus_systems_and_partners_both_ways(self):
+        # this partner's backward runs crawl, at some 840 000 trial steps
+        # per unit of time from either start
+        crawl = {"9.12->9.15 partner": 0.01}
+        ends = set()
+        rejected = 0
+        for name, sys in corpus_fields():
+            cfg = IntegratorConfig(max_time=crawl.get(name, 1.0))
+            for start in [(0.5, 0.3), (-1.25, 0.75)]:
+                for direction in ("forward", "backward"):
+                    got = assert_same_as_loop(sys, start, cfg, direction)
+                    ends.add(got[-1])
+                    rejected += got[3] if len(got) == 5 else 0
+        assert {"time-limit", "exited-outer-disk",
+                "entered-origin-guard"} <= ends
+        assert rejected > 0
+
+    @pytest.mark.parametrize("termination", TERMINATIONS)
+    def test_each_termination(self, termination):
+        name, partner, start, cfg = TERMINATION_RUNS[termination]
+        sys = case_by_name(name).system
+        if partner:
+            sys = conjugate(sys).conjugate
+        assert assert_same_as_loop(sys, start, cfg)[-1] == termination
+
+    def test_equilibrium_reached_after_steps(self):
+        sys = parse_system(("x", "y"), ("-x", "-2*y"))
+        got = assert_same_as_loop(sys, (1.0, 1.0),
+                                  IntegratorConfig(abs_tol=1e-4))
+        assert got[-1] == "converged-to-equilibrium" and got[2] > 10
+
+    def test_rejected_steps(self):
+        # a first step of 1 is far too long for this spiral
+        sys = case_by_name("5.9->5.10").system
+        cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12,
+                               initial_step=1.0, max_step=1.0, max_time=3.0)
+        got = assert_same_as_loop(sys, (0.7, -0.2), cfg)
+        assert got[3] > 0
+
+    def test_overflowing_first_step(self):
+        sys = parse_system(("x", "y"), ("x*y", "x*y"))
+        cfg = IntegratorConfig(initial_step=1.0, max_step=1.0,
+                               outer_radius=1e4)
+        got = assert_same_as_loop(sys, (1000.0, 1000.0), cfg)
+        assert got[3] >= 1 and got[-1] == "exited-outer-disk"
+
+    def test_infinite_second_stage(self):
+        # the system of TestFusedStep.test_infinite_second_stage_rejects,
+        # with that step of 6 as the first trial step; at this loose
+        # rel_tol it passes the error test (err about 0.43), so only its
+        # infinite second stage rejects it
+        sys = parse_system(("x", "y"), (f"1{'0' * 303}*y^8",
+                                        "2 - 3/2*y + 23/100*y^2"))
+        cfg = IntegratorConfig(rel_tol=1.0, initial_step=6.0, max_step=6.0,
+                               outer_radius=1e4)
+        got = assert_same_as_loop(sys, (0.0, -2.5), cfg)
+        assert got[3] >= 1 and float.fromhex(got[0][1][0]) < 6.0
+
+    def test_step_underflow(self):
+        sys = parse_system(("x", "y"), (f"1{'0' * 300}*x^2", "y"))
+        got = assert_same_as_loop(sys, (1.0, 0.0), IntegratorConfig())
+        assert got == (StepUnderflow, "step collapsed near t=0.0")
 
 
 ORACLE = [("5.3->5.4", False, (1.0, 0.0)),
