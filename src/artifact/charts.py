@@ -4,10 +4,9 @@ Two tangent planes touch the unit sphere at its poles, and each projects
 onto the sphere from the opposite pole. The change of coordinates
 between the planes is p -> 4p/|p|^2, an involution fixing the circle of
 radius 2. The transition and the curve images are exact over the
-rationals, and the transition and its Jacobian also map floats and numpy
-arrays. The projections onto the sphere, their inverses and their
-Jacobians are checked in the tests (``tests/oracles.py``) but computed by
-no command.
+rationals, and the transition and its Jacobian also map floats. The
+projections onto the sphere, their inverses and their Jacobians are
+checked in the tests (``tests/oracles.py``) but computed by no command.
 """
 
 from __future__ import annotations
@@ -50,13 +49,9 @@ AT_INFINITY = AtInfinity()
 
 
 def _squared_norm(x, y):
-    """x^2 + y^2, which must not vanish anywhere.
-
-    Numbers test their truth and numpy arrays every element, so the
-    formulas below map one point or many, element by element.
-    """
+    """x^2 + y^2, which must not vanish."""
     s = x * x + y * y
-    if not (s.all() if hasattr(s, "all") else s):
+    if not s:
         raise OriginSingularity("the transition map is undefined at (0, 0)")
     return s
 
@@ -65,8 +60,7 @@ def transition(p: tuple) -> tuple:
     """Coordinate change between the two planes: p -> 4p/|p|^2.
 
     Both directions share this formula; it is an involution on the
-    punctured plane and fixes the circle x^2 + y^2 = 4 pointwise. ``p``
-    may be a pair of numpy arrays, mapped point by point.
+    punctured plane and fixes the circle x^2 + y^2 = 4 pointwise.
     """
     x, y = p
     s = _squared_norm(x, y)
@@ -77,11 +71,9 @@ def transition_jacobian(px, py) -> tuple[tuple, tuple]:
     """Jacobian matrix of the transition at a point other than the origin.
 
     Exact on Fractions; on floats it carries a velocity into the other
-    chart by the chain rule, and on numpy arrays it does so point by
-    point with the same float operations. ``s * s``, not ``s ** 2``:
-    a float ``**`` goes through the C library's ``pow``, which rounds
-    some squares differently from the correctly rounded product numpy
-    computes for an array.
+    chart by the chain rule. ``s * s``, not ``s ** 2``: a float ``**``
+    goes through the C library's ``pow``, which rounds some squares
+    differently from the correctly rounded product.
     """
     s = _squared_norm(px, py)
     s2 = s * s

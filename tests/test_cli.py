@@ -365,23 +365,51 @@ class TestVerify:
         assert len(calls) == len(load_cases()) == 27
 
 
-def test_exact_subcommands_leave_numpy_unloaded(sys_file):
-    # only the atlas integrates in floats, so only it imports numpy
-    script = textwrap.dedent(f"""
+def _run_child(script: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter running ``script`` on this checkout's library."""
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_subcommands_leave_numpy_unloaded(sys_file, tmp_path):
+    # the library runs on the standard library alone, the atlas's float
+    # integration included
+    svg = str(tmp_path / "saddle.svg")
+    done = _run_child(f"""
         import sys
         import artifact
         loaded = "numpy" in sys.modules
         from artifact.cli import main
         codes = (main(["conjugate", "-i", {sys_file(["x", "y"],
                                                    ["x*y - 1", "x^2"])!r}]),
-                 main(["verify"]))
+                 main(["verify"]),
+                 main(["atlas", "-i", {sys_file(["x", "y"], ["x", "-y"],
+                                                "saddle.json")!r},
+                       "--seeds", "grid:2", "-o", {svg!r}]))
         sys.exit(1 if loaded or "numpy" in sys.modules else max(codes))
     """)
-    src = str(Path(artifact.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    assert Path(svg).read_text().startswith("<svg")
+
+
+def test_library_import_starts_no_thread():
+    # atlas._may_fork reads threading.active_count(), which sees only
+    # Python's threads; a library that started one of its own (as
+    # numpy's OpenBLAS pool does) would make a fork unsafe behind its back
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count OS threads in")
+    done = _run_child("""
+        import importlib, os, pkgutil, sys
+        import artifact
+        for module in pkgutil.iter_modules(artifact.__path__):
+            importlib.import_module("artifact." + module.name)
+        print(len(os.listdir("/proc/self/task")), "numpy" in sys.modules)
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "False"]
 
 
 class TestUsageErrors:

@@ -12,8 +12,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from conftest import case_by_name
-from oracles import loop_detect_closed, loop_integrate, loop_rk_step
+from oracles import (
+    array_residual,
+    loop_detect_closed,
+    loop_integrate,
+    loop_rk_step,
+)
 
 from artifact import dynamics
 from artifact.atlas import AtlasConfig, build_atlas
@@ -388,23 +394,23 @@ SECTION5 = ["5.1->5.2", "5.3->5.4", "5.5->5.6",
 @pytest.fixture
 def residual_spy(monkeypatch):
     """Records what conjugacy_residual integrates (``runs``) and how many
-    samples it compares (``compared``): its last Hermite read is the
-    partner's, at one fraction per compared sample."""
-    spy = types.SimpleNamespace(runs=[], compared=None,
+    samples it compares (``compared``): it finds the partner's step for
+    each compared sample by one bisection of the partner's times."""
+    spy = types.SimpleNamespace(runs=[], compared=0,
                                 integrate=dynamics.integrate)
-    hermite = dynamics._hermite
+    bisect_right = dynamics.bisect_right
 
     def integrate(*args, **kwargs):
         traj = spy.integrate(*args, **kwargs)
         spy.runs.append(traj)
         return traj
 
-    def read(p0, v0, p1, v1, h, theta):
-        spy.compared = len(p0)
-        return hermite(p0, v0, p1, v1, h, theta)
+    def read(times, tau):
+        spy.compared += 1
+        return bisect_right(times, tau)
 
     monkeypatch.setattr(dynamics, "integrate", integrate)
-    monkeypatch.setattr(dynamics, "_hermite", read)
+    monkeypatch.setattr(dynamics, "bisect_right", read)
     return spy
 
 
@@ -1058,6 +1064,55 @@ class TestResidualAgainstLoop:
         assert got.hex() == want.hex()
 
 
+class TestResidualAgainstArrays:
+    """The plain-float residual against the whole-array form it replaced
+    (``oracles.array_residual``), bit for bit."""
+
+    @pytest.mark.parametrize("name", SECTION5)
+    def test_chapter_five_cases(self, name):
+        # m = 0 for the first three cases, m = 1 for the last three
+        case = case_by_name(name)
+        res = conjugate(case.system)
+        rng = random.Random(zlib.crc32(name.encode()) ^ 23)
+        for cfg in (tight(max_time=6.0), IntegratorConfig(max_time=4.0)):
+            for _ in range(4):
+                start = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+                got = conjugacy_residual(case.system, res, start, cfg)
+                want = array_residual(case.system, res, start, cfg)
+                assert got.hex() == want.hex(), (name, start)
+
+    def test_guard_stop(self):
+        partner = conjugate(case_by_name("7.1->7.2").system)
+        back = conjugate(partner.conjugate)
+        start, cfg = (3.0, 0.0), IntegratorConfig(max_time=6.0)
+        assert integrate(partner.conjugate, start, cfg).termination \
+            == "entered-origin-guard"
+        got = conjugacy_residual(partner.conjugate, back, start, cfg)
+        assert got.hex() == array_residual(partner.conjugate, back, start,
+                                           cfg).hex()
+
+    def test_equilibrium_start(self):
+        case = case_by_name("6.1->6.2")
+        res = conjugate(case.system)
+        got = conjugacy_residual(case.system, res, (1.0, 1.0), tight())
+        want = array_residual(case.system, res, (1.0, 1.0), tight())
+        assert got.hex() == want.hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("name", ["5.5->5.6", "5.7->5.8"])
+    def test_partner_stops_early(self, residual_spy, name):
+        # the partner pair's orbits head inward from (-1, 1.5), so the
+        # mapped orbit heads out and its partner leaves a disk of radius 3
+        # long before its time limit
+        sys = conjugate(case_by_name(name).system).conjugate
+        back = conjugate(sys)
+        start = (-1.0, 1.5)
+        cfg = IntegratorConfig(max_time=6.0, outer_radius=3.0)
+        got = conjugacy_residual(sys, back, start, cfg)
+        first, partner = residual_spy.runs
+        assert partner.termination == "exited-outer-disk"
+        assert 0 < residual_spy.compared < len(first.samples)
+        assert got.hex() == array_residual(sys, back, start, cfg).hex()
+
 
 class TestHermiteAndGauss:
     def test_cubics_are_reproduced(self):
@@ -1071,7 +1126,7 @@ class TestHermiteAndGauss:
             return a + t * (b + t * (c + t * d)), b + t * (2 * c + 3 * t * d)
 
         (p0, v0), (p1, v1) = at(t0), at(t0 + h)
-        points, velocities = dynamics._hermite(p0, v0, p1, v1, h, theta)
+        points, velocities = oracles._hermite(p0, v0, p1, v1, h, theta)
         want_p, want_v = at(t0 + h * theta)
         assert np.abs(points - want_p).max() < 1e-14
         assert np.abs(velocities - want_v).max() < 1e-13
@@ -1192,5 +1247,4 @@ class TestVelocities:
             assert twin.velocities == traj.velocities
             assert twin.velocities is not traj.velocities
         assert set(traj.to_json_dict()) == {"chart", "termination", "samples"}
-        times, pts, vel = traj.arrays()
-        assert vel.shape == pts.shape == (len(times), 2)
+        assert len(traj.velocities) == 2 * len(traj.samples)
