@@ -18,7 +18,6 @@ from .conjugate import (
     raw_conjugate,
 )
 from .parse import (
-    BothRhsZero,
     ParseError,
     parse_polynomial,
     parse_system,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiPoly",
-    "BothRhsZero",
     "BothZero",
     "ConjugationResult",
     "DiffSystem",

@@ -20,7 +20,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, count, repeat
+from operator import add, gt, lt, sub
 
 from .analyze import origin_status
 from .charts import AT_INFINITY, Chart, Circle, Line, Point, map_curve
@@ -118,7 +119,10 @@ class DiskChart:
             "chart": self.chart.value,
             "vars": list(self.vars),
             "radius": self.radius,
-            "trajectories": [t.to_json_dict() for t in self.trajectories],
+            "trajectories": [{"chart": self.chart.value,
+                              "termination": t.termination,
+                              "samples": list(map(list, t.samples))}
+                             for t in self.trajectories],
             "equilibria": [{"point": [x, y], "label": label}
                            for (x, y), label in self.equilibria],
             "arrows": [{"at": [x, y], "direction": [ux, uy]}
@@ -140,6 +144,60 @@ class AtlasDocument:
                 "size": self.size,
                 "disks": [d.to_json_dict() for d in self.disks],
                 "provenance": self.provenance}
+
+
+# Slack on the segment prefilter of ``detect_closed``, relative to the
+# largest of tol, |start| and the samples' distances from the start: the
+# rounding of either test is a few units in the last place of those.
+_CLOSURE_SLACK = 1e-12
+
+
+def detect_closed(traj: Trajectory, tol: float) -> bool:
+    """Does the trajectory come back to its start?
+
+    True when, after first leaving a 2*tol neighborhood of the start,
+    some later segment passes within tol of the start while heading
+    within 5 degrees of the initial direction.
+
+    Every sample's distance to the start is taken once. A segment of
+    length s between samples at distances da and db stays at least
+    (da + db - s) / 2 from the start (the triangle inequality), so the
+    exact closest-approach test runs only on segments where that bound
+    is under tol, plus a rounding slack; the others cannot pass it.
+    """
+    if len(traj.samples) < 10:
+        raise ValueError("closure detection needs at least 10 samples")
+    pts = [(sx, sy) for _, sx, sy in traj.samples]
+    p0 = x0, y0 = pts[0]
+    # math.dist(p, p0) is math.hypot of the differences, bit for bit
+    dist = list(map(math.dist, pts, repeat(p0)))
+    moved = next((i for i in range(1, len(pts)) if dist[i] > 0), None)
+    if moved is None:
+        return False  # never moved
+    norm = dist[moved]
+    xx, yy = pts[moved]
+    d0 = ((xx - x0) / norm, (yy - y0) / norm)
+    # the segment that first leaves 2*tol is not tested; the next one is
+    left = next(compress(count(1), map(gt, dist[1:], repeat(2 * tol))), None)
+    if left is None:
+        return False
+    slack = _CLOSURE_SLACK * (tol + math.hypot(x0, y0) + max(dist))
+    bounds = map(sub, map(add, dist[left:], dist[left + 1:]),
+                 map(math.dist, pts[left + 1:], pts[left:]))
+    cos_cap = math.cos(math.radians(5.0))
+    for i in compress(count(left), map(lt, bounds, repeat(2 * (tol + slack)))):
+        (ax, ay), (bx, by) = pts[i], pts[i + 1]
+        ux, uy = bx - ax, by - ay
+        seg = math.hypot(ux, uy)
+        if seg == 0:
+            continue
+        # closest approach of the segment to the start point
+        proj = max(0.0, min(1.0, ((x0 - ax) * ux + (y0 - ay) * uy) / seg ** 2))
+        cx, cy = ax + proj * ux, ay + proj * uy
+        if math.hypot(cx - x0, cy - y0) < tol:
+            if (ux * d0[0] + uy * d0[1]) / seg >= cos_cap:
+                return True
+    return False
 
 
 def _clip_exit(traj: Trajectory, radius: float, system: DiffSystem,
@@ -225,10 +283,17 @@ def _image_curve(curve):
 
 
 def _run(job) -> Trajectory:
-    """One seed run: integrate, then clip the exit onto the disk."""
-    system, seed, icfg, direction, chart, radius, sign = job
-    traj = integrate(system, seed, icfg, direction=direction, chart=chart)
-    _clip_exit(traj, radius, system, sign)
+    """One seed run: integrate, label a run to the time limit that
+    returns to its start "closed", and clip an exit onto the disk."""
+    system, seed, icfg, direction = job
+    traj = integrate(system, seed, icfg, direction=direction)
+    if traj.termination == "time-limit" and len(traj.samples) >= 10:
+        _, x0, y0 = traj.samples[0]
+        # loose enough to absorb the sag of sampled chords on a curved orbit
+        if detect_closed(traj, 1e-3 * max(1.0, math.hypot(x0, y0))):
+            traj.termination = "closed"
+    _clip_exit(traj, icfg.outer_radius, system,
+               1.0 if direction == "forward" else -1.0)
     return traj
 
 
@@ -359,9 +424,9 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
                     seeds += _circle_bracket_seeds(own)
         icfg = replace(cfg.integrator, outer_radius=radius)
         first = len(jobs)
-        jobs += [(system, seed, icfg, direction, chart, radius, sign)
+        jobs += [(system, seed, icfg, direction)
                  for seed in seeds if math.hypot(*seed) < radius
-                 for direction, sign in (("forward", 1.0), ("backward", -1.0))]
+                 for direction in ("forward", "backward")]
         ranges.append((first, len(jobs)))
         label = origin_status(system).eq_class
         equilibria = [] if label is None else [((0.0, 0.0), label)]

@@ -17,10 +17,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, count, repeat
-from operator import add, gt, lt, sub
+from itertools import chain
+from operator import add
 
-from .charts import Chart, transition, transition_jacobian
+from .charts import transition, transition_jacobian
 from .conjugate import ConjugationResult, DiffSystem
 from .poly import BiPoly
 
@@ -65,23 +65,19 @@ TERMINATIONS = ("time-limit", "exited-outer-disk", "entered-origin-guard",
 class Trajectory:
     """Samples of one integrated orbit and why the integration stopped.
 
+    ``termination`` is one of ``TERMINATIONS``; ``integrate`` gives the
+    first four, and only the atlas relabels a time-limit run "closed".
     ``velocities`` holds the field (signed like time) at each sample as
     (vx, vy) pairs; ``accepted`` and ``rejected`` count the integrator's
-    trial steps. All three are deterministic but stay out of
-    ``to_json_dict``, so output documents do not change with them.
+    trial steps. All three are deterministic but stay out of the atlas
+    JSON, so output documents do not change with them.
     """
 
-    chart: Chart
     samples: list  # (t, x, y) triples, times strictly increasing
     termination: str
     accepted: int = 0
     rejected: int = 0
     velocities: array = field(default_factory=lambda: array("d"))
-
-    def to_json_dict(self) -> dict:
-        return {"chart": self.chart.value,
-                "termination": self.termination,
-                "samples": [[t, x, y] for t, x, y in self.samples]}
 
 
 _TERMS_PER_LINE = 64
@@ -200,15 +196,14 @@ _E1, _, _E3, _E4, _E5, _E6, _E7 = DormandPrince54.E
 
 
 def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
-              direction: str = "forward", chart: Chart = Chart.N
-              ) -> Trajectory:
+              direction: str = "forward") -> Trajectory:
     """Adaptive Dormand-Prince 5(4) trajectory from a starting point.
 
     Stops at the configured time limit, on leaving the outer disk, on
     entering the origin guard, or when the field magnitude drops below
-    the absolute tolerance (an equilibrium). A trajectory that runs to
-    the time limit and demonstrably returns to its start is relabeled
-    "closed".
+    the absolute tolerance (an equilibrium); the termination names which.
+    Whether a run closes up is no question of integration: the atlas
+    asks it.
 
     The field is compiled once per system and direction and kept on the
     system. The step is FSAL: the last stage of an accepted step is the
@@ -339,68 +334,8 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
         # min(5.0, 0.9 * (err ** -0.2 if err > 0 else 5.0))
         grow = 0.9 * (err ** -0.2 if err > 0 else 5.0)
         h *= grow if grow < 5.0 else 5.0
-    traj = Trajectory(chart, samples, termination, accepted, rejected,
+    return Trajectory(samples, termination, accepted, rejected,
                       array("d", velocities))
-    if termination == "time-limit" and len(samples) >= 10:
-        # loose enough to absorb the sag of sampled chords on a curved orbit
-        tol = 1e-3 * max(1.0, math.hypot(samples[0][1], samples[0][2]))
-        if detect_closed(traj, tol):
-            traj.termination = "closed"
-    return traj
-
-
-# Slack on the segment prefilter of ``detect_closed``, relative to the
-# largest of tol, |start| and the samples' distances from the start: the
-# rounding of either test is a few units in the last place of those.
-_CLOSURE_SLACK = 1e-12
-
-
-def detect_closed(traj: Trajectory, tol: float) -> bool:
-    """Does the trajectory come back to its start?
-
-    True when, after first leaving a 2*tol neighborhood of the start,
-    some later segment passes within tol of the start while heading
-    within 5 degrees of the initial direction.
-
-    Every sample's distance to the start is taken once. A segment of
-    length s between samples at distances da and db stays at least
-    (da + db - s) / 2 from the start (the triangle inequality), so the
-    exact closest-approach test runs only on segments where that bound
-    is under tol, plus a rounding slack; the others cannot pass it.
-    """
-    if len(traj.samples) < 10:
-        raise ValueError("closure detection needs at least 10 samples")
-    pts = [(sx, sy) for _, sx, sy in traj.samples]
-    p0 = x0, y0 = pts[0]
-    # math.dist(p, p0) is math.hypot of the differences, bit for bit
-    dist = list(map(math.dist, pts, repeat(p0)))
-    moved = next((i for i in range(1, len(pts)) if dist[i] > 0), None)
-    if moved is None:
-        return False  # never moved
-    norm = dist[moved]
-    xx, yy = pts[moved]
-    d0 = ((xx - x0) / norm, (yy - y0) / norm)
-    # the segment that first leaves 2*tol is not tested; the next one is
-    left = next(compress(count(1), map(gt, dist[1:], repeat(2 * tol))), None)
-    if left is None:
-        return False
-    slack = _CLOSURE_SLACK * (tol + math.hypot(x0, y0) + max(dist))
-    bounds = map(sub, map(add, dist[left:], dist[left + 1:]),
-                 map(math.dist, pts[left + 1:], pts[left:]))
-    cos_cap = math.cos(math.radians(5.0))
-    for i in compress(count(left), map(lt, bounds, repeat(2 * (tol + slack)))):
-        (ax, ay), (bx, by) = pts[i], pts[i + 1]
-        ux, uy = bx - ax, by - ay
-        seg = math.hypot(ux, uy)
-        if seg == 0:
-            continue
-        # closest approach of the segment to the start point
-        proj = max(0.0, min(1.0, ((x0 - ax) * ux + (y0 - ay) * uy) / seg ** 2))
-        cx, cy = ax + proj * ux, ay + proj * uy
-        if math.hypot(cx - x0, cy - y0) < tol:
-            if (ux * d0[0] + uy * d0[1]) / seg >= cos_cap:
-                return True
-    return False
 
 
 # No library code calls hausdorff_distance (the benchmark's tracer looks it
@@ -516,20 +451,25 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
         return 0.0
     q0 = transition((float(start[0]), float(start[1])))
     partner = integrate(result.conjugate, q0,
-                        replace(cfg, max_time=tau, max_step=tau),
-                        chart=Chart.S)
-    samples, g = partner.samples, partner.velocities
-    if len(samples) < 2:  # the partner sits at an equilibrium
+                        replace(cfg, max_time=tau, max_step=tau))
+    if len(partner.samples) < 2:  # the partner sits at an equilibrium
         return 0.0
+    # sqrt is monotone: the largest gap. max replaces its first item, 0.0,
+    # only by a greater one, so a NaN gap is passed over
+    return math.sqrt(max(chain((0.0,), _squared_gaps(mapped, partner))))
+
+
+def _squared_gaps(mapped, partner: Trajectory):
+    """The squared gap across the partner's velocity at each mapped
+    sample (tau, qx, qy), in order, up to the partner's last time."""
+    samples, g = partner.samples, partner.velocities
     times = [s[0] for s in samples]
     # a partner at the time limit may stop a relative 1e-12 short of it
-    end = math.inf if partner.termination in ("time-limit", "closed") \
-        else times[-1]
+    end = math.inf if partner.termination == "time-limit" else times[-1]
     last = len(times) - 2
-    worst = 0.0  # the largest squared gap
     for tau, qx, qy in mapped:
         if tau > end:
-            break  # the times only grow
+            return  # the times only grow
         # times[0] is 0 and no tau is negative, so only the top clip bites
         i = bisect_right(times, tau) - 1
         if i > last:
@@ -548,7 +488,4 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
         speed2 = vx * vx + vy * vy
         along = (gx * vx + gy * vy) / speed2 if speed2 > 0 else 0.0
         gx, gy = gx - along * vx, gy - along * vy
-        gap2 = gx * gx + gy * gy
-        if gap2 > worst:
-            worst = gap2
-    return math.sqrt(worst)  # sqrt is monotone: the largest gap
+        yield gx * gx + gy * gy

@@ -13,7 +13,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .conjugate import DiffSystem, ZeroField
+from .conjugate import DiffSystem
 from .poly import BiPoly, power
 
 
@@ -35,10 +35,6 @@ class NonIntegerExponent(ParseError):
 
 class NegativeExponent(ParseError):
     pass
-
-
-# the old name stays importable; DiffSystem.build is the one check
-BothRhsZero = ZeroField
 
 
 # Largest exponent, and largest total degree of any intermediate product,

@@ -75,14 +75,6 @@ class BiPoly:
     def const(cls, value, vars: tuple[str, str]) -> "BiPoly":
         return cls(vars, {(0, 0): Fraction(value)})
 
-    @classmethod
-    def var(cls, name: str, vars: tuple[str, str]) -> "BiPoly":
-        if name == vars[0]:
-            return cls(vars, {(1, 0): Fraction(1)})
-        if name == vars[1]:
-            return cls(vars, {(0, 1): Fraction(1)})
-        raise ValueError(f"{name!r} is not one of the variables {vars}")
-
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -87,6 +87,17 @@ from artifact.poly import (
     integer_numerators,
 )
 
+
+
+def variable(name: str, vars: tuple[str, str]) -> BiPoly:
+    """The polynomial ``name`` in the variables ``vars``."""
+    if name == vars[0]:
+        return BiPoly(vars, {(1, 0): Fraction(1)})
+    if name == vars[1]:
+        return BiPoly(vars, {(0, 1): Fraction(1)})
+    raise ValueError(f"{name!r} is not one of the variables {vars}")
+
+
 # -- the partner pair and its reduction --------------------------------------
 
 
@@ -125,7 +136,7 @@ def wn_divisibility(sys: DiffSystem) -> tuple[bool, BiPoly]:
     (False, remainder) otherwise.
     """
     n = sys.degree
-    x, y = (BiPoly.var(name, sys.vars) for name in sys.vars)
+    x, y = (variable(name, sys.vars) for name in sys.vars)
     zero = BiPoly.zero(sys.vars)
     px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
     w = x * py.get(n, zero) - y * px.get(n, zero)
@@ -157,7 +168,7 @@ def reduction_quotients(sys: DiffSystem, k: int
     n = sys.degree
     if k < 1 or 2 * k > n + 2:
         raise ValueError(f"need 1 <= k with 2k <= n + 2, got k={k}, n={n}")
-    x, y = (BiPoly.var(name, sys.vars) for name in sys.vars)
+    x, y = (variable(name, sys.vars) for name in sys.vars)
     s = x * x + y * y
     zero = BiPoly.zero(sys.vars)
     px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
@@ -377,8 +388,8 @@ def curve_text_by_cases(curve) -> str:
     a line."""
     if curve is AT_INFINITY:
         return "the infinitely remote point"
-    u = BiPoly.var("u", ("u", "v"))
-    v = BiPoly.var("v", ("u", "v"))
+    u = variable("u", ("u", "v"))
+    v = variable("v", ("u", "v"))
     if isinstance(curve, Line):
         return (curve.a * u + curve.b * v + curve.c).to_text() + " = 0"
     if isinstance(curve, Circle):
@@ -448,15 +459,12 @@ def loop_rk_step(f, x, y, h, k1x, k1y):
 
 def loop_integrate(sys: DiffSystem, start,
                    cfg: IntegratorConfig | None = None,
-                   direction: str = "forward", chart: Chart = Chart.N
-                   ) -> Trajectory:
+                   direction: str = "forward") -> Trajectory:
     """Adaptive Dormand-Prince 5(4) trajectory from a starting point.
 
     Stops at the configured time limit, on leaving the outer disk, on
     entering the origin guard, or when the field magnitude drops below
-    the absolute tolerance (an equilibrium). A trajectory that runs to
-    the time limit and demonstrably returns to its start is relabeled
-    "closed".
+    the absolute tolerance (an equilibrium).
 
     The field is compiled once per system and direction and kept on the
     system. The step is FSAL: the last stage of an accepted step is the
@@ -523,14 +531,8 @@ def loop_integrate(sys: DiffSystem, start,
             termination = "time-limit"
             break
         h *= min(5.0, 0.9 * (err ** -0.2 if err > 0 else 5.0))
-    traj = Trajectory(chart, samples, termination, accepted, rejected,
+    return Trajectory(samples, termination, accepted, rejected,
                       array("d", velocities))
-    if termination == "time-limit" and len(samples) >= 10:
-        # loose enough to absorb the sag of sampled chords on a curved orbit
-        tol = 1e-3 * max(1.0, math.hypot(samples[0][1], samples[0][2]))
-        if loop_detect_closed(traj, tol):
-            traj.termination = "closed"
-    return traj
 
 
 def loop_detect_closed(traj: Trajectory, tol: float) -> bool:
@@ -632,8 +634,9 @@ def _hermite(p0, v0, p1, v1, h, theta):
 
 
 def array_residual(sys: DiffSystem, result, start,
-                   cfg: IntegratorConfig | None = None) -> float:
-    """``conjugacy_residual`` on whole arrays."""
+                   cfg: IntegratorConfig | None = None):
+    """``conjugacy_residual`` on whole arrays, and the squared gap at
+    each compared sample (a list of floats)."""
     cfg = cfg or IntegratorConfig()
     first = replace(cfg, max_step=min(cfg.max_step, 0.02))
     t, pts, vel = arrays(integrate(sys, start, first))
@@ -656,16 +659,15 @@ def array_residual(sys: DiffSystem, result, start,
     tau = np.concatenate([[0.0], np.cumsum(h[:, 0] * rate)])
     end = float(tau[-1])
     if end == 0.0:  # one kept sample: nothing to compare
-        return 0.0
+        return 0.0, []
     q0 = transition((float(start[0]), float(start[1])))
     partner = integrate(result.conjugate, q0,
-                        replace(cfg, max_time=end, max_step=end),
-                        chart=Chart.S)
+                        replace(cfg, max_time=end, max_step=end))
     tp, r, g = arrays(partner)
     if len(tp) < 2:  # the partner sits at an equilibrium
-        return 0.0
+        return 0.0, []
     # a partner at the time limit may stop a relative 1e-12 short of it
-    if partner.termination not in ("time-limit", "closed"):
+    if partner.termination != "time-limit":
         within = tau <= tp[-1]
         tau, q = tau[within], q[within]
     i = np.clip(np.searchsorted(tp, tau, side="right") - 1, 0, len(tp) - 2)
@@ -677,4 +679,5 @@ def array_residual(sys: DiffSystem, result, start,
     along = np.divide(gap[:, 0] * v[:, 0] + gap[:, 1] * v[:, 1], speed2,
                       out=np.zeros_like(speed2), where=speed2 > 0)
     gap = gap - along[:, None] * v
-    return float(np.sqrt(gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]).max())
+    gap2 = gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]
+    return float(np.sqrt(gap2).max()), gap2.tolist()

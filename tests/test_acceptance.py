@@ -8,7 +8,13 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import chart_project, on_curve, psi_jacobians, stereo_project
+from oracles import (
+    chart_project,
+    on_curve,
+    psi_jacobians,
+    stereo_project,
+    variable,
+)
 
 from artifact.analyze import (
     SYMMETRY_KINDS,
@@ -71,7 +77,7 @@ def test_a1_symbolic_oracle_suite_exact():
 
 def _random_coprime_system(rng):
     vars_ = ("x", "y")
-    x, y = BiPoly.var("x", vars_), BiPoly.var("y", vars_)
+    x, y = variable("x", vars_), variable("y", vars_)
     while True:
         polys = []
         for _ in range(2):

@@ -5,7 +5,12 @@ from fractions import Fraction
 from conftest import bipolys, case_by_name
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import is_equilibrium, jacobian_at, symmetry_by_identity
+from oracles import (
+    is_equilibrium,
+    jacobian_at,
+    symmetry_by_identity,
+    variable,
+)
 
 from artifact.analyze import (
     SYMMETRY_KINDS,
@@ -19,7 +24,6 @@ from artifact.charts import transition
 from artifact.conjugate import DiffSystem, ZeroField, conjugate
 from artifact.corpus import load_cases
 from artifact.parse import parse_system
-from artifact.poly import BiPoly
 
 XY = ("x", "y")
 
@@ -195,7 +199,7 @@ class TestSymmetry:
         # the flow, -1 reverses it); kind None leaves the field as drawn
         if kind is not None:
             (a, b), (c, d) = MATRICES[kind]
-            x, y = BiPoly.var("x", XY), BiPoly.var("y", XY)
+            x, y = variable("x", XY), variable("y", XY)
             pm = p.evaluate(a * x + b * y, c * x + d * y)
             qm = q.evaluate(a * x + b * y, c * x + d * y)
             p, q = (p + sign * (a * pm + b * qm),

@@ -26,7 +26,7 @@ from artifact.atlas import (
     disk_radius,
     render_svg,
 )
-from artifact.charts import Chart, Circle, Line, Point, map_curve
+from artifact.charts import Circle, Line, Point, map_curve
 from artifact.dynamics import IntegratorConfig, NumericOverflow, Trajectory
 
 
@@ -202,8 +202,7 @@ class TestRenderSvg:
 
 
 def polyline(points):
-    return Trajectory(Chart.N, [(float(i), x, y)
-                                for i, (x, y) in enumerate(points)],
+    return Trajectory([(float(i), x, y) for i, (x, y) in enumerate(points)],
                       "time-limit")
 
 

@@ -22,7 +22,8 @@ from oracles import (
 )
 
 from artifact import dynamics
-from artifact.atlas import AtlasConfig, build_atlas
+from artifact import atlas
+from artifact.atlas import AtlasConfig, DiskChart, build_atlas, detect_closed
 from artifact.charts import Chart, transition, transition_jacobian
 from artifact.conjugate import conjugate
 from artifact.corpus import load_cases
@@ -34,7 +35,6 @@ from artifact.dynamics import (
     StepUnderflow,
     Trajectory,
     conjugacy_residual,
-    detect_closed,
     field_eval,
     integrate,
 )
@@ -49,6 +49,20 @@ def tight(**kw):
 
 def radii(traj):
     return [math.hypot(x, y) for _, x, y in traj.samples]
+
+
+def atlas_runs(sys, start, cfg):
+    """The atlas's forward and backward runs from one seed in the
+    original disk, integrated with ``cfg`` inside a disk of radius 6."""
+    doc = build_atlas(sys, AtlasConfig(rays=0, rings=0, integrator=cfg,
+                                       extra_seeds=((1, start),)))
+    return doc.disks[0].trajectories
+
+
+def atlas_json(traj):
+    """A trajectory's entry in the JSON of an atlas document."""
+    disk = DiskChart(Chart.N, ("x", "y"), 100.0, [traj], [], [], [])
+    return disk.to_json_dict()["trajectories"][0]
 
 
 class TestConfig:
@@ -110,10 +124,18 @@ class TestIntegrate:
             integrate(sys, (1.0, 0.0), IntegratorConfig())
 
     def test_circle_closes(self):
+        # integrate stops at the time limit; the atlas keeps the run and
+        # labels it closed, in its JSON too
         sys = case_by_name("5.3->5.4").system
-        traj = integrate(sys, (1.0, 0.0), tight(max_time=2 * math.pi + 0.1))
-        assert traj.termination == "closed"
-        assert max(abs(r - 1.0) for r in radii(traj)) < 1e-7
+        cfg = tight(max_time=2 * math.pi + 0.1)
+        traj = integrate(sys, (1.0, 0.0), cfg)
+        assert traj.termination == "time-limit"
+        forward, backward = atlas_runs(sys, (1.0, 0.0), cfg)
+        assert forward.samples == traj.samples
+        for run in (forward, backward):
+            assert run.termination == "closed"
+            assert atlas_json(run)["termination"] == "closed"
+            assert max(abs(r - 1.0) for r in radii(run)) < 1e-7
 
     def test_radial_escape(self):
         sys = case_by_name("5.1->5.2").system
@@ -170,7 +192,8 @@ class TestIntegrate:
     def test_json_shape(self):
         sys = case_by_name("5.3->5.4").system
         traj = integrate(sys, (1.0, 0.0), IntegratorConfig(max_time=1.0))
-        doc = traj.to_json_dict()
+        doc = atlas_json(traj)
+        assert list(doc) == ["chart", "termination", "samples"]
         assert doc["chart"] == "N"
         assert doc["termination"] == "time-limit"
         assert all(len(row) == 3 for row in doc["samples"])
@@ -224,18 +247,17 @@ class TestDetectClosed:
         partner = conjugate(case_by_name("7.1->7.2").system).conjugate
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, max_time=0.25)
         traj = integrate(partner, (4.0, 0.0), cfg)
-        assert traj.termination == "closed"
+        assert traj.termination == "time-limit"
         assert detect_closed(traj, 1e-3)
 
     def test_needs_ten_samples(self):
-        stub = Trajectory(Chart.N, [(0.0, 1.0, 0.0)] * 5, "time-limit")
+        stub = Trajectory([(0.0, 1.0, 0.0)] * 5, "time-limit")
         with pytest.raises(ValueError):
             detect_closed(stub, 1e-3)
 
 
 def polyline(points):
-    return Trajectory(Chart.N, [(float(i), x, y)
-                                for i, (x, y) in enumerate(points)],
+    return Trajectory([(float(i), x, y) for i, (x, y) in enumerate(points)],
                       "time-limit")
 
 
@@ -433,8 +455,9 @@ class TestConjugacyResidual:
         res = conjugate(case.system)
         r = conjugacy_residual(case.system, res, (1.0, 1.0), tight())
         assert r == 0.0
-        # one kept sample, so no partner time to run to
-        assert [t.chart for t in residual_spy.runs] == [Chart.N]
+        # one kept sample, so no partner time to run to: the original's
+        # is the only run
+        assert len(residual_spy.runs) == 1
 
     # seed-1 starts of the residual benchmark whose mapped orbit leaves
     # for the outer disk, where the partner's clock runs fast: the
@@ -454,17 +477,36 @@ class TestConjugacyResidual:
         assert partner.samples[-1][0] > 10 * cfg.max_time
         assert residual_spy.compared == len(first.samples)
 
+    def test_no_closure_test(self, residual_spy, monkeypatch):
+        # "closed" is the atlas's label: both runs reach the time limit,
+        # and neither is tested for closure, whichever module holds the
+        # test
+        tested = []
+        for module in (atlas, dynamics):
+            if hasattr(module, "detect_closed"):
+                real = module.detect_closed
+                monkeypatch.setattr(
+                    module, "detect_closed",
+                    lambda traj, tol, real=real: tested.append(tol)
+                    or real(traj, tol))
+        case = case_by_name("5.3->5.4")
+        conjugacy_residual(case.system, conjugate(case.system), (1.0, 0.0),
+                           tight(max_time=2 * math.pi + 0.1))
+        assert [len(t.samples) >= 10 and t.termination
+                for t in residual_spy.runs] == ["time-limit"] * 2
+        assert tested == []
+
     def test_partner_a_hair_short_of_its_time_limit(self, residual_spy):
         # integrate may stop a relative 1e-12 short of max_time; the last
         # sample's partner time is then just past the partner's last
         # time, and must still be compared
         run = residual_spy.integrate
 
-        def short(sys, start, cfg=None, direction="forward", chart=Chart.N):
-            if chart is Chart.S:
+        def short(sys, start, cfg=None, direction="forward"):
+            if residual_spy.runs:  # the partner runs second
                 cfg = dataclasses.replace(
                     cfg, max_time=cfg.max_time * (1 - 5e-13))
-            return run(sys, start, cfg, direction, chart)
+            return run(sys, start, cfg, direction)
 
         residual_spy.integrate = short
         case = case_by_name("5.11->5.12")
@@ -743,7 +785,7 @@ class TestFusedStep:
         sys = case_by_name("5.3->5.4").system
         traj = integrate(sys, (1.0, 0.0), IntegratorConfig(max_time=1.0))
         assert traj.accepted > 0
-        assert set(traj.to_json_dict()) == {"chart", "termination", "samples"}
+        assert set(atlas_json(traj)) == {"chart", "termination", "samples"}
 
 
 def outcome(run, *args, **kwargs):
@@ -807,7 +849,16 @@ class TestIntegrateAgainstLoop:
         sys = case_by_name(name).system
         if partner:
             sys = conjugate(sys).conjugate
-        assert assert_same_as_loop(sys, start, cfg)[-1] == termination
+        got = assert_same_as_loop(sys, start, cfg)
+        if termination == "closed":
+            # integrate stops at the time limit; the atlas keeps that run
+            # and labels it, as the test of every segment does
+            assert got[-1] == "time-limit"
+            assert loop_detect_closed(loop_integrate(sys, start, cfg), 1e-3)
+            forward, _ = atlas_runs(sys, start, cfg)
+            assert outcome(lambda: forward) == got[:-1] + ("closed",)
+        else:
+            assert got[-1] == termination
 
     def test_equilibrium_reached_after_steps(self):
         sys = parse_system(("x", "y"), ("-x", "-2*y"))
@@ -972,12 +1023,11 @@ def loop_residual(sys, result, start, cfg):
     partner_field = dynamics._field(result.conjugate)
     run = integrate(result.conjugate, q0,
                     dataclasses.replace(cfg, max_time=taus[-1],
-                                        max_step=taus[-1]),
-                    chart=Chart.S)
+                                        max_step=taus[-1]))
     second = run.samples
     if len(second) < 2:
         return 0.0
-    reached = run.termination in ("time-limit", "closed")
+    reached = run.termination == "time-limit"
     partner = [((xx, yy), dynamics._finite(partner_field, xx, yy))
                for _, xx, yy in second]
     worst, k = 0.0, 0
@@ -1064,9 +1114,57 @@ class TestResidualAgainstLoop:
         assert got.hex() == want.hex()
 
 
+def residual_draw(seed):
+    """The starts of the benchmark's residual workload for one seed: 36
+    draws, cycling through the chapter-5 cases, each start at least 0.05
+    from the origin."""
+    rng = random.Random(seed)
+    for index in range(36):
+        start = (0.0, 0.0)
+        while math.hypot(*start) < 0.05:
+            start = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+        yield SECTION5[index % len(SECTION5)], start
+
+
+@pytest.fixture
+def gap_spy(monkeypatch):
+    """Every squared gap that conjugacy_residual takes the largest of."""
+    gaps, real = [], dynamics._squared_gaps
+
+    def record(*args):
+        for gap2 in real(*args):
+            gaps.append(gap2)
+            yield gap2
+
+    monkeypatch.setattr(dynamics, "_squared_gaps", record)
+    return gaps
+
+
 class TestResidualAgainstArrays:
     """The plain-float residual against the whole-array form it replaced
     (``oracles.array_residual``), bit for bit."""
+
+    def test_every_gap_on_the_benchmark_draw(self, gap_spy):
+        # the largest gap can hide a change in the last bit of the others:
+        # compare each one, on the inputs of seeds 1-3 that the benchmark
+        # admits (those whose run does not enter the origin guard)
+        cfg = tight(max_time=6.0)
+        admitted = 0
+        for seed in (1, 2, 3):
+            for name, start in residual_draw(seed):
+                sys = case_by_name(name).system
+                if integrate(sys, start, cfg).termination \
+                        == "entered-origin-guard":
+                    continue
+                admitted += 1
+                res = conjugate(sys)
+                gap_spy.clear()
+                got = conjugacy_residual(sys, res, start, cfg)
+                want, gaps = array_residual(sys, res, start, cfg)
+                assert got.hex() == want.hex(), (name, start)
+                assert list(map(float.hex, gap_spy)) \
+                    == list(map(float.hex, gaps)), (name, start)
+        assert admitted == 108
 
     @pytest.mark.parametrize("name", SECTION5)
     def test_chapter_five_cases(self, name):
@@ -1078,7 +1176,7 @@ class TestResidualAgainstArrays:
             for _ in range(4):
                 start = (rng.uniform(-2, 2), rng.uniform(-2, 2))
                 got = conjugacy_residual(case.system, res, start, cfg)
-                want = array_residual(case.system, res, start, cfg)
+                want, _ = array_residual(case.system, res, start, cfg)
                 assert got.hex() == want.hex(), (name, start)
 
     def test_guard_stop(self):
@@ -1088,14 +1186,14 @@ class TestResidualAgainstArrays:
         assert integrate(partner.conjugate, start, cfg).termination \
             == "entered-origin-guard"
         got = conjugacy_residual(partner.conjugate, back, start, cfg)
-        assert got.hex() == array_residual(partner.conjugate, back, start,
-                                           cfg).hex()
+        want, _ = array_residual(partner.conjugate, back, start, cfg)
+        assert got.hex() == want.hex()
 
     def test_equilibrium_start(self):
         case = case_by_name("6.1->6.2")
         res = conjugate(case.system)
         got = conjugacy_residual(case.system, res, (1.0, 1.0), tight())
-        want = array_residual(case.system, res, (1.0, 1.0), tight())
+        want, _ = array_residual(case.system, res, (1.0, 1.0), tight())
         assert got.hex() == want.hex() == (0.0).hex()
 
     @pytest.mark.parametrize("name", ["5.5->5.6", "5.7->5.8"])
@@ -1111,7 +1209,8 @@ class TestResidualAgainstArrays:
         first, partner = residual_spy.runs
         assert partner.termination == "exited-outer-disk"
         assert 0 < residual_spy.compared < len(first.samples)
-        assert got.hex() == array_residual(sys, back, start, cfg).hex()
+        want, _ = array_residual(sys, back, start, cfg)
+        assert got.hex() == want.hex()
 
 
 class TestHermiteAndGauss:
@@ -1246,5 +1345,5 @@ class TestVelocities:
         for twin in (copy.deepcopy(traj), pickle.loads(pickle.dumps(traj))):
             assert twin.velocities == traj.velocities
             assert twin.velocities is not traj.velocities
-        assert set(traj.to_json_dict()) == {"chart", "termination", "samples"}
+        assert set(atlas_json(traj)) == {"chart", "termination", "samples"}
         assert len(traj.velocities) == 2 * len(traj.samples)

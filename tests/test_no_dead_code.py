@@ -5,7 +5,8 @@ public method of a public class, must be named somewhere outside its own
 definition: elsewhere in the library (the package ``__init__`` does not
 count, since re-exporting is not calling) or in the benchmark under
 ``perfbench/``, whose tracer looks some names up by string. A method
-counts as named when any attribute of that name is read. Code that only
+counts as named only when an attribute of that name is read: a bare name
+or a string of the same spelling is some other thing. Code that only
 tests call belongs in ``tests/oracles.py``.
 """
 
@@ -36,31 +37,37 @@ def _definitions(tree):
 
 
 def _names_used(tree):
-    """How often each name is loaded, read as an attribute or given as
-    a string holding just that identifier (as ``getattr`` takes it)
-    under ``tree``."""
-    used = Counter()
+    """Two counts of each name under ``tree``: how often it is loaded,
+    read as an attribute or given as a string holding just that
+    identifier (as ``getattr`` takes it), and how often it is read as an
+    attribute."""
+    used, read = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used[node.id] += 1
         elif isinstance(node, ast.Attribute):
             used[node.attr] += 1
+            read[node.attr] += isinstance(node.ctx, ast.Load)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
             used[node.value] += 1
-    return used
+    return used, read
 
 
 def unreferenced():
     """``module.name`` (``module.Class.method`` for a method) for each
     public definition nothing else names; a definition's own body does
-    not count as a use of it."""
+    not count as a use of it, and only attribute reads count for a
+    method."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in LIBRARY + BENCHMARK}
-    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    counts = [_names_used(tree) for tree in trees.values()]
+    used = [sum(kind, Counter()) for kind in zip(*counts)]
+    # a method's qualified name has a dot: it reads the second count
     return [f"{path.stem}.{name}" for path in LIBRARY
             for name, node in _definitions(trees[path])
-            if used[node.name] <= _names_used(node)[node.name]]
+            if used["." in name][node.name]
+            <= _names_used(node)["." in name][node.name]]
 
 
 def test_every_public_definition_has_a_caller():

@@ -9,11 +9,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import bipolys
+from oracles import variable
+from artifact.conjugate import ZeroField
 from artifact.corpus import load_cases
 from artifact.parse import (
     MAX_DEGREE,
     MAX_NESTING,
-    BothRhsZero,
     NegativeExponent,
     NonIntegerExponent,
     ParseError,
@@ -82,7 +83,7 @@ _leaves = st.one_of(
     st.tuples(st.integers(0, 30), st.integers(1, 12)).map(
         lambda pq: (f"{pq[0]}/{pq[1]}", BiPoly.const(Fraction(*pq), XY), 0,
                     True)),
-    st.sampled_from(XY).map(lambda v: (v, BiPoly.var(v, XY), 1, True)))
+    st.sampled_from(XY).map(lambda v: (v, variable(v, XY), 1, True)))
 
 
 def _wrapped(node):
@@ -325,7 +326,7 @@ class TestSystems:
         assert sys.degree == 0
 
     def test_both_zero_rejected(self):
-        with pytest.raises(BothRhsZero):
+        with pytest.raises(ZeroField):
             parse_system(XY, ("0", "0"))
 
     def test_non_coprime_flag_recorded(self):
