@@ -1,9 +1,12 @@
 """Two-disk phase portraits: building the atlas document and rendering it.
 
 A portrait pairs a disk in the original plane with a disk in the partner
-plane. Chosen with r1*r2 >= 4, the two disks jointly cover the whole
-sphere, the second disk supplying a neighborhood of the infinitely
-remote point that the first one cannot show.
+plane. Their radii multiply to at least 4, so the two disks jointly cover
+the whole sphere, the second disk supplying a neighborhood of the
+infinitely remote point that the first one cannot show. This holds by
+construction: for eps in (0, 1] the float of (2 - eps)/eps is at least
+1.0, and so is its square root, as rounding is monotone and 1.0 exact;
+so each disk_radius is at least 2.0 and the product at least 4.0.
 """
 
 from __future__ import annotations
@@ -45,11 +48,17 @@ def disk_radius(eps) -> float:
     return 2 * math.sqrt(float((2 - eps) / eps))
 
 
+# Most rays per ring (one per degree; every seed runs before any result),
+# and each disk's width in pixels in the SVG.
+MAX_RAYS = 360
+_SIZE = 420
+
+
 @dataclass(frozen=True)
 class AtlasConfig:
     """Knobs for atlas assembly.
 
-    Disk sizes come from eps1/eps2 unless explicit radii are given.
+    Disk radii are disk_radius(eps1) and disk_radius(eps2).
     Curve markers annotate known cycles or separatrices: each entry is
     (disk, descriptor) with disk 1 for the original plane and 2 for the
     partner plane; the marker is also drawn as its image in the other
@@ -59,47 +68,32 @@ class AtlasConfig:
 
     eps1: Fraction = Fraction(1, 5)
     eps2: Fraction = Fraction(1, 5)
-    radius1: float | None = None
-    radius2: float | None = None
     rays: int = 8
     rings: int = 3
     extra_seeds: tuple = ()   # (disk, (x, y)) pairs
     markers: tuple = ()       # (disk, Circle | Line | Point) pairs
     integrator: IntegratorConfig = IntegratorConfig(max_time=12.0)
-    size: int = 420
 
     def __post_init__(self):
         if self.rays < 0 or self.rings < 0:
             raise ValueError("seed grid counts cannot be negative")
-        if self.size < 64:
-            raise ValueError("render size below 64 px is unreadable")
-        for which in ("radius1", "radius2"):
-            value = getattr(self, which)
-            if value is not None and value <= 0:
-                raise ValueError(f"{which} must be positive")
+        if self.rays > MAX_RAYS:
+            raise ValueError(
+                f"{self.rays} rays exceed the limit of {MAX_RAYS}")
         for disk, _ in tuple(self.extra_seeds) + tuple(self.markers):
             if disk not in (1, 2):
                 raise ValueError(f"disk index must be 1 or 2: {disk}")
 
-    def radii(self) -> tuple[float, float]:
-        r1 = self.radius1 if self.radius1 is not None else disk_radius(self.eps1)
-        r2 = self.radius2 if self.radius2 is not None else disk_radius(self.eps2)
-        if r1 * r2 < 4:
-            raise ValueError(
-                f"disks of radii {r1} and {r2} leave a gap around the "
-                "infinitely remote point (need r1*r2 >= 4)")
-        return r1, r2
-
     def config_hash(self) -> str:
         blob = json.dumps({
             "eps1": str(self.eps1), "eps2": str(self.eps2),
-            "radius1": self.radius1, "radius2": self.radius2,
+            # fixed entries: every pinned config hash depends on all three
+            "radius1": None, "radius2": None, "size": 420,
             "rays": self.rays, "rings": self.rings,
             "extra_seeds": [[d, [float(x), float(y)]]
                             for d, (x, y) in self.extra_seeds],
             "markers": [[d, c.to_json_dict()] for d, c in self.markers],
             "integrator": asdict(self.integrator),
-            "size": self.size,
         }, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -137,11 +131,10 @@ class AtlasDocument:
 
     disks: tuple
     provenance: dict
-    size: int = 420
 
     def to_json_dict(self) -> dict:
         return {"schema": 1,
-                "size": self.size,
+                "size": _SIZE,
                 "disks": [d.to_json_dict() for d in self.disks],
                 "provenance": self.provenance}
 
@@ -405,7 +398,7 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
     CPU is free; the document does not depend on the split.
     """
     cfg = cfg or AtlasConfig()
-    r1, r2 = cfg.radii()
+    r1, r2 = disk_radius(cfg.eps1), disk_radius(cfg.eps2)
     result = conjugate(sys)
     partner = result.conjugate
 
@@ -449,8 +442,7 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
         "conjugation": result.to_json_dict(),
         "config_hash": cfg.config_hash(),
     }
-    return AtlasDocument(disks=tuple(disks), provenance=provenance,
-                         size=cfg.size)
+    return AtlasDocument(disks=tuple(disks), provenance=provenance)
 
 
 def _fmt(value: float) -> str:
@@ -512,7 +504,7 @@ def render_svg(doc: AtlasDocument) -> bytes:
     are filled dots, overlay curves are dashed. The only <circle>
     elements are the two disk boundaries.
     """
-    size = doc.size
+    size = _SIZE
     margin = 40
     gap = 60
     width = 2 * size + 2 * margin + gap

@@ -2,10 +2,9 @@
 
 Each case records a system, the expected reduced partner pair with its
 (n, k, m) bookkeeping, and optionally the symmetry profile and the status
-of the point added at infinity. Four cases additionally carry a
-"transcribed" pair: a published variant of the partner system that fails
-the exactness identities; the expected pair is the one that passes, and
-the case note says which coefficients differ.
+of the point added at infinity. The data file also gives four cases a
+"transcribed" pair, a published variant of the partner system that fails
+the exactness identities, with a note; only the tests read those.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ class OracleCase:
     expected_m: int
     expected_u: BiPoly
     expected_v: BiPoly
-    transcribed: tuple[BiPoly, BiPoly] | None = None
-    note: str | None = None
     symmetries: dict[str, bool] | None = None
     infinity: dict | None = None
 
@@ -59,13 +56,6 @@ def load_cases() -> list[OracleCase]:
         expected = entry["expected"]
         eu = parse_polynomial(_substitute(expected["U"], subs), cvars)
         ev = parse_polynomial(_substitute(expected["V"], subs), cvars)
-        transcribed = None
-        if "transcribed" in entry:
-            transcribed = (
-                parse_polynomial(_substitute(entry["transcribed"]["U"], subs),
-                                 cvars),
-                parse_polynomial(_substitute(entry["transcribed"]["V"], subs),
-                                 cvars))
         cases.append(OracleCase(
             name=entry["name"],
             system=system,
@@ -75,8 +65,6 @@ def load_cases() -> list[OracleCase]:
             expected_m=expected["m"],
             expected_u=eu,
             expected_v=ev,
-            transcribed=transcribed,
-            note=entry.get("note"),
             symmetries=entry.get("symmetries"),
             infinity=entry.get("infinity"),
         ))

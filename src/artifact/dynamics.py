@@ -16,9 +16,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import reduce
 from itertools import chain
-from operator import add
 
 from .charts import transition, transition_jacobian
 from .conjugate import ConjugationResult, DiffSystem
@@ -409,14 +407,14 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
     A Hermite step of length h from (p0, v0) to (p1, v1) is spelled out
     with chord = p1 - p0, c2 = 3 * chord - h * (2 * v0 + v1) and
     c3 = h * (v0 + v1) - 2 * chord. For m = 0 every step's rate is the
-    rule's weights summed, and no Hermite point is needed.
+    rule's weights summed, exactly 1.0, and no Hermite point is needed.
     """
     cfg = cfg or IntegratorConfig()
     # cap the original's step: its samples are the points compared, and
     # the cubic through them must be far more accurate than the gaps
     first = replace(cfg, max_step=min(cfg.max_step, 0.02))
     traj = integrate(sys, start, first)
-    m, flat = result.m, reduce(add, _GAUSS_WEIGHTS, 0.0)
+    m = result.m
     guard2 = cfg.origin_guard ** 2
     mapped = []  # (tau, qx, qy) at each kept sample
     tau = 0.0
@@ -429,7 +427,7 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
         wx, wy = j00 * vx + j01 * vy, j10 * vx + j11 * vy
         if mapped:
             h = t - t0
-            rate = flat
+            rate = 1.0  # the weights summed as below, exactly
             if m:
                 chx, chy = qx - px, qy - py
                 c2x, c3x = 3 * chx - h * (2 * ux + wx), h * (ux + wx) - 2 * chx

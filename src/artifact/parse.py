@@ -97,11 +97,11 @@ _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def _tokenize(text: str, variables: tuple[str, str]) -> list[tuple]:
-    """Token stream of (kind, value, position) triples.
-
-    kind is one of 'num', 'var', 'op'. A run of letters that is not a
-    declared variable but spells a product of them ("xy") is split into
-    variable tokens; anything else raises UnknownVariable.
+    """Token stream of (kind, value, position) triples ending in
+    ("end", None, len(text)); kind is 'num', 'var', or an operator's own
+    character. A run of letters that is not a declared variable but
+    spells a product of them ("xy") is split into variable tokens;
+    anything else raises UnknownVariable.
     """
     tokens: list[tuple] = []
     i = 0
@@ -111,12 +111,9 @@ def _tokenize(text: str, variables: tuple[str, str]) -> list[tuple]:
         if ch.isspace():
             i += 1
             continue
-        if ch == "−":  # typographic minus is accepted as an alias
-            tokens.append(("op", "-", i))
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append(("op", ch, i))
+        if ch in "+-*^()−":  # typographic minus is accepted as an alias
+            op = "-" if ch == "−" else ch
+            tokens.append((op, op, i))
             i += 1
             continue
         m = _NUMBER.match(text, i)
@@ -137,6 +134,7 @@ def _tokenize(text: str, variables: tuple[str, str]) -> list[tuple]:
             i = m.end()
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, n))
     return tokens
 
 
@@ -145,29 +143,21 @@ class _Parser:
     on int coefficients but for "p/q" literals (parse_polynomial converts)."""
 
     def __init__(self, text: str, variables: tuple[str, str]):
-        self.text = text
         self.vars = variables
         self.tokens = _tokenize(text, variables)
         self.pos = 0
         self.depth = 0
         self.products = 0
 
-    def peek(self) -> tuple | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> tuple:
+        return self.tokens[self.pos]
 
     def take(self) -> tuple:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of input", tok[2])
         self.pos += 1
         return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok is None or tok[0] != "op" or tok[1] != op:
-            where = tok[2] if tok else len(self.text)
-            raise ParseError(f"expected {op!r}", where)
-        self.pos += 1
 
     def nested(self, parse, where: int) -> BiPoly:
         """parse() one nesting level deeper, refused past MAX_NESTING."""
@@ -190,9 +180,9 @@ class _Parser:
 
     def parse(self) -> BiPoly:
         value = self.expression()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        kind, text, where = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", where)
         return value
 
     def expression(self) -> BiPoly:
@@ -202,12 +192,12 @@ class _Parser:
         the terms y, x."""
         terms = dict(self.term().terms)
         while True:
-            tok = self.peek()
-            if not (tok and tok[0] == "op" and tok[1] in "+-"):
+            op = self.peek()[0]
+            if op not in ("+", "-"):
                 return BiPoly._trusted(self.vars, terms)
             self.pos += 1
             for e, c in self.term().terms.items():
-                if tok[1] == "-":
+                if op == "-":
                     c = -c
                 if e in terms:
                     c += terms[e]
@@ -219,62 +209,62 @@ class _Parser:
     def term(self) -> BiPoly:
         value = self.signed_factor()
         while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
+            kind, _, where = self.peek()
+            if kind == "*":
                 self.pos += 1
                 rhs = self.signed_factor()
-            elif tok and (tok[0] in ("num", "var")
-                          or (tok[0] == "op" and tok[1] == "(")):
+            elif kind in ("num", "var", "("):
                 # juxtaposition: "3x", "2(x+y)", "x^2y"
                 rhs = self.factor()
             else:
                 return value
             _check_degree(_degree(value) + _degree(rhs), "product degree",
-                          tok[2])
-            value = self.product(value, rhs, tok[2])
+                          where)
+            value = self.product(value, rhs, where)
 
     def signed_factor(self) -> BiPoly:
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
+        kind, _, where = self.peek()
+        if kind == "-":
             self.pos += 1
-            return -self.nested(self.signed_factor, tok[2])
+            return -self.nested(self.signed_factor, where)
         return self.factor()
 
     def factor(self) -> BiPoly:
         base = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
+        kind, _, where = self.peek()
+        if kind == "^":
             self.pos += 1
             n = self.exponent()
-            _check_degree(_degree(base) * n, "power degree", tok[2])
-            return power(base, n, lambda a, b: self.product(a, b, tok[2]))
+            _check_degree(_degree(base) * n, "power degree", where)
+            return power(base, n, lambda a, b: self.product(a, b, where))
         return base
 
     def exponent(self) -> int:
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            raise NegativeExponent("exponent must be nonnegative", tok[2])
-        if tok is None or tok[0] != "num":
-            where = tok[2] if tok else len(self.text)
+        kind, value, where = self.peek()
+        if kind == "-":
+            raise NegativeExponent("exponent must be nonnegative", where)
+        if kind != "num":
             raise ParseError("expected an integer exponent", where)
         self.pos += 1
-        if "/" in tok[1]:
-            raise NonIntegerExponent("exponent must be an integer", tok[2])
-        n = _number(tok[1], tok[2])
-        _check_degree(n, "exponent", tok[2])
+        if "/" in value:
+            raise NonIntegerExponent("exponent must be an integer", where)
+        n = _number(value, where)
+        _check_degree(n, "exponent", where)
         return n
 
     def atom(self) -> BiPoly:
-        tok = self.take()
-        kind, value, where = tok
+        kind, value, where = self.take()
         if kind == "num":
             return BiPoly._trusted(self.vars, {(0, 0): _number(value, where)})
         if kind == "var":
             return BiPoly._trusted(self.vars, {
                 (1, 0) if value == self.vars[0] else (0, 1): 1})
-        if kind == "op" and value == "(":
+        if kind == "(":
             inner = self.nested(self.expression, where)
-            self.expect_op(")")
+            kind, _, where = self.peek()
+            if kind != ")":
+                raise ParseError("expected ')'", where)
+            self.pos += 1
             return inner
         raise ParseError(f"unexpected {value!r}", where)
 

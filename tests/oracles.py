@@ -8,7 +8,9 @@ projections with their inverses and Jacobians, the transition on the
 extended plane, and the equilibria and Jacobians at any rational point.
 No command needs these, so they live here, where the tests check them
 against what the library computes. Nothing here shares the library's
-transport: the rebuild runs on the Fraction form of it below.
+transport: the rebuild runs on the Fraction form of it below. The
+published variants of four partner pairs that fail those identities,
+recorded in the corpus data beside the expected pairs, load here too.
 
 The library states two facts about the transition by one rule each: curve
 images by the inversion rule on (A, B, C, D), the five symmetries by one
@@ -24,10 +26,12 @@ numpy arrays, which the library's plain-float residual must equal.
 
 from __future__ import annotations
 
+import json
 import math
 from array import array
 from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 from itertools import accumulate
 
 import numpy as np
@@ -42,6 +46,7 @@ from artifact.charts import (
     transition,
 )
 from artifact.conjugate import DiffSystem, partner_vars
+from artifact.corpus import _substitute
 from artifact.dynamics import (
     _A21,
     _A31,
@@ -79,6 +84,7 @@ from artifact.dynamics import (
     _finite,
     integrate,
 )
+from artifact.parse import parse_polynomial
 from artifact.poly import (
     BiPoly,
     NotDivisible,
@@ -96,6 +102,21 @@ def variable(name: str, vars: tuple[str, str]) -> BiPoly:
     if name == vars[1]:
         return BiPoly(vars, {(0, 1): Fraction(1)})
     raise ValueError(f"{name!r} is not one of the variables {vars}")
+
+
+def transcribed_variants() -> dict:
+    """The corpus's published variants of a partner pair, by case name:
+    ((U, V), note), parsed as ``load_cases`` parses the expected pair."""
+    raw = resources.files("artifact").joinpath("data/oracle_cases.json")
+    variants = {}
+    for entry in json.loads(raw.read_text(encoding="utf-8"))["cases"]:
+        if "transcribed" in entry:
+            subs, cvars = entry.get("subs", {}), tuple(entry["conjugate_vars"])
+            pair = tuple(
+                parse_polynomial(_substitute(entry["transcribed"][side], subs),
+                                 cvars) for side in ("U", "V"))
+            variants[entry["name"]] = (pair, entry.get("note"))
+    return variants
 
 
 # -- the partner pair and its reduction --------------------------------------

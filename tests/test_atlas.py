@@ -1,6 +1,7 @@
 """Atlas assembly and rendering determinism."""
 
 import ast
+import gc
 import inspect
 import json
 import math
@@ -20,6 +21,7 @@ from test_golden import ATLAS
 
 from artifact import atlas
 from artifact.atlas import (
+    MAX_RAYS,
     AtlasConfig,
     OutOfRange,
     build_atlas,
@@ -71,9 +73,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             AtlasConfig(rays=-1)
 
-    def test_coverage_enforced(self):
-        with pytest.raises(ValueError):
-            AtlasConfig(radius1=1.0, radius2=1.0).radii()
+    def test_rays_capped(self):
+        # the cap is checked before any seed is built
+        assert AtlasConfig(rays=MAX_RAYS).rays == MAX_RAYS
+        with pytest.raises(ValueError, match=f"limit of {MAX_RAYS}"):
+            AtlasConfig(rays=MAX_RAYS + 1)
 
     def test_hash_tracks_config(self):
         assert AtlasConfig().config_hash() != \
@@ -496,14 +500,21 @@ class TestNoChildLeft:
         assert_no_child_left()
 
     def test_after_alarm_mid_atlas(self, forks):
-        # 9.6->9.7 runs for far longer than the alarm
+        # 9.6->9.7 runs for far longer than the alarm. The collector stays
+        # off meanwhile: an alarm that lands in a collection is raised in
+        # Hypothesis's gc callback, which swallows it, and then the atlas
+        # runs on for minutes in both processes
         previous = signal.signal(signal.SIGALRM, _raise_alarm)
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.5)
             with pytest.raises(_Alarm):
                 build_atlas(case_by_name("9.6->9.7").system)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
+            if collecting:
+                gc.enable()
             signal.signal(signal.SIGALRM, previous)
         assert len(forks) == expected_forks()
         assert_no_child_left()

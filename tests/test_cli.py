@@ -330,6 +330,16 @@ class TestAtlas:
         assert err == "error: step collapsed near t=0.0\n"
         assert "Traceback" not in err
 
+    def test_seed_grid_past_the_cap_exits_1(self, sys_file, capsys):
+        # refused before any seed is built, so it returns at once
+        started = time.monotonic()
+        code = main(["atlas", "-i", sys_file(["x", "y"], ["x", "-y"]),
+                     "--seeds", "grid:1000000000"])
+        assert time.monotonic() - started < 1.0
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: 1000000000 rays exceed the limit of 360\n")
+
     def test_bad_seed_spec_is_usage_error(self, sys_file):
         with pytest.raises(SystemExit) as exc:
             main(["atlas", "-i", sys_file(["x", "y"], ["x", "y"]),

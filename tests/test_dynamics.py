@@ -28,6 +28,7 @@ from artifact.charts import Chart, transition, transition_jacobian
 from artifact.conjugate import conjugate
 from artifact.corpus import load_cases
 from artifact.dynamics import (
+    _GAUSS_WEIGHTS,
     TERMINATIONS,
     DormandPrince54,
     IntegratorConfig,
@@ -90,9 +91,10 @@ class TestConfig:
             IntegratorConfig(**{name: value})
 
     def test_infinite_partner_time_raises(self, monkeypatch):
-        # a partner time that overflows would be the partner's time limit
+        # a partner time that overflows would be the partner's time limit;
+        # only m > 0 weighs the Gauss nodes (for m = 0 the rate is 1.0)
         monkeypatch.setattr(dynamics, "_GAUSS_WEIGHTS", (math.inf,) * 3)
-        case = case_by_name("5.5->5.6")
+        case = case_by_name("5.7->5.8")
         with pytest.raises(ValueError, match="must be finite: inf"):
             conjugacy_residual(case.system, conjugate(case.system),
                                (0.3, 0.1), IntegratorConfig(max_time=0.5))
@@ -1178,6 +1180,14 @@ class TestResidualAgainstArrays:
                 got = conjugacy_residual(case.system, res, start, cfg)
                 want, _ = array_residual(case.system, res, start, cfg)
                 assert got.hex() == want.hex(), (name, start)
+
+    def test_flat_rate_is_the_weights_sum(self):
+        # for m = 0 the residual writes the rate as 1.0: the general
+        # loop's sum of the weights, from 0.0 in order, is exactly that
+        rate = 0.0
+        for weight in _GAUSS_WEIGHTS:
+            rate = rate + weight
+        assert rate.hex() == (1.0).hex()
 
     def test_guard_stop(self):
         partner = conjugate(case_by_name("7.1->7.2").system)
