@@ -23,12 +23,8 @@ from .conjugate import ConjugationResult, DiffSystem
 from .poly import BiPoly
 
 
-class StepUnderflow(ArithmeticError):
-    """Adaptive step size collapsed; the field is too stiff or singular."""
-
-
 class NumericOverflow(ArithmeticError):
-    """Field evaluation or state left the range of finite floats."""
+    """A coefficient, or the field at a given point, is not a finite float."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,11 @@ class IntegratorConfig:
 
 
 TERMINATIONS = ("time-limit", "exited-outer-disk", "entered-origin-guard",
-                "converged-to-equilibrium", "closed")
+                "converged-to-equilibrium", "step-underflow", "step-limit",
+                "closed")
+
+# trial steps (accepted plus rejected) after which a run ends "step-limit"
+MAX_TRIAL_STEPS = 10_000
 
 
 @dataclass
@@ -64,7 +64,7 @@ class Trajectory:
     """Samples of one integrated orbit and why the integration stopped.
 
     ``termination`` is one of ``TERMINATIONS``; ``integrate`` gives the
-    first four, and only the atlas relabels a time-limit run "closed".
+    first six, and only the atlas relabels a time-limit run "closed".
     ``velocities`` holds the field (signed like time) at each sample as
     (vx, vy) pairs; ``accepted`` and ``rejected`` count the integrator's
     trial steps. All three are deterministic but stay out of the atlas
@@ -198,10 +198,11 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
     """Adaptive Dormand-Prince 5(4) trajectory from a starting point.
 
     Stops at the configured time limit, on leaving the outer disk, on
-    entering the origin guard, or when the field magnitude drops below
-    the absolute tolerance (an equilibrium); the termination names which.
-    Whether a run closes up is no question of integration: the atlas
-    asks it.
+    entering the origin guard, when the field magnitude drops below the
+    absolute tolerance (an equilibrium), when a rejected step leaves h
+    below 1e-14 * max(1, t), or after ``MAX_TRIAL_STEPS`` trial steps; the
+    termination names which, and the atlas asks whether a run closes up.
+    Raises NumericOverflow when a coefficient or the start field is not finite.
 
     The field is compiled once per system and direction and kept on the
     system. The step is FSAL: the last stage of an accepted step is the
@@ -216,11 +217,12 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
     the whole tableau bit for bit: leaving out the zero weights and the 0
     that ``sum`` starts from changes no bit, since the field's zeros all
     carry one sign and the weights of each sum have both signs. A stage
-    that overflows or is not finite rejects the step like a failed error
-    test; a non-finite second stage does too, as in that loop, where a
-    zero weight turns it into NaN. Step control compares where it could
-    call ``min``, ``max`` and ``abs``, and each comparison picks the
-    float the builtin would, the first of equals included.
+    or error norm that overflows, or a stage that is not finite, rejects
+    the step like a failed error test; a non-finite second stage does
+    too, as in that loop, where a zero weight turns it into NaN. Step
+    control compares where it could call ``min``, ``max`` and ``abs``, and
+    each comparison picks the float the builtin would, the first of
+    equals included.
     """
     cfg = cfg or IntegratorConfig()
     if direction not in ("forward", "backward"):
@@ -245,6 +247,9 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
     if hypot(k1x, k1y) < abs_tol:
         termination = "converged-to-equilibrium"
     while termination is None:
+        if accepted + rejected == MAX_TRIAL_STEPS:
+            termination = "step-limit"
+            break
         # h = min(h, max_step, max_time - t)
         if max_step < h:
             h = max_step
@@ -274,9 +279,6 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
                       + _E6 * k6x + _E7 * k7x)
             ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y
                       + _E6 * k6y + _E7 * k7y)
-        except OverflowError:
-            err = None
-        else:
             if (isfinite(nx) and isfinite(ny) and isfinite(ex)
                     and isfinite(ey) and isfinite(k2x) and isfinite(k2y)):
                 # max(abs(x), abs(nx)); 0.0 - x is abs(x) for x <= 0,
@@ -291,13 +293,11 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
                     sy = ay
                 sx = abs_tol + rel_tol * sx
                 sy = abs_tol + rel_tol * sy
-                try:
-                    err = sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2)
-                except OverflowError:
-                    raise NumericOverflow(
-                        f"error estimate overflowed near t={t}") from None
+                err = sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2)
             else:
                 err = None
+        except OverflowError:
+            err = None
         if err is None or err > 1.0:
             rejected += 1
             if err is None:
@@ -307,7 +307,7 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
                 h *= grow if grow > 0.2 else 0.2
             # max(1.0, abs(t)), with t >= 0
             if h < 1e-14 * (t if t > 1.0 else 1.0):
-                raise StepUnderflow(f"step collapsed near t={t}")
+                termination = "step-underflow"
             continue
         accepted += 1
         t += h

@@ -325,8 +325,8 @@ def system_from_text(text: str) -> DiffSystem:
 
 
 def load_system(text: str) -> DiffSystem:
-    """Accept either the JSON or the two-line plain-text system form."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """The JSON or two-line text form; one leading byte-order mark is cut."""
+    text = text.removeprefix("\ufeff")
+    if text.lstrip().startswith("{"):
         return system_from_json(text)
     return system_from_text(text)

@@ -1,6 +1,9 @@
-"""Shared hypothesis strategies, corpus lookup and the sympy oracle for
-the test suite."""
+"""Shared hypothesis strategies, corpus lookup, an alarm and the sympy
+oracle for the test suite."""
 
+import contextlib
+import gc
+import signal
 from fractions import Fraction
 from functools import cache
 
@@ -74,6 +77,32 @@ def case_by_name(name: str):
     """One bundled corpus case; the corpus is parsed once and the cases
     shared."""
     return _cases_by_name()[name]
+
+
+class Alarm(BaseException):
+    """The alarm of ``alarm`` went off; no ``except Exception`` takes it."""
+
+
+def _ring(signum, frame):
+    raise Alarm()
+
+
+@contextlib.contextmanager
+def alarm(seconds: float):
+    """Raise Alarm in the body once ``seconds`` have passed. The collector
+    stays off meanwhile: an alarm that lands in a collection is raised in
+    Hypothesis's gc callback, which swallows it, and the body runs on."""
+    previous = signal.signal(signal.SIGALRM, _ring)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        if collecting:
+            gc.enable()
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")

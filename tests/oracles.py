@@ -76,9 +76,8 @@ from artifact.dynamics import (
     _E7,
     _GAUSS_NODES,
     _GAUSS_WEIGHTS,
+    MAX_TRIAL_STEPS,
     IntegratorConfig,
-    NumericOverflow,
-    StepUnderflow,
     Trajectory,
     _field,
     _finite,
@@ -484,8 +483,9 @@ def loop_integrate(sys: DiffSystem, start,
     """Adaptive Dormand-Prince 5(4) trajectory from a starting point.
 
     Stops at the configured time limit, on leaving the outer disk, on
-    entering the origin guard, or when the field magnitude drops below
-    the absolute tolerance (an equilibrium).
+    entering the origin guard, when the field magnitude drops below the
+    absolute tolerance (an equilibrium), when a rejected step leaves h
+    below 1e-14 * max(1, t), or after ``MAX_TRIAL_STEPS`` trial steps.
 
     The field is compiled once per system and direction and kept on the
     system. The step is FSAL: the last stage of an accepted step is the
@@ -514,8 +514,12 @@ def loop_integrate(sys: DiffSystem, start,
     if math.hypot(kx, ky) < abs_tol:
         termination = "converged-to-equilibrium"
     while termination is None:
+        if accepted + rejected == MAX_TRIAL_STEPS:
+            termination = "step-limit"
+            break
         h = min(h, max_step, max_time - t)
         trial = loop_rk_step(f, x, y, h, kx, ky)
+        err = None  # a trial step that overflows is rejected
         if trial is not None:
             nx, ny, ex, ey, nkx, nky = trial
             sx = abs_tol + rel_tol * max(abs(x), abs(nx))
@@ -523,13 +527,13 @@ def loop_integrate(sys: DiffSystem, start,
             try:
                 err = math.sqrt(((ex / sx) ** 2 + (ey / sy) ** 2) / 2)
             except OverflowError:
-                raise NumericOverflow(
-                    f"error estimate overflowed near t={t}") from None
-        if trial is None or err > 1.0:
+                pass
+        if err is None or err > 1.0:
             rejected += 1
-            h *= 0.2 if trial is None else max(0.2, 0.9 * err ** -0.2)
+            h *= 0.2 if err is None else max(0.2, 0.9 * err ** -0.2)
             if h < 1e-14 * max(1.0, abs(t)):
-                raise StepUnderflow(f"step collapsed near t={t}")
+                termination = "step-underflow"
+                break
             continue
         accepted += 1
         t += h

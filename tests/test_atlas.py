@@ -1,21 +1,19 @@
 """Atlas assembly and rendering determinism."""
 
 import ast
-import gc
 import inspect
 import json
 import math
 import os
 import pickle
 import random
-import signal
 import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import case_by_name
+from conftest import Alarm, alarm, case_by_name
 from oracles import loop_mid_arc_arrow
 from test_golden import ATLAS
 
@@ -29,7 +27,28 @@ from artifact.atlas import (
     render_svg,
 )
 from artifact.charts import Circle, Line, Point, map_curve
-from artifact.dynamics import IntegratorConfig, NumericOverflow, Trajectory
+from artifact.dynamics import (
+    TERMINATIONS,
+    IntegratorConfig,
+    NumericOverflow,
+    Trajectory,
+)
+from artifact.parse import parse_system
+
+
+# fields whose atlas fails the same way in every process: a coefficient
+# that does not fit a float stops the first run before its first step, and
+# 10^307 x^2 is not finite at the seeds of radius 4.5 and more
+TOO_LARGE_FOR_FLOATS = {
+    "coefficient": (f"1{'0' * 400}*x - y", "x"),
+    "field-at-seed": (f"1{'0' * 307}*x^2 - y", "x"),
+}
+
+
+# the pinned atlases rebuilt here, all but 9.11->9.14: its 24 runs at the
+# budget of trial steps make it the slowest, at about twice 7.1->7.2;
+# 9.4->9.5 and 9.6->9.7 have runs at the budget too
+REBUILT = sorted(set(ATLAS) - {"9.11->9.14"})
 
 
 def quick_config(**kw):
@@ -91,11 +110,14 @@ class TestConfig:
 
 
 class TestBuildAtlas:
-    def test_error_estimate_overflow_is_numeric_overflow(self):
-        # a trial step whose error norm overflows must surface as the
-        # integrator's own error, not a bare OverflowError
-        with pytest.raises(NumericOverflow, match="t="):
-            build_atlas(case_by_name("4.9->4.10").system)
+    def test_error_estimate_overflow_rejects_the_step(self):
+        # a trial step whose error norm overflows is rejected like any
+        # other trial step too large for floats, so the atlas finishes
+        doc = build_atlas(case_by_name("4.9->4.10").system)
+        for disk in doc.disks:
+            assert disk.trajectories
+            assert {t.termination for t in disk.trajectories} \
+                <= set(TERMINATIONS)
 
     def test_radial_rays(self):
         sys = case_by_name("5.1->5.2").system
@@ -218,14 +240,14 @@ class TestMidArcArrow:
 
     def test_corpus_atlases(self):
         count = 0
-        for name in sorted(ATLAS):
+        for name in REBUILT:
             doc = build_atlas(case_by_name(name).system)
             for disk in doc.disks:
                 for traj in disk.trajectories:
                     assert repr(atlas._mid_arc_arrow(traj)) == \
                         repr(loop_mid_arc_arrow(traj)), name
                     count += 1
-        assert count == 2016
+        assert count == 96 * len(REBUILT)
 
     def test_ties_on_a_grid(self):
         # unit and zero steps on the grid: every length is an integer, so
@@ -374,7 +396,7 @@ def assert_no_child_left():
 
 
 class TestSplitRuns:
-    @pytest.mark.parametrize("name", sorted(ATLAS))
+    @pytest.mark.parametrize("name", REBUILT)
     def test_corpus_atlas_matches_serial(self, name, monkeypatch, forks):
         system = case_by_name(name).system
         split = build_atlas(system)
@@ -392,9 +414,9 @@ class TestSplitRuns:
         assert split.disks[0].equilibria[-1] == ((0.5, 0.0), "marked")
         assert_same_document(split, serial_atlas(monkeypatch, system, cfg))
 
-    @pytest.mark.parametrize("name", ["4.9->4.10", "9.12->9.15"])
+    @pytest.mark.parametrize("name", sorted(TOO_LARGE_FOR_FLOATS))
     def test_failure_matches_serial(self, name, monkeypatch):
-        system = case_by_name(name).system
+        system = parse_system(("x", "y"), TOO_LARGE_FOR_FLOATS[name])
         with pytest.raises(ArithmeticError) as split:
             build_atlas(system)
         with pytest.raises(ArithmeticError) as serial:
@@ -479,14 +501,6 @@ class TestSplitRuns:
         assert forks == []
 
 
-class _Alarm(BaseException):
-    pass
-
-
-def _raise_alarm(signum, frame):
-    raise _Alarm()
-
-
 class TestNoChildLeft:
     def test_after_return(self, forks):
         build_atlas(case_by_name("5.3->5.4").system)
@@ -495,26 +509,18 @@ class TestNoChildLeft:
 
     def test_after_exception(self, forks):
         with pytest.raises(NumericOverflow):
-            build_atlas(case_by_name("4.9->4.10").system)
+            build_atlas(parse_system(("x", "y"),
+                                     TOO_LARGE_FOR_FLOATS["field-at-seed"]))
         assert len(forks) <= 1
         assert_no_child_left()
 
     def test_after_alarm_mid_atlas(self, forks):
-        # 9.6->9.7 runs for far longer than the alarm. The collector stays
-        # off meanwhile: an alarm that lands in a collection is raised in
-        # Hypothesis's gc callback, which swallows it, and then the atlas
-        # runs on for minutes in both processes
-        previous = signal.signal(signal.SIGALRM, _raise_alarm)
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            signal.setitimer(signal.ITIMER_REAL, 0.5)
-            with pytest.raises(_Alarm):
-                build_atlas(case_by_name("9.6->9.7").system)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            if collecting:
-                gc.enable()
-            signal.signal(signal.SIGALRM, previous)
+        # 768 runs of 7.1->7.2 with a time limit that most of them reach
+        # only at the budget of trial steps: far longer than the alarm,
+        # and the collector stays off meanwhile (``alarm``)
+        cfg = AtlasConfig(rays=32, rings=6,
+                          integrator=IntegratorConfig(max_time=1e4))
+        with pytest.raises(Alarm), alarm(0.5):
+            build_atlas(case_by_name("7.1->7.2").system, cfg)
         assert len(forks) == expected_forks()
         assert_no_child_left()

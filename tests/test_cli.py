@@ -171,6 +171,27 @@ class TestConjugate:
         doc = json.loads(capsys.readouterr().out)
         assert doc["system"]["rhs"] == ["y", "-x"]
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("text", [
+        '{"vars": ["x", "y"], "rhs": ["y", "-x^3"]}',
+        "dx/dt = y\ndy/dt = -x^3\n"], ids=["json", "text"])
+    def test_byte_order_mark_is_dropped(self, text, source, tmp_path,
+                                        capsys, monkeypatch):
+        # some editors start a UTF-8 file with the mark EF BB BF
+        outputs = []
+        for data in (text.encode(), b"\xef\xbb\xbf" + text.encode()):
+            if source == "file":
+                path = tmp_path / "sys.txt"
+                path.write_bytes(data)
+                assert main(["conjugate", "-i", str(path)]) == 0
+            else:
+                monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+                    io.BytesIO(data), encoding="utf-8"))
+                assert main(["conjugate", "-i", "-"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == "" and outputs[0].out
+        assert outputs[1] == outputs[0]
+
     @pytest.mark.parametrize("key,entry", [
         ("vars", 1), ("vars", None), ("rhs", {"a": "x", "b": "y"}),
         ("rhs", ["x", None]), ("rhs", [1, 2])],
@@ -319,16 +340,20 @@ class TestAtlas:
         assert capsys.readouterr().err == (
             "error: the coefficient of x in dx/dt does not fit a float\n")
 
-    def test_step_underflow_exits_1(self, tmp_path, capsys):
+    def test_step_underflow_exits_0(self, tmp_path, capsys):
         # dx/dt = 10^300 x^2 is too stiff for any step the integrator
-        # may take; the exponent cap refuses 10^300, so write it out
+        # may take; the exponent cap refuses 10^300, so write it out.
+        # Every run ends "step-underflow" at its start, so the atlas is
+        # drawn without trajectories (a run of one sample is left out)
         path = tmp_path / "sys.txt"
         path.write_text(f"dx/dt = 1{'0' * 300}*x^2\ndy/dt = y\n")
-        code = main(["atlas", "-i", str(path), "-o", str(tmp_path / "a.svg")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == "error: step collapsed near t=0.0\n"
-        assert "Traceback" not in err
+        doc = tmp_path / "a.json"
+        code = main(["atlas", "-i", str(path), "-o", str(tmp_path / "a.svg"),
+                     "--json", str(doc)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        disks = json.loads(doc.read_text())["disks"]
+        assert [disk["trajectories"] for disk in disks] == [[], []]
 
     def test_seed_grid_past_the_cap_exits_1(self, sys_file, capsys):
         # refused before any seed is built, so it returns at once
