@@ -27,7 +27,7 @@ from itertools import accumulate, compress, count, repeat
 from operator import add, gt, lt, sub
 
 from .analyze import origin_status
-from .charts import AT_INFINITY, Chart, Circle, Line, Point, map_curve
+from .charts import Chart, Circle, Line, Point, map_curve
 from .conjugate import DiffSystem, conjugate
 from .dynamics import IntegratorConfig, Trajectory, field_eval, integrate
 
@@ -45,7 +45,10 @@ def disk_radius(eps) -> float:
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise OutOfRange(f"disk parameter must lie in (0, 1]: {eps}")
-    return 2 * math.sqrt(float((2 - eps) / eps))
+    try:
+        return 2 * math.sqrt(float((2 - eps) / eps))
+    except OverflowError:
+        raise OutOfRange("disk parameter too small for floats") from None
 
 
 # Most rays per ring (one per degree; every seed runs before any result),
@@ -61,9 +64,9 @@ class AtlasConfig:
     Disk radii are disk_radius(eps1) and disk_radius(eps2).
     Curve markers annotate known cycles or separatrices: each entry is
     (disk, descriptor) with disk 1 for the original plane and 2 for the
-    partner plane; the marker is also drawn as its image in the other
-    disk, and circle markers contribute two extra seeds bracketing the
-    circle.
+    partner plane. Circles and lines are drawn in both disks, as their
+    image in the other one; a point is marked in its own disk only.
+    Circle markers contribute two extra seeds bracketing the circle.
     """
 
     eps1: Fraction = Fraction(1, 5)
@@ -268,13 +271,6 @@ def _circle_bracket_seeds(circle: Circle):
     return [(cx + 0.85 * rad, cy), (cx + 1.15 * rad, cy)]
 
 
-def _image_curve(curve):
-    image = map_curve(curve)
-    if image is AT_INFINITY or isinstance(image, Point):
-        return None
-    return image
-
-
 def _run(job) -> Trajectory:
     """One seed run: integrate, label a run to the time limit that
     returns to its start "closed", and clip an exit onto the disk."""
@@ -305,20 +301,17 @@ def _may_fork(runs: int) -> bool:
 
 def _child_runs(jobs, share, parent: int, mask, read_fd: int,
                 write_fd: int) -> None:
-    """The forked child: run the share in order and send, as one pickle,
-    the leading runs that succeeded. Stops at the first failing run, and
-    between runs once the parent is gone. Never returns."""
+    """The forked child: run the share in order and send all of its runs
+    as one pickle. Sends nothing if a run raises, or once the parent is
+    gone. Never returns."""
     try:
         os.close(read_fd)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         sent = []
         for i in share:
             if os.getppid() != parent:
-                break
-            try:
-                sent.append(_run(jobs[i]))
-            except (ArithmeticError, ValueError):
-                break
+                return
+            sent.append(_run(jobs[i]))
         with open(write_fd, "wb") as pipe:
             pickle.dump(sent, pipe, pickle.HIGHEST_PROTOCOL)
     finally:
@@ -326,14 +319,14 @@ def _child_runs(jobs, share, parent: int, mask, read_fd: int,
 
 
 def _run_split(jobs) -> dict:
-    """The runs that one forked child and this process deliver, by index;
-    a run that fails, or that the child never sends, is missing.
+    """The runs that one forked child and this process deliver, by index.
 
     The child takes the runs with index i % 4 in (1, 2), so each side
     gets about half the forward and half the backward runs. This process
-    runs the rest, stopping at its first failure, then reads the child's
-    pipe to its end. It kills and reaps the child before it returns or
-    raises, whatever it raises. The child is a fork, not a fresh
+    runs the rest, raising what a run raises, then reads the child's pipe
+    to its end. A child that dies, or whose run raises (only at a clipped
+    exit), sends nothing, and its share is missing. The child is killed
+    and reaped before this returns or raises. It is a fork, not a fresh
     interpreter: it inherits the loaded library and the runs, so nothing
     is imported or sent to it. A fresh interpreter's start-up alone costs
     more than a typical atlas.
@@ -359,10 +352,7 @@ def _run_split(jobs) -> dict:
             return done
         for i in range(len(jobs)):
             if i % 4 in (0, 3):
-                try:
-                    done[i] = _run(jobs[i])
-                except (ArithmeticError, ValueError):
-                    break
+                done[i] = _run(jobs[i])
         with open(read_fd, "rb", closefd=False) as pipe:
             blob = pipe.read()
     finally:
@@ -374,15 +364,17 @@ def _run_split(jobs) -> dict:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     try:
         sent = pickle.loads(blob)
-    except (pickle.UnpicklingError, EOFError):  # the child died first
+    except (pickle.UnpicklingError, EOFError):  # the child sent nothing
         sent = []
     done.update(zip(share, sent))
     return done
 
 
 def _run_all(jobs) -> list:
-    """Every run's trajectory, as a serial loop gives them: a failing
-    run raises what it raises there, and runs after it do not count."""
+    """Every run's trajectory, in job order. A run can still raise at a
+    clipped exit whose field does not fit a float: in this process at
+    once, in the child's share when this process runs that share itself.
+    So which failing run's error surfaces may depend on the split."""
     done = _run_split(jobs) if _may_fork(len(jobs)) else {}
     return [done[i] if i in done else _run(job) for i, job in enumerate(jobs)]
 
@@ -395,7 +387,10 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
     origins that are equilibria; the partner disk's origin stands for
     the original plane's infinitely remote point. The runs of both disks
     are split between this process and one forked child when a second
-    CPU is free; the document does not depend on the split.
+    CPU is free; the document does not depend on the split. It raises
+    before any run or fork if a run would fail at its start, for its
+    system or its seed; otherwise every run, of one sample or more, is
+    in the document.
     """
     cfg = cfg or AtlasConfig()
     r1, r2 = disk_radius(cfg.eps1), disk_radius(cfg.eps2)
@@ -410,7 +405,7 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
                   if d == disk_no]
         curves = []
         for d, marker in cfg.markers:
-            own = marker if d == disk_no else _image_curve(marker)
+            own = marker if d == disk_no else map_curve(marker)
             if isinstance(own, (Circle, Line)):
                 curves.append(own)
                 if d == disk_no and isinstance(own, Circle):
@@ -432,9 +427,12 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
                                trajectories=[], equilibria=equilibria,
                                arrows=[], curves=curves))
 
+    # each run's start check; the child inherits the compiled forward fields
+    for system, seed, _, _ in jobs[::2]:   # the forward runs
+        field_eval(system, seed)
     runs = _run_all(jobs)
     for disk, (first, end) in zip(disks, ranges):
-        disk.trajectories = [t for t in runs[first:end] if len(t.samples) >= 2]
+        disk.trajectories = runs[first:end]
         disk.arrows = [a for a in map(_mid_arc_arrow, disk.trajectories) if a]
 
     provenance = {

@@ -30,14 +30,13 @@ from artifact.charts import Circle, Line, Point, map_curve
 from artifact.dynamics import (
     TERMINATIONS,
     IntegratorConfig,
-    NumericOverflow,
     Trajectory,
 )
 from artifact.parse import parse_system
 
 
-# fields whose atlas fails the same way in every process: a coefficient
-# that does not fit a float stops the first run before its first step, and
+# fields whose atlas is refused before any run or fork: a coefficient
+# that does not fit a float fails the first run's start check, and
 # 10^307 x^2 is not finite at the seeds of radius 4.5 and more
 TOO_LARGE_FOR_FLOATS = {
     "coefficient": (f"1{'0' * 400}*x - y", "x"),
@@ -69,6 +68,12 @@ class TestDiskRadius:
     def test_out_of_range(self, bad):
         with pytest.raises(OutOfRange):
             disk_radius(bad)
+
+    def test_too_small_for_floats(self):
+        # (2 - eps)/eps past the largest float: refused, not an OverflowError
+        assert disk_radius(Fraction(1, 10**300)) > 1e150
+        with pytest.raises(OutOfRange, match="too small"):
+            disk_radius(Fraction(1, 10**400))
 
     @given(st.fractions(min_value=Fraction(1, 1000), max_value=1),
            st.fractions(min_value=Fraction(1, 1000), max_value=1))
@@ -395,6 +400,24 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# run 3 of a quick_config atlas is the backward run from its second seed,
+# (0, 3) up to rounding; it is in this process's share (index % 4 == 3),
+# and no run of the child's share starts above y = 2.9
+RUN_3_ERROR = r"backward from \([-.\de]+, 3\.0\)"
+
+
+def fail_run_3(monkeypatch):
+    """Make run 3 raise after the split, in whichever process runs it."""
+    real = atlas.integrate
+
+    def failing(system, start, *args, direction, **kwargs):
+        if direction == "backward" and start[1] > 2.9:
+            raise ValueError(f"backward from {start}")
+        return real(system, start, *args, direction=direction, **kwargs)
+
+    monkeypatch.setattr(atlas, "integrate", failing)
+
+
 class TestSplitRuns:
     @pytest.mark.parametrize("name", REBUILT)
     def test_corpus_atlas_matches_serial(self, name, monkeypatch, forks):
@@ -415,7 +438,8 @@ class TestSplitRuns:
         assert_same_document(split, serial_atlas(monkeypatch, system, cfg))
 
     @pytest.mark.parametrize("name", sorted(TOO_LARGE_FOR_FLOATS))
-    def test_failure_matches_serial(self, name, monkeypatch):
+    def test_failure_matches_serial(self, name, monkeypatch, forks):
+        # refused before any run: no fork
         system = parse_system(("x", "y"), TOO_LARGE_FOR_FLOATS[name])
         with pytest.raises(ArithmeticError) as split:
             build_atlas(system)
@@ -423,21 +447,19 @@ class TestSplitRuns:
             serial_atlas(monkeypatch, system)
         assert type(split.value) is type(serial.value)
         assert str(split.value) == str(serial.value)
+        assert forks == []
 
-    def test_first_failure_in_serial_order_wins(self, monkeypatch, forks):
-        # every backward run fails: run 1 (the child's) comes before
-        # run 3 (this process's), so run 1's error must surface
-        real = atlas.integrate
-
-        def no_backward(system, start, *args, direction, **kwargs):
-            if direction == "backward":
-                raise ValueError(f"backward from {start}")
-            return real(system, start, *args, direction=direction, **kwargs)
-
-        monkeypatch.setattr(atlas, "integrate", no_backward)
-        with pytest.raises(ValueError, match=r"backward from \(3\.0, 0\.0\)"):
-            build_atlas(case_by_name("5.1->5.2").system, quick_config())
+    def test_failure_in_this_process_share_surfaces(self, monkeypatch,
+                                                     forks):
+        fail_run_3(monkeypatch)
+        system = case_by_name("5.1->5.2").system
+        with pytest.raises(ValueError, match=RUN_3_ERROR) as split:
+            build_atlas(system, quick_config())
         assert len(forks) == expected_forks()
+        assert_no_child_left()
+        with pytest.raises(ValueError) as serial:
+            serial_atlas(monkeypatch, system, quick_config())
+        assert str(split.value) == str(serial.value)
 
     def test_child_that_dies_gives_the_serial_result(self, monkeypatch, forks):
         system = case_by_name("5.3->5.4").system
@@ -507,11 +529,11 @@ class TestNoChildLeft:
         assert len(forks) == expected_forks()
         assert_no_child_left()
 
-    def test_after_exception(self, forks):
-        with pytest.raises(NumericOverflow):
-            build_atlas(parse_system(("x", "y"),
-                                     TOO_LARGE_FOR_FLOATS["field-at-seed"]))
-        assert len(forks) <= 1
+    def test_after_exception(self, monkeypatch, forks):
+        fail_run_3(monkeypatch)
+        with pytest.raises(ValueError, match=RUN_3_ERROR):
+            build_atlas(case_by_name("5.1->5.2").system, quick_config())
+        assert len(forks) == expected_forks()
         assert_no_child_left()
 
     def test_after_alarm_mid_atlas(self, forks):

@@ -332,6 +332,23 @@ class TestAtlas:
         assert capsys.readouterr().err == (
             "error: disk parameter must lie in (0, 1]: -1/5\n")
 
+    @pytest.mark.parametrize("flag", ["--eps1", "--eps2"])
+    def test_eps_too_small_for_floats(self, flag, sys_file, capsys):
+        # below about 1.1e-308, (2 - eps)/eps does not fit a float
+        code = main(["atlas", "-i", sys_file(["x", "y"], ["x", "-y"]),
+                     flag, "1e-400"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: disk parameter too small for floats\n")
+
+    def test_tiny_eps_that_fits_a_float(self, sys_file, tmp_path, capsys):
+        # a disk of radius 2.8e150 around the saddle's original plane
+        code = main(["atlas", "-i", sys_file(["x", "y"], ["x", "-y"]),
+                     "--eps1", "1e-300", "--seeds", "grid:2",
+                     "-o", str(tmp_path / "a.svg")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_coefficient_too_large_for_float(self, tmp_path, capsys):
         path = tmp_path / "sys.txt"
         path.write_text(f"dx/dt = 1{'0' * 400}*x - y\ndy/dt = x\n")
@@ -343,8 +360,8 @@ class TestAtlas:
     def test_step_underflow_exits_0(self, tmp_path, capsys):
         # dx/dt = 10^300 x^2 is too stiff for any step the integrator
         # may take; the exponent cap refuses 10^300, so write it out.
-        # Every run ends "step-underflow" at its start, so the atlas is
-        # drawn without trajectories (a run of one sample is left out)
+        # Every run ends "step-underflow" at its start, and the atlas
+        # lists each of them with its one sample
         path = tmp_path / "sys.txt"
         path.write_text(f"dx/dt = 1{'0' * 300}*x^2\ndy/dt = y\n")
         doc = tmp_path / "a.json"
@@ -353,7 +370,11 @@ class TestAtlas:
         assert code == 0
         assert capsys.readouterr().err == ""
         disks = json.loads(doc.read_text())["disks"]
-        assert [disk["trajectories"] for disk in disks] == [[], []]
+        for disk in disks:
+            runs = disk["trajectories"]
+            assert len(runs) == 48   # 24 seeds, each forward and backward
+            assert {(t["termination"], len(t["samples"])) for t in runs} \
+                == {("step-underflow", 1)}
 
     def test_seed_grid_past_the_cap_exits_1(self, sys_file, capsys):
         # refused before any seed is built, so it returns at once
