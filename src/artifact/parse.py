@@ -53,9 +53,9 @@ MAX_NESTING = 100
 # coefficient that is not an integer counts FRACTION_WEIGHT times, since a
 # pair of them costs about 15 times an integer pair (a gcd normalises each
 # product and sum). The largest corpus expression needs 144, "(x+y+1)^32"
-# 25 704, and a dense degree-32 field 5 126; a 100 KB sum of such powers
-# is refused after two of them instead of running for seconds, and one
-# with p/q coefficients within the first.
+# 25 704, and "c*x^i*y^j" for every monomial of degree <= 32 5 192; a
+# 100 KB sum of such powers is refused after two of them instead of running
+# for seconds, and one with p/q coefficients within the first.
 MAX_PRODUCTS = 60_000
 FRACTION_WEIGHT = 4
 
@@ -66,16 +66,20 @@ def _check_degree(degree: int, what: str, where: int) -> None:
             f"{what} {degree} exceeds the limit of {MAX_DEGREE}", where)
 
 
-def _degree(p: BiPoly) -> int:
-    return p.total_degree() or 0
+def _weight(c: int | Fraction) -> int:
+    """A coefficient's count against MAX_PRODUCTS: 0 for zero, else 1, or
+    FRACTION_WEIGHT when it is not an integer, plus 1 per 1024 bits."""
+    if not c:
+        return 0
+    return ((1 if c.denominator == 1 else FRACTION_WEIGHT)
+            + (c.numerator.bit_length() + c.denominator.bit_length()) // 1024)
 
 
-def _weight(p: BiPoly) -> int:
-    """The terms of p, each counted once more per 1024 coefficient bits,
-    and FRACTION_WEIGHT times when its coefficient is not an integer."""
-    return sum((1 if c.denominator == 1 else FRACTION_WEIGHT)
-               + (c.numerator.bit_length() + c.denominator.bit_length())
-               // 1024 for c in p.terms.values())
+def _degree(value) -> int:
+    """Total degree of a monomial (c, i, j) or a BiPoly; 0 for zero."""
+    if type(value) is tuple:
+        return value[1] + value[2] if value[0] else 0
+    return value.total_degree() or 0
 
 
 def _number(literal: str, where: int) -> int | Fraction:
@@ -139,8 +143,9 @@ def _tokenize(text: str, variables: tuple[str, str]) -> list[tuple]:
 
 
 class _Parser:
-    """Recursive descent over the token stream; every method returns BiPoly,
-    on int coefficients but for "p/q" literals (parse_polynomial converts)."""
+    """Recursive descent over the token stream; a value is a monomial
+    (c, i, j) until a parenthesised sum, a BiPoly, enters its product, on
+    int coefficients but for "p/q" literals (parse_polynomial converts)."""
 
     def __init__(self, text: str, variables: tuple[str, str]):
         self.vars = variables
@@ -159,7 +164,7 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def nested(self, parse, where: int) -> BiPoly:
+    def nested(self, parse, where: int):
         """parse() one nesting level deeper, refused past MAX_NESTING."""
         if self.depth == MAX_NESTING:
             raise ParseError(
@@ -169,13 +174,25 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def product(self, a: BiPoly, b: BiPoly, where: int) -> BiPoly:
-        """a * b, refused when it takes the parse past MAX_PRODUCTS."""
-        self.products += _weight(a) * _weight(b)
+    def product(self, a, b, where: int):
+        """a * b, refused when it takes the parse past MAX_PRODUCTS, which
+        counts the weights of the term pairs it multiplies; two monomials
+        multiply as tuples, a monomial and a sum as BiPoly."""
+        if type(a) is tuple is type(b):
+            self.products += _weight(a[0]) * _weight(b[0])
+        else:
+            if type(a) is tuple:
+                a = BiPoly._trusted(self.vars, {a[1:]: a[0]})
+            elif type(b) is tuple:
+                b = BiPoly._trusted(self.vars, {b[1:]: b[0]})
+            self.products += (sum(map(_weight, a.terms.values()))
+                              * sum(map(_weight, b.terms.values())))
         if self.products > MAX_PRODUCTS:
             raise ParseError(
                 f"expansion needs more than {MAX_PRODUCTS} term products",
                 where)
+        if type(a) is tuple:
+            return a[0] * b[0], a[1] + b[1], a[2] + b[2]
         return a * b
 
     def parse(self) -> BiPoly:
@@ -189,15 +206,18 @@ class _Parser:
         """The summands added into one dict. A key is deleted as soon as
         its coefficient cancels, as BiPoly's + and - drop it after each
         summand, so a key that comes back goes last: "x - x + y + x" has
-        the terms y, x."""
-        terms = dict(self.term().terms)
+        the terms y, x. A zero monomial adds nothing, as a zero BiPoly
+        has no terms: "0*x + y + x" has the terms y, x."""
+        terms = {}
+        negate = False
         while True:
-            op = self.peek()[0]
-            if op not in ("+", "-"):
-                return BiPoly._trusted(self.vars, terms)
-            self.pos += 1
-            for e, c in self.term().terms.items():
-                if op == "-":
+            value = self.term()
+            if type(value) is tuple:
+                pairs = ((value[1:], value[0]),) if value[0] else ()
+            else:
+                pairs = value.terms.items()
+            for e, c in pairs:
+                if negate:
                     c = -c
                 if e in terms:
                     c += terms[e]
@@ -205,8 +225,13 @@ class _Parser:
                         del terms[e]
                         continue
                 terms[e] = c
+            op = self.peek()[0]
+            if op not in ("+", "-"):
+                return BiPoly._trusted(self.vars, terms)
+            self.pos += 1
+            negate = op == "-"
 
-    def term(self) -> BiPoly:
+    def term(self):
         value = self.signed_factor()
         while True:
             kind, _, where = self.peek()
@@ -222,20 +247,25 @@ class _Parser:
                           where)
             value = self.product(value, rhs, where)
 
-    def signed_factor(self) -> BiPoly:
+    def signed_factor(self):
         kind, _, where = self.peek()
         if kind == "-":
             self.pos += 1
-            return -self.nested(self.signed_factor, where)
+            value = self.nested(self.signed_factor, where)
+            if type(value) is tuple:
+                return -value[0], value[1], value[2]
+            return -value
         return self.factor()
 
-    def factor(self) -> BiPoly:
+    def factor(self):
         base = self.atom()
         kind, _, where = self.peek()
         if kind == "^":
             self.pos += 1
             n = self.exponent()
             _check_degree(_degree(base) * n, "power degree", where)
+            if n == 0:
+                return 1, 0, 0
             return power(base, n, lambda a, b: self.product(a, b, where))
         return base
 
@@ -252,13 +282,12 @@ class _Parser:
         _check_degree(n, "exponent", where)
         return n
 
-    def atom(self) -> BiPoly:
+    def atom(self):
         kind, value, where = self.take()
         if kind == "num":
-            return BiPoly._trusted(self.vars, {(0, 0): _number(value, where)})
+            return _number(value, where), 0, 0
         if kind == "var":
-            return BiPoly._trusted(self.vars, {
-                (1, 0) if value == self.vars[0] else (0, 1): 1})
+            return (1, 1, 0) if value == self.vars[0] else (1, 0, 1)
         if kind == "(":
             inner = self.nested(self.expression, where)
             kind, _, where = self.peek()
@@ -272,17 +301,17 @@ class _Parser:
 def parse_polynomial(text: str, variables: tuple[str, str]) -> BiPoly:
     """Parse an expression into a fully expanded polynomial."""
     variables = (str(variables[0]), str(variables[1]))
+    if variables[0] == variables[1]:
+        raise ValueError(f"variables must be distinct, got {variables}")
+    for name in variables:
+        if not _NAME.fullmatch(name):
+            raise ValueError(f"bad variable name {name!r}")
     return BiPoly(variables, _Parser(text, variables).parse().terms)
 
 
 def parse_system(variables, rhs) -> DiffSystem:
     """Parse the two right sides against the declared variable pair."""
     variables = (str(variables[0]), str(variables[1]))
-    if variables[0] == variables[1]:
-        raise ValueError(f"variables must be distinct, got {variables}")
-    for name in variables:
-        if not _NAME.fullmatch(name):
-            raise ValueError(f"bad variable name {name!r}")
     expressions = (str(rhs[0]), str(rhs[1]))
     if not expressions[0].strip() or not expressions[1].strip():
         raise ValueError("right-hand sides must be nonempty")

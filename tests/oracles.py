@@ -22,6 +22,10 @@ versions do less interpreter work for the same answer: the integrator
 with its step as a function, the closure test on every segment and the
 scan for the atlas arrow. It also keeps the conjugacy residual on whole
 numpy arrays, which the library's plain-float residual must equal.
+
+The parser is kept as it was before it carried monomials as tuples:
+every value a BiPoly, every product a BiPoly product. The library's
+parser must give the same terms, errors and work count.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from artifact import parse
 from artifact.charts import (
     AT_INFINITY,
     AtInfinity,
@@ -83,13 +88,24 @@ from artifact.dynamics import (
     _finite,
     integrate,
 )
-from artifact.parse import parse_polynomial
+from artifact.parse import (
+    FRACTION_WEIGHT,
+    MAX_NESTING,
+    NegativeExponent,
+    NonIntegerExponent,
+    ParseError,
+    _check_degree,
+    _number,
+    _tokenize,
+    parse_polynomial,
+)
 from artifact.poly import (
     BiPoly,
     NotDivisible,
     divide_exact_by_circle,
     divmod_circle,
     integer_numerators,
+    power,
 )
 
 
@@ -706,3 +722,144 @@ def array_residual(sys: DiffSystem, result, start,
     gap = gap - along[:, None] * v
     gap2 = gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]
     return float(np.sqrt(gap2).max()), gap2.tolist()
+
+
+# -- the parser on BiPoly values ----------------------------------------------
+
+
+def _poly_degree(p: BiPoly) -> int:
+    return p.total_degree() or 0
+
+
+def _poly_weight(p: BiPoly) -> int:
+    """The terms of p, each counted once more per 1024 coefficient bits,
+    and FRACTION_WEIGHT times when its coefficient is not an integer."""
+    return sum((1 if c.denominator == 1 else FRACTION_WEIGHT)
+               + (c.numerator.bit_length() + c.denominator.bit_length())
+               // 1024 for c in p.terms.values())
+
+
+class PolyParser:
+    """The library's recursive descent with every value a BiPoly, on int
+    coefficients but for "p/q" literals; ``parse`` returns the expanded
+    polynomial and ``products`` counts against ``parse.MAX_PRODUCTS``,
+    read at each product so a test may lower it."""
+
+    def __init__(self, text: str, variables: tuple[str, str]):
+        self.vars = variables
+        self.tokens = _tokenize(text, variables)
+        self.pos = 0
+        self.depth = 0
+        self.products = 0
+
+    def peek(self) -> tuple:
+        return self.tokens[self.pos]
+
+    def take(self) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of input", tok[2])
+        self.pos += 1
+        return tok
+
+    def nested(self, parse_one, where: int) -> BiPoly:
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than the limit of {MAX_NESTING}", where)
+        self.depth += 1
+        value = parse_one()
+        self.depth -= 1
+        return value
+
+    def product(self, a: BiPoly, b: BiPoly, where: int) -> BiPoly:
+        self.products += _poly_weight(a) * _poly_weight(b)
+        if self.products > parse.MAX_PRODUCTS:
+            raise ParseError(
+                f"expansion needs more than {parse.MAX_PRODUCTS} term "
+                f"products", where)
+        return a * b
+
+    def parse(self) -> BiPoly:
+        value = self.expression()
+        kind, text, where = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", where)
+        return value
+
+    def expression(self) -> BiPoly:
+        terms = dict(self.term().terms)
+        while True:
+            op = self.peek()[0]
+            if op not in ("+", "-"):
+                return BiPoly._trusted(self.vars, terms)
+            self.pos += 1
+            for e, c in self.term().terms.items():
+                if op == "-":
+                    c = -c
+                if e in terms:
+                    c += terms[e]
+                    if not c:
+                        del terms[e]
+                        continue
+                terms[e] = c
+
+    def term(self) -> BiPoly:
+        value = self.signed_factor()
+        while True:
+            kind, _, where = self.peek()
+            if kind == "*":
+                self.pos += 1
+                rhs = self.signed_factor()
+            elif kind in ("num", "var", "("):
+                rhs = self.factor()
+            else:
+                return value
+            _check_degree(_poly_degree(value) + _poly_degree(rhs),
+                          "product degree", where)
+            value = self.product(value, rhs, where)
+
+    def signed_factor(self) -> BiPoly:
+        kind, _, where = self.peek()
+        if kind == "-":
+            self.pos += 1
+            return -self.nested(self.signed_factor, where)
+        return self.factor()
+
+    def factor(self) -> BiPoly:
+        base = self.atom()
+        kind, _, where = self.peek()
+        if kind == "^":
+            self.pos += 1
+            n = self.exponent()
+            _check_degree(_poly_degree(base) * n, "power degree", where)
+            return power(base, n, lambda a, b: self.product(a, b, where))
+        return base
+
+    def exponent(self) -> int:
+        kind, value, where = self.peek()
+        if kind == "-":
+            raise NegativeExponent("exponent must be nonnegative", where)
+        if kind != "num":
+            raise ParseError("expected an integer exponent", where)
+        self.pos += 1
+        if "/" in value:
+            raise NonIntegerExponent("exponent must be an integer", where)
+        n = _number(value, where)
+        _check_degree(n, "exponent", where)
+        return n
+
+    def atom(self) -> BiPoly:
+        kind, value, where = self.take()
+        if kind == "num":
+            return BiPoly._trusted(self.vars, {(0, 0): _number(value, where)})
+        if kind == "var":
+            return BiPoly._trusted(self.vars, {
+                (1, 0) if value == self.vars[0] else (0, 1): 1})
+        if kind == "(":
+            inner = self.nested(self.expression, where)
+            kind, _, where = self.peek()
+            if kind != ")":
+                raise ParseError("expected ')'", where)
+            self.pos += 1
+            return inner
+        raise ParseError(f"unexpected {value!r}", where)

@@ -2,9 +2,10 @@
 
 Every row runs one subcommand in this process under an alarm at its
 bound, with the garbage collector off (``conftest.alarm``). A row names
-the exit it expects: 0 with nothing on stderr, or 1 (a refusal) with a
-one-line message and no traceback. A row that misses today is a strict
-xfail naming the ROADMAP item that would make it pass.
+what it expects: exit 0 with nothing on stderr, or a refusal, exit 1
+with a one-line message holding the row's words and no traceback. A row
+that misses today is a strict xfail naming the ROADMAP item that would
+make it pass.
 """
 
 import random
@@ -69,16 +70,18 @@ INPUTS = {
     "planted-32": tuple(f"(x - 2*y + 1)*({side})"
                         for side in random_field(random.Random(32), 31, 20)),
 }
+# 14 copies of the dense field's first side, 97 KB, past the parser's budget
+INPUTS["dense-sum"] = (" + ".join([INPUTS["dense-32"][0]] * 14), "y")
 
 
 def _misses(item: int, why: str):
     return pytest.mark.xfail(strict=True, reason=f"ROADMAP item {item}: {why}")
 
 
-# (input, subcommand, bound in seconds, exit): the bound is several times
-# what the row takes on a 2-core host, whose speed drifts by up to 1.8x;
-# a missing row takes at least 3.5 times its bound there, so no drift
-# lets it pass by chance
+# (input, subcommand, bound in seconds, exit 0 or the refusal's words):
+# the bound is several times what the row takes on a 2-core host, whose
+# speed drifts by up to 1.8x; a missing row takes at least 3.5 times its
+# bound there, so no drift lets it pass by chance
 ROWS = [
     ("circle-power", "conjugate", 2.0, 0),
     ("circle-power", "atlas", 2.0, 0),
@@ -86,6 +89,9 @@ ROWS = [
     ("binomial-32", "atlas", 12.0, 0),
     ("stiff", "conjugate", 2.0, 0),
     ("stiff", "atlas", 2.0, 0),
+    # refused in 0.11-0.13 s; when the parser multiplied each monomial as
+    # a BiPoly it took 0.29-0.49 s, close to the bound, not past it
+    ("dense-sum", "conjugate", 0.5, "term products"),
     pytest.param("dense-32", "symmetry", 0.25, 0, marks=_misses(
         8, "symmetry forms every identity in full, 1.3-1.7 s")),
     pytest.param("big-coefficients", "conjugate", 2.0, 0, marks=_misses(
@@ -115,8 +121,10 @@ def test_finishes_or_refuses(name, command, seconds, expected, tmp_path,
     except Alarm:
         pytest.fail(f"still running after {seconds} s")
     err = capsys.readouterr().err
-    assert (code, "Traceback" in err) == (expected, False), err
-    if expected == 0:
-        assert err == ""
-    else:
+    refused = expected != 0
+    assert (code, "Traceback" in err) == (int(refused), False), err
+    if refused:
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert expected in err
+    else:
+        assert err == ""

@@ -1,24 +1,30 @@
 """Expression grammar, positioned errors, and system input forms."""
 
 import json
+import random
 import time
+from collections import Counter
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import bipolys
-from oracles import variable
+from oracles import PolyParser, variable
+from artifact import parse
 from artifact.conjugate import ZeroField
-from artifact.corpus import load_cases
+from artifact.corpus import _substitute, load_cases
 from artifact.parse import (
     MAX_DEGREE,
     MAX_NESTING,
+    MAX_PRODUCTS,
     NegativeExponent,
     NonIntegerExponent,
     ParseError,
     UnknownVariable,
+    _Parser,
     load_system,
     parse_polynomial,
     parse_system,
@@ -157,6 +163,104 @@ class TestIntegerBoundary:
                 self._assert_fractions(p)
 
 
+# -- parity with the parser on BiPoly values ----------------------------------
+#
+# Random strings from a small grammar, one in ten with a character dropped,
+# inserted or the tail cut. Literals are short, long (past 1024 bits alone
+# or once squared) or p/q, joined by "*", "*-", a space or nothing. About
+# one atom in 200 is refused, and one exponent in 50 is 9, 17 or refused.
+
+_SHORT = ["0", "1", "2", "3", "7", "12", "1/2", "6/3", "0/4", "3/10"]
+_LONG = ["9" * 200, "8" * 330, "1/" + "7" * 330]
+_VARIABLES = ["x", "y", "xy", "yx"]
+
+
+def _atom(rng, depth):
+    r = rng.random()
+    if r < 0.005:
+        return rng.choice(["5/0", "z", "x1"])
+    if r < 0.4:
+        return rng.choice(_LONG if rng.random() < 0.1 else _SHORT)
+    if r < 0.8 or depth == 3:
+        return rng.choice(_VARIABLES)
+    return f"({_sum(rng, depth + 1)})"
+
+
+def _factor(rng, depth):
+    text, r = _atom(rng, depth), rng.random()
+    if r < 0.25:
+        return f"{text}^{rng.choice('01235')}"
+    if r < 0.27:
+        return f"{text}^{rng.choice(['9', '17', '-1', '1/2', 'x'])}"
+    return text
+
+
+def _term(rng, depth):
+    text = "-" * rng.choice((0, 0, 0, 1, 2)) + _factor(rng, depth)
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        join, rhs = rng.choice(("*", "*", "*-", "", " ")), _factor(rng, depth)
+        if join == "" and rhs[0].isdigit():
+            join = " "  # "x" then "2" would read as the name "x2"
+        text += join + rhs
+    return text
+
+
+def _sum(rng, depth=0):
+    text = _term(rng, depth)
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        text += rng.choice((" + ", " - ", "+", "-")) + _term(rng, depth)
+    return text
+
+
+# zero factors ahead of high degrees, cancellations and zero powers
+_CHOSEN = ["0*x + y + x", "x - x + y + x", "0*x^20*y^20", "(0*x^17)^2*y^17",
+           "(x - x)*x^20*y^20", "0 x^17 y^17 + 0^0", "(x+y)^0*x^32",
+           "6/3*x^0*y", "(1/2*x - 1/2*x)^9*(x+y)^30", "0^0*" + "9" * 400]
+
+
+def _random_strings(seed, count):
+    yield from _CHOSEN
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = _sum(rng)
+        if rng.random() < 0.1:
+            i, r = rng.randrange(len(text) + 1), rng.random()
+            text = (text[:i] + text[i + 1:] if r < 0.4 else
+                    text[:i] + rng.choice("+-*^()x1/ ") + text[i:] if r < 0.8
+                    else text[:i])
+        yield text
+
+
+def _outcome(parser_class, text):
+    """The terms in order and the work count, or the refusal with its
+    class, message, position and the work count when it was raised."""
+    parser = None
+    try:
+        parser = parser_class(text, XY)
+        terms = list(parser.parse().terms.items())
+    except ValueError as error:
+        return (type(error), str(error), error.position,
+                parser and parser.products)
+    return "ok", terms, parser.products
+
+
+class TestParity:
+    """Monomials carried as tuples give what BiPoly values give."""
+
+    @pytest.mark.parametrize("budget", [MAX_PRODUCTS, 100])
+    def test_matches_the_poly_parser(self, budget, monkeypatch):
+        # at 100 the budget refuses a good share of the strings
+        monkeypatch.setattr(parse, "MAX_PRODUCTS", budget)
+        kinds = Counter()
+        for text in _random_strings(budget, 5000):
+            ours = _outcome(_Parser, text)
+            assert ours == _outcome(PolyParser, text), text
+            kinds[ours[0] if ours[0] == "ok" else ours[1][:16]] += 1
+        # most strings parse; the rest meet some twenty different refusals
+        assert kinds["ok"] > 2500 and len(kinds) > 20
+        assert (kinds["expansion needs "] > 400) == (budget == 100)
+
+
 class TestErrors:
     def test_negative_exponent(self):
         with pytest.raises(NegativeExponent):
@@ -255,6 +359,29 @@ class TestWorkBudget:
         # powers included, so the sum is refused within its first copies
         assert info.value.position < 3 * (len(unit) + 3)
 
+    @pytest.mark.parametrize("text,products", [
+        ("(x+y+1)^32", 25_704), (_dense(32), 5_192)], ids=["power", "dense"])
+    def test_counts_quoted_at_the_budget(self, text, products):
+        parser = _Parser(text, XY)
+        parser.parse()
+        assert parser.products == products
+
+    def test_largest_corpus_expression_count(self):
+        # the expected partner pair of 4.9->4.10, both sides
+        raw = resources.files("artifact").joinpath("data/oracle_cases.json")
+        counts = {}
+        for entry in json.loads(raw.read_text(encoding="utf-8"))["cases"]:
+            subs = entry.get("subs", {})
+            sides = [(text, entry["vars"]) for text in entry["rhs"]] + [
+                (entry["expected"][k], entry["conjugate_vars"]) for k in "UV"]
+            for k, (text, vars_) in enumerate(sides):
+                parser = _Parser(_substitute(text, subs), tuple(vars_))
+                parser.parse()
+                counts[entry["name"], k] = parser.products
+        assert max(counts.values()) == 144
+        assert [key for key, n in counts.items() if n == 144] == [
+            ("4.9->4.10", 2), ("4.9->4.10", 3)]
+
     def test_fraction_coefficients_count_their_cost(self):
         # a pair of p/q coefficients costs about 15 integer pairs: the
         # integer power parses, the same power over p/q is refused
@@ -336,6 +463,14 @@ class TestSystems:
     def test_variables_must_differ(self):
         with pytest.raises(ValueError):
             parse_system(("x", "x"), ("x", "1"))
+
+    @pytest.mark.parametrize("variables,message", [
+        (("x", "x"), r"^variables must be distinct, got \('x', 'x'\)$"),
+        (("x", "2y"), r"^bad variable name '2y'$")],
+        ids=["same-name", "bad-name"])
+    def test_parse_polynomial_checks_the_pair(self, variables, message):
+        with pytest.raises(ValueError, match=message):
+            parse_polynomial("x*x", variables)
 
     def test_json_form(self):
         text = json.dumps({"vars": ["u", "v"], "rhs": ["v", "-u"]})
