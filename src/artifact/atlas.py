@@ -19,7 +19,6 @@ import os
 import pickle
 import signal
 import threading
-from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -196,14 +195,9 @@ def detect_closed(traj: Trajectory, tol: float) -> bool:
     return False
 
 
-def _clip_exit(traj: Trajectory, radius: float, system: DiffSystem,
-               sign: float) -> None:
-    """Pull an overshooting final sample back onto the disk boundary.
-
-    Its velocity becomes the field there times ``sign``; -1.0 negates it
-    exactly, as the time-reversed field the integrator ran on does.
-    """
-    if traj.termination != "exited-outer-disk" or len(traj.samples) < 2:
+def _clip_exit(traj: Trajectory, radius: float) -> None:
+    """Pull an overshooting final sample back onto the disk boundary."""
+    if traj.termination != "exited-outer-disk":
         return
     t0, x0, y0 = traj.samples[-2]
     t1, x1, y1 = traj.samples[-1]
@@ -219,10 +213,7 @@ def _clip_exit(traj: Trajectory, radius: float, system: DiffSystem,
         return
     s = (-b + math.sqrt(disc)) / a
     s = max(0.0, min(1.0, s))
-    x, y = x0 + s * dx, y0 + s * dy
-    traj.samples[-1] = (t0 + s * (t1 - t0), x, y)
-    fx, fy = field_eval(system, (x, y))
-    traj.velocities[-2:] = array("d", (sign * fx, sign * fy))
+    traj.samples[-1] = (t0 + s * (t1 - t0), x0 + s * dx, y0 + s * dy)
 
 
 def _mid_arc_arrow(traj: Trajectory):
@@ -273,7 +264,9 @@ def _circle_bracket_seeds(circle: Circle):
 
 def _run(job) -> Trajectory:
     """One seed run: integrate, label a run to the time limit that
-    returns to its start "closed", and clip an exit onto the disk."""
+    returns to its start "closed", and clip an exit onto the disk. The
+    run keeps no velocities: no part of the atlas reads them, and a
+    clipped exit's would be the field at the overshoot."""
     system, seed, icfg, direction = job
     traj = integrate(system, seed, icfg, direction=direction)
     if traj.termination == "time-limit" and len(traj.samples) >= 10:
@@ -281,8 +274,8 @@ def _run(job) -> Trajectory:
         # loose enough to absorb the sag of sampled chords on a curved orbit
         if detect_closed(traj, 1e-3 * max(1.0, math.hypot(x0, y0))):
             traj.termination = "closed"
-    _clip_exit(traj, icfg.outer_radius, system,
-               1.0 if direction == "forward" else -1.0)
+    _clip_exit(traj, icfg.outer_radius)
+    del traj.velocities[:]
     return traj
 
 
@@ -302,8 +295,8 @@ def _may_fork(runs: int) -> bool:
 def _child_runs(jobs, share, parent: int, mask, read_fd: int,
                 write_fd: int) -> None:
     """The forked child: run the share in order and send all of its runs
-    as one pickle. Sends nothing if a run raises, or once the parent is
-    gone. Never returns."""
+    as one pickle. Sends nothing if it is interrupted, or once the parent
+    is gone. Never returns."""
     try:
         os.close(read_fd)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -323,13 +316,12 @@ def _run_split(jobs) -> dict:
 
     The child takes the runs with index i % 4 in (1, 2), so each side
     gets about half the forward and half the backward runs. This process
-    runs the rest, raising what a run raises, then reads the child's pipe
-    to its end. A child that dies, or whose run raises (only at a clipped
-    exit), sends nothing, and its share is missing. The child is killed
-    and reaped before this returns or raises. It is a fork, not a fresh
-    interpreter: it inherits the loaded library and the runs, so nothing
-    is imported or sent to it. A fresh interpreter's start-up alone costs
-    more than a typical atlas.
+    runs the rest, then reads the child's pipe to its end. The child's
+    share is missing only when the child dies or is interrupted. The
+    child is killed and reaped before this returns or raises. It is a
+    fork, not a fresh interpreter: it inherits the loaded library and the
+    runs, so nothing is imported or sent to it. A fresh interpreter's
+    start-up alone costs more than a typical atlas.
     """
     share = [i for i in range(len(jobs)) if i % 4 in (1, 2)]
     parent = os.getpid()
@@ -371,10 +363,9 @@ def _run_split(jobs) -> dict:
 
 
 def _run_all(jobs) -> list:
-    """Every run's trajectory, in job order. A run can still raise at a
-    clipped exit whose field does not fit a float: in this process at
-    once, in the child's share when this process runs that share itself.
-    So which failing run's error surfaces may depend on the split."""
+    """Every run's trajectory, in job order. No run raises once the start
+    checks of ``build_atlas`` pass; what the child does not deliver, this
+    process runs itself."""
     done = _run_split(jobs) if _may_fork(len(jobs)) else {}
     return [done[i] if i in done else _run(job) for i, job in enumerate(jobs)]
 
@@ -387,10 +378,12 @@ def build_atlas(sys: DiffSystem, cfg: AtlasConfig | None = None) -> AtlasDocumen
     origins that are equilibria; the partner disk's origin stands for
     the original plane's infinitely remote point. The runs of both disks
     are split between this process and one forked child when a second
-    CPU is free; the document does not depend on the split. It raises
-    before any run or fork if a run would fail at its start, for its
-    system or its seed; otherwise every run, of one sample or more, is
-    in the document.
+    CPU is free; the document does not depend on the split. Its only
+    field evaluations are the start checks: it raises before any run or
+    fork if a run would fail at its start, for its system or its seed,
+    and then no run can raise, so every run, of one sample or more, is
+    in the document and which error surfaces does not depend on the
+    split.
     """
     cfg = cfg or AtlasConfig()
     r1, r2 = disk_radius(cfg.eps1), disk_radius(cfg.eps2)

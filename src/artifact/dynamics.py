@@ -66,9 +66,10 @@ class Trajectory:
     ``termination`` is one of ``TERMINATIONS``; ``integrate`` gives the
     first six, and only the atlas relabels a time-limit run "closed".
     ``velocities`` holds the field (signed like time) at each sample as
-    (vx, vy) pairs; ``accepted`` and ``rejected`` count the integrator's
-    trial steps. All three are deterministic but stay out of the atlas
-    JSON, so output documents do not change with them.
+    (vx, vy) pairs in a run from ``integrate``; an atlas run keeps none.
+    ``accepted`` and ``rejected`` count the integrator's trial steps. All
+    three are deterministic but stay out of the atlas JSON, so output
+    documents do not change with them.
     """
 
     samples: list  # (t, x, y) triples, times strictly increasing

@@ -431,22 +431,24 @@ def _resultant_vanishes(ta: dict, tb: dict, axis: int, da: int, db: int,
     return True
 
 
-def _resultant_bounds(a: BiPoly, b: BiPoly, axis: int) -> tuple[int, int]:
-    """B and D of the comment above for a, b in Z[x, y]: bounds on the
-    coefficients and on the degree of their resultant in variable `axis`."""
-    da, db = (max(e[axis] for e in p.terms) for p in (a, b))
+def _resultant_bounds(a: BiPoly, b: BiPoly, axis: int, da: int,
+                      db: int) -> tuple[int, int]:
+    """B and D of the comment above for a, b in Z[x, y] of degrees da, db
+    in variable `axis`: bounds on the coefficients and on the degree of
+    their resultant in that variable."""
     xa, xb = (max(e[1 - axis] for e in p.terms) for p in (a, b))
     na, nb = (sum(map(abs, p.terms.values())) for p in (a, b))
     return na**db * nb**da, xa * db + xb * da
 
 
-def _shares_factor(a: BiPoly, b: BiPoly, axis: int) -> bool:
-    """Whether a and b, both of positive degree in variable `axis`, share
-    a factor of positive degree in it: the exact stage, after the
+def _shares_factor(a: BiPoly, b: BiPoly, axis: int, da: int,
+                   db: int) -> bool:
+    """Whether a and b, of positive degrees da, db in variable `axis`,
+    share a factor of positive degree in it: the exact stage, after the
     certificate. ArithmeticError when no prime of the table exceeds B."""
     (a,), _ = integer_numerators(a)
     (b,), _ = integer_numerators(b)
-    bound, degree = _resultant_bounds(a, b, axis)
+    bound, degree = _resultant_bounds(a, b, axis, da, db)
     prime = next((m for m in ((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
                   if m > bound), None)
     if prime is None:
@@ -455,10 +457,8 @@ def _shares_factor(a: BiPoly, b: BiPoly, axis: int) -> bool:
             f"{bound.bit_length() - 1}, beyond its largest, 2^"
             f"{_MERSENNE_EXPONENTS[-1]} - 1")
     # |coefficient| <= bound < prime, so the terms are already residues
-    return _resultant_vanishes(
-        a.terms, b.terms, axis, max(e[axis] for e in a.terms),
-        max(e[axis] for e in b.terms), prime, chain(_POINTS, count()),
-        degree + 1)
+    return _resultant_vanishes(a.terms, b.terms, axis, da, db, prime,
+                               chain(_POINTS, count()), degree + 1)
 
 
 def is_coprime(a: BiPoly, b: BiPoly) -> bool:
@@ -484,6 +484,6 @@ def is_coprime(a: BiPoly, b: BiPoly) -> bool:
         if ta is not None and tb is not None and not _resultant_vanishes(
                 ta, tb, axis, da, db, _P, _POINTS, len(_POINTS)):
             continue
-        if _shares_factor(a, b, axis):
+        if _shares_factor(a, b, axis, da, db):
             return False
     return True

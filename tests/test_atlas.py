@@ -155,6 +155,24 @@ class TestBuildAtlas:
                 for _, x, y in traj.samples:
                     assert math.hypot(x, y) <= disk.radius * (1 + 1e-9)
 
+    @pytest.mark.parametrize("name", ["5.5->5.6", "4.6->4.7"])
+    def test_field_evaluated_only_in_start_checks(self, name, monkeypatch):
+        # one start check per forward run, none at a clipped exit; with
+        # no fork, every evaluation happens in this process
+        calls = []
+        real = atlas.field_eval
+
+        def counted(system, point):
+            calls.append(point)
+            return real(system, point)
+
+        monkeypatch.setattr(atlas, "field_eval", counted)
+        doc = serial_atlas(monkeypatch, case_by_name(name).system,
+                           quick_config())
+        runs = [t for disk in doc.disks for t in disk.trajectories]
+        assert any(t.termination == "exited-outer-disk" for t in runs)
+        assert len(calls) == len(runs) // 2
+
     def test_cycle_marker_image_and_seeds(self):
         marker = Circle((Fraction(0), Fraction(0)), Fraction(1))
         bare = quick_config(rays=0, rings=0)
@@ -384,7 +402,8 @@ def serial_atlas(monkeypatch, system, cfg=None):
 
 
 def assert_same_document(split, serial):
-    # Trajectory equality also covers velocities and step counts
+    # Trajectory equality also covers step counts (and the velocities,
+    # which every atlas run leaves empty)
     assert split.disks == serial.disks
     assert render_svg(split) == render_svg(serial)
     assert json.dumps(split.to_json_dict()) == \

@@ -866,7 +866,9 @@ class TestIntegrateAgainstLoop:
             assert got[-1] == "time-limit"
             assert loop_detect_closed(loop_integrate(sys, start, cfg), 1e-3)
             forward, _ = atlas_runs(sys, start, cfg)
-            assert outcome(lambda: forward) == got[:-1] + ("closed",)
+            # the atlas keeps no velocities; the rest is the bare run's
+            kept = outcome(lambda: forward)
+            assert kept[:1] + kept[2:] == got[:1] + got[2:-1] + ("closed",)
         else:
             assert got[-1] == termination
         if termination == "step-limit":
@@ -1341,23 +1343,13 @@ class TestVelocities:
         assert list(traj.velocities) == [0.0, 0.0]
 
     @pytest.mark.parametrize("name", ["5.5->5.6", "4.6->4.7"])
-    def test_atlas_trajectories_and_clipped_exits(self, name):
-        sys = case_by_name(name).system
+    def test_atlas_trajectories_keep_none(self, name):
         cfg = AtlasConfig(rays=4, rings=1,
                           integrator=IntegratorConfig(max_time=3.0))
-        doc = build_atlas(sys, cfg)
-        exits = 0
-        for disk, system in zip(doc.disks, (sys, conjugate(sys).conjugate)):
-            fields = [dynamics._field(system, s) for s in (1.0, -1.0)]
-            for traj in disk.trajectories:
-                _, x0, y0 = traj.samples[0]
-                # the sign of time is not kept; the start tells it
-                field = next(f for f in fields
-                             if [v.hex() for v in traj.velocities[:2]]
-                             == field_bits(f, x0, y0))
-                assert_velocities_are_the_field(traj, field)
-                exits += traj.termination == "exited-outer-disk"
-        assert exits > 0
+        doc = build_atlas(case_by_name(name).system, cfg)
+        runs = [traj for disk in doc.disks for traj in disk.trajectories]
+        assert any(t.termination == "exited-outer-disk" for t in runs)
+        assert all(len(t.velocities) == 0 for t in runs)
 
     def test_copies_keep_velocities_and_json_leaves_them_out(self):
         sys = case_by_name("5.9->5.10").system

@@ -8,6 +8,11 @@ count, since re-exporting is not calling) or in the benchmark under
 counts as named only when an attribute of that name is read: a bare name
 or a string of the same spelling is some other thing. Code that only
 tests call belongs in ``tests/oracles.py``.
+
+Two more checks stand in for a linter: each private top-level function
+must be named the same way, and each name that a module's top-level
+import binds must be used in that module, apart from ``__future__``
+imports and names on a line marked ``# noqa: F401`` (a re-export).
 """
 
 import ast
@@ -54,13 +59,17 @@ def _names_used(tree):
     return used, read
 
 
+def _trees():
+    return {path: ast.parse(path.read_text(), str(path))
+            for path in LIBRARY + BENCHMARK}
+
+
 def unreferenced():
     """``module.name`` (``module.Class.method`` for a method) for each
     public definition nothing else names; a definition's own body does
     not count as a use of it, and only attribute reads count for a
     method."""
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for path in LIBRARY + BENCHMARK}
+    trees = _trees()
     counts = [_names_used(tree) for tree in trees.values()]
     used = [sum(kind, Counter()) for kind in zip(*counts)]
     # a method's qualified name has a dot: it reads the second count
@@ -68,6 +77,33 @@ def unreferenced():
             for name, node in _definitions(trees[path])
             if used["." in name][node.name]
             <= _names_used(node)["." in name][node.name]]
+
+
+def unreferenced_private_functions():
+    """``module._name`` for each private top-level function that nothing
+    outside its own body names."""
+    trees = _trees()
+    used = sum((_names_used(tree)[0] for tree in trees.values()), Counter())
+    return [f"{path.stem}.{node.name}" for path in LIBRARY
+            for node in trees[path].body
+            if isinstance(node, _FUNCTIONS) and node.name.startswith("_")
+            and used[node.name] <= _names_used(node)[0][node.name]]
+
+
+def unused_imports(source: str) -> list:
+    """The names that a top-level import of ``source`` binds and that no
+    bare name in it reads, skipping ``__future__`` imports and names on
+    a line marked ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if "# noqa: F401" not in lines[alias.lineno - 1]
+            for name in [alias.asname or alias.name.split(".")[0]]
+            if name not in loaded]
 
 
 def test_every_public_definition_has_a_caller():
@@ -84,3 +120,29 @@ def test_the_scan_sees_the_library():
             "dynamics.integrate", "poly.BiPoly.to_text",
             "charts.Line.to_json_dict"} <= names
     assert not any(".__" in name or "._" in name for name in names)
+
+
+def test_every_private_function_has_a_caller():
+    missing = unreferenced_private_functions()
+    assert not missing, (
+        "named nowhere in src/artifact (outside __init__) or perfbench: "
+        + ", ".join(missing))
+
+
+def test_every_import_is_used():
+    unused = [f"{path.stem}.{name}" for path in LIBRARY
+              for name in unused_imports(path.read_text())]
+    assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+def test_the_import_scan_sees_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "from array import array\n"
+              "from math import (\n"
+              "    hypot,  # noqa: F401\n"
+              "    sqrt,\n"
+              ")\n"
+              "import json as js\n"
+              "os.getpid()\n")
+    assert unused_imports(source) == ["array", "sqrt", "js"]

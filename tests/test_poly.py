@@ -235,9 +235,9 @@ def exact_axes(monkeypatch):
     axes = []
     real = poly_module._shares_factor
 
-    def spy(a, b, axis):
+    def spy(a, b, axis, da, db):
         axes.append(axis)
-        return real(a, b, axis)
+        return real(a, b, axis, da, db)
 
     monkeypatch.setattr(poly_module, "_shares_factor", spy)
     return axes
@@ -303,8 +303,10 @@ class TestCoprimeDifferential:
 def _exactly_coprime(a, b):
     """The exact stage alone, in each variable where both sides have
     positive degree."""
-    return not any(_shares_factor(a, b, axis) for axis in (0, 1)
-                   if all(max(e[axis] for e in p.terms) for p in (a, b)))
+    degrees = [[max(e[axis] for e in p.terms) for p in (a, b)]
+               for axis in (0, 1)]
+    return not any(_shares_factor(a, b, axis, *degrees[axis])
+                   for axis in (0, 1) if all(degrees[axis]))
 
 
 class TestExactStage:
@@ -373,8 +375,9 @@ class TestExactStage:
     def test_resultant_within_the_bounds(self, sympy, a, b, axis):
         (a,), _ = integer_numerators(a)
         (b,), _ = integer_numerators(b)
-        assume(all(max(e[axis] for e in p.terms) for p in (a, b)))
-        bound, degree = _resultant_bounds(a, b, axis)
+        da, db = (max(e[axis] for e in p.terms) for p in (a, b))
+        assume(da and db)
+        bound, degree = _resultant_bounds(a, b, axis, da, db)
         x, y = sympy.symbols("x y")
         main, other = (x, y) if axis == 0 else (y, x)
 
