@@ -23,6 +23,7 @@ from .poly import (
     divide_exact_by_circle,  # noqa: F401  (and this one)
     integer_numerators,
     is_coprime,
+    power,
     strip_circle_power,
 )
 
@@ -154,6 +155,25 @@ class ConjugationResult:
         }
 
 
+_CIRCLE = {(2, 0): 1, (0, 2): 1}    # u^2 + v^2
+
+
+def _accumulate(acc: dict, p: dict, q: dict) -> dict:
+    """acc plus the product of the term dicts p and q, in place: terms of
+    p outer, of q inner, each new key appended as it is first seen."""
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            e = (i1 + i2, j1 + j2)
+            acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+    return acc
+
+
+def _times(p: dict, q: dict) -> dict:
+    """The product of two term dicts with its zero values dropped, in the
+    term order of BiPoly's product."""
+    return {e: c for e, c in _accumulate({}, p, q).items() if c}
+
+
 def _transported_pair(sys: DiffSystem, out: tuple[str, str]
                       ) -> tuple[BiPoly, BiPoly, int]:
     """The field carried into the other chart, unreduced.
@@ -161,27 +181,44 @@ def _transported_pair(sys: DiffSystem, out: tuple[str, str]
     Returns (a * S_X - b * S_Y, -b * S_X - a * S_Y) with a = (v^2-u^2)/4
     and b = uv/2, where S_X and S_Y sum the homogeneous parts of P and Q
     as (u^2+v^2)^(n-j) * part_j(4u, 4v), times 4D (D the lcm of the
-    field's denominators) to make them ints, then 4D; _over divides."""
-    s = BiPoly._trusted(out, {(2, 0): 1, (0, 2): 1})    # u^2 + v^2
-    a = BiPoly._trusted(out, {(0, 2): 1, (2, 0): -1})   # 4a = v^2 - u^2
-    b = BiPoly._trusted(out, {(1, 1): 2})               # 4b = 2uv
+    field's denominators) to make them ints, then 4D; _over divides.
+
+    Everything between runs on plain {(i, j): int} dicts, and term order
+    is output, so each stage adds its keys in a fixed order:
+      - a side's terms are grouped by total degree j in first-seen order,
+        and the parts taken by ascending j; each coefficient is scaled by
+        4^j, and for j < n the part is multiplied by the circle power
+        (u^2+v^2)^(n-j), that power's terms outer, with zeros dropped;
+        the powers come from `power`, whose squarings fix their order;
+      - U is 4a * S_X, (0, 2) before (2, 0), with zeros dropped, then
+        minus 2uv * S_Y, appending any new key;
+      - V is -2uv * S_X, then plus -4a * S_Y, (0, 2) before (2, 0);
+      - the two returned polynomials drop their remaining zeros."""
     n = sys.degree
     sides, d = integer_numerators(*sys.rhs)
     powers = {}
     sums = []
     for side in sides:
+        parts = {}
+        for (i, j), c in side.terms.items():
+            parts.setdefault(i + j, {})[(i, j)] = c
         # the parts have the distinct degrees 2n - j: no key repeats
         total = {}
-        for j, part in side.with_vars(out).homogeneous_components():
-            part = part * 4 ** j    # part(4u, 4v), part homogeneous
+        for j in sorted(parts):
+            scale = 4 ** j      # part(4u, 4v), part homogeneous
+            part = {e: c * scale for e, c in parts[j].items()}
             if j < n:
                 if n - j not in powers:
-                    powers[n - j] = s ** (n - j)
-                part = powers[n - j] * part
-            total.update(part.terms)
-        sums.append(BiPoly._trusted(out, total))
+                    powers[n - j] = power(_CIRCLE, n - j, _times)
+                part = _times(powers[n - j], part)
+            total.update(part)
+        sums.append(total)
     sum_x, sum_y = sums
-    return a * sum_x - b * sum_y, -(b * sum_x) + (-a) * sum_y, 4 * d
+    u = _times({(0, 2): 1, (2, 0): -1}, sum_x)
+    _accumulate(u, {(1, 1): -2}, sum_y)
+    v = _accumulate({}, {(1, 1): -2}, sum_x)
+    _accumulate(v, {(0, 2): -1, (2, 0): 1}, sum_y)
+    return BiPoly._trusted(out, u), BiPoly._trusted(out, v), 4 * d
 
 
 def _over(u: BiPoly, v: BiPoly, scale: int) -> tuple[BiPoly, BiPoly]:

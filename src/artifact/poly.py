@@ -176,14 +176,6 @@ class BiPoly:
             total = total + c * x**i * y**j
         return total
 
-    def homogeneous_components(self) -> list[tuple[int, "BiPoly"]]:
-        """Split into homogeneous pieces, degrees strictly increasing."""
-        by_degree: dict[int, dict[tuple[int, int], Fraction]] = {}
-        for (i, j), c in self.terms.items():
-            by_degree.setdefault(i + j, {})[(i, j)] = c
-        return [(d, BiPoly._trusted(self.vars, t))
-                for d, t in sorted(by_degree.items())]
-
     def scale_vars(self, cx, cy) -> "BiPoly":
         """The polynomial p(cx*first, cy*second) in the same variables.
 

@@ -1,8 +1,9 @@
-"""Shared hypothesis strategies, corpus lookup, an alarm and the sympy
-oracle for the test suite."""
+"""Shared hypothesis strategies, seeded text fields, corpus lookup, an
+alarm and the sympy oracle for the test suite."""
 
 import contextlib
 import gc
+import random
 import signal
 from fractions import Fraction
 from functools import cache
@@ -66,6 +67,47 @@ def planted_factors(axes, vars: tuple[str, str] = ("x", "y")):
     entry = st.tuples(st.integers(0, 3), st.integers(0, 3), coefficients())
     return st.lists(entry, min_size=1, max_size=4).map(build).filter(
         lambda f: (f.total_degree() or 0) >= 1)
+
+
+def _monomial(i: int, j: int) -> str:
+    parts = [f"{v}^{e}" if e > 1 else v for v, e in (("x", i), ("y", j)) if e]
+    return "*".join(parts)
+
+
+def _side(terms) -> str:
+    """A right side from (coefficient, i, j) triples, as a signed sum."""
+    text = ""
+    for coef, i, j in terms:
+        mono = _monomial(i, j)
+        body = f"{abs(coef)}*{mono}" if mono else str(abs(coef))
+        text += ("-" if coef < 0 else "+") + " " + body + " "
+    return text.strip().lstrip("+ ")
+
+
+def dense_field(rng: random.Random, degree: int):
+    """Every monomial of total degree up to ``degree`` on both sides,
+    coefficients in +-{1, ..., 9}."""
+    monomials = [(i, d - i) for d in range(degree, -1, -1)
+                 for i in range(d, -1, -1)]
+    return tuple(_side([(rng.choice((-1, 1)) * rng.randint(1, 9), i, j)
+                        for i, j in monomials]) for _ in range(2))
+
+
+def random_field(rng: random.Random, degree: int, terms: int):
+    """Two sides of total degree ``degree`` with ``terms`` distinct
+    monomials each, coefficients in +-{1, 2, 3}; the first side has a
+    monomial of top degree. The same draws as the benchmark's sweep."""
+    monomials = [(i, d - i) for d in range(degree + 1) for i in range(d + 1)]
+    top = [m for m in monomials if sum(m) == degree]
+    sides = []
+    for side in range(2):
+        chosen = rng.sample(monomials, terms)
+        if side == 0 and not any(sum(m) == degree for m in chosen):
+            chosen[0] = rng.choice([m for m in top if m not in chosen])
+        chosen.sort(key=lambda m: (-sum(m), -m[0]))
+        sides.append(_side([(rng.choice((-3, -2, -1, 1, 2, 3)), i, j)
+                            for i, j in chosen]))
+    return tuple(sides)
 
 
 @cache

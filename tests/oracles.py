@@ -8,7 +8,9 @@ projections with their inverses and Jacobians, the transition on the
 extended plane, and the equilibria and Jacobians at any rational point.
 No command needs these, so they live here, where the tests check them
 against what the library computes. Nothing here shares the library's
-transport: the rebuild runs on the Fraction form of it below. The
+transport: the rebuild runs on the Fraction form of it below, and the
+transport as it ran on BiPoly ring operations, before it moved to plain
+term dicts, is kept beside it. The
 published variants of four partner pairs that fail those identities,
 recorded in the corpus data beside the expected pairs, load here too.
 
@@ -137,6 +139,43 @@ def transcribed_variants() -> dict:
 # -- the partner pair and its reduction --------------------------------------
 
 
+def homogeneous_components(p: BiPoly) -> list[tuple[int, BiPoly]]:
+    """Split into homogeneous pieces, degrees strictly increasing; each
+    piece keeps its terms in the order of p."""
+    by_degree: dict[int, dict[tuple[int, int], Fraction]] = {}
+    for (i, j), c in p.terms.items():
+        by_degree.setdefault(i + j, {})[(i, j)] = c
+    return [(d, BiPoly._trusted(p.vars, t))
+            for d, t in sorted(by_degree.items())]
+
+
+def bipoly_transported_pair(sys: DiffSystem, out: tuple[str, str]
+                            ) -> tuple[BiPoly, BiPoly, int]:
+    """The library's ``_transported_pair`` as it ran on BiPoly ring
+    operations, every stage a polynomial: the same integer numerators,
+    parts, circle powers and products, so the same terms in the same
+    order and the same scale 4D."""
+    s = BiPoly._trusted(out, {(2, 0): 1, (0, 2): 1})    # u^2 + v^2
+    a = BiPoly._trusted(out, {(0, 2): 1, (2, 0): -1})   # 4a = v^2 - u^2
+    b = BiPoly._trusted(out, {(1, 1): 2})               # 4b = 2uv
+    n = sys.degree
+    sides, d = integer_numerators(*sys.rhs)
+    powers = {}
+    sums = []
+    for side in sides:
+        total = {}
+        for j, part in homogeneous_components(side.with_vars(out)):
+            part = part * 4 ** j
+            if j < n:
+                if n - j not in powers:
+                    powers[n - j] = s ** (n - j)
+                part = powers[n - j] * part
+            total.update(part.terms)
+        sums.append(BiPoly._trusted(out, total))
+    sum_x, sum_y = sums
+    return a * sum_x - b * sum_y, -(b * sum_x) + (-a) * sum_y, 4 * d
+
+
 def fraction_transported_pair(sys: DiffSystem, out: tuple[str, str],
                               top: int) -> tuple[BiPoly, BiPoly]:
     """The field's parts of degree <= top carried into the other chart,
@@ -148,7 +187,7 @@ def fraction_transported_pair(sys: DiffSystem, out: tuple[str, str],
     s = BiPoly(out, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
     sum_x = BiPoly.zero(out)
     sum_y = BiPoly.zero(out)
-    px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
+    px, py = (dict(homogeneous_components(p)) for p in sys.rhs)
     for j in range(top + 1):
         weight = s ** (top - j)
         xj = px.get(j)
@@ -174,7 +213,7 @@ def wn_divisibility(sys: DiffSystem) -> tuple[bool, BiPoly]:
     n = sys.degree
     x, y = (variable(name, sys.vars) for name in sys.vars)
     zero = BiPoly.zero(sys.vars)
-    px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
+    px, py = (dict(homogeneous_components(p)) for p in sys.rhs)
     w = x * py.get(n, zero) - y * px.get(n, zero)
     quot, rem = divmod_circle(w)
     if rem:
@@ -207,7 +246,7 @@ def reduction_quotients(sys: DiffSystem, k: int
     x, y = (variable(name, sys.vars) for name in sys.vars)
     s = x * x + y * y
     zero = BiPoly.zero(sys.vars)
-    px, py = (dict(p.homogeneous_components()) for p in sys.rhs)
+    px, py = (dict(homogeneous_components(p)) for p in sys.rhs)
     ks, qs = [], []
     for r in range(1, k + 1):
         d = n - r + 1

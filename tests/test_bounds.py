@@ -11,50 +11,9 @@ make it pass.
 import random
 
 import pytest
-from conftest import Alarm, alarm
+from conftest import Alarm, alarm, dense_field, random_field
 
 from artifact.cli import main
-
-
-def _monomial(i: int, j: int) -> str:
-    parts = [f"{v}^{e}" if e > 1 else v for v, e in (("x", i), ("y", j)) if e]
-    return "*".join(parts)
-
-
-def _side(terms) -> str:
-    """A right side from (coefficient, i, j) triples, as a signed sum."""
-    text = ""
-    for coef, i, j in terms:
-        mono = _monomial(i, j)
-        body = f"{abs(coef)}*{mono}" if mono else str(abs(coef))
-        text += ("-" if coef < 0 else "+") + " " + body + " "
-    return text.strip().lstrip("+ ")
-
-
-def dense_field(rng: random.Random, degree: int):
-    """Every monomial of total degree up to ``degree`` on both sides,
-    coefficients in +-{1, ..., 9}."""
-    monomials = [(i, d - i) for d in range(degree, -1, -1)
-                 for i in range(d, -1, -1)]
-    return tuple(_side([(rng.choice((-1, 1)) * rng.randint(1, 9), i, j)
-                        for i, j in monomials]) for _ in range(2))
-
-
-def random_field(rng: random.Random, degree: int, terms: int):
-    """Two sides of total degree ``degree`` with ``terms`` distinct
-    monomials each, coefficients in +-{1, 2, 3}; the first side has a
-    monomial of top degree. The same draws as the benchmark's sweep."""
-    monomials = [(i, d - i) for d in range(degree + 1) for i in range(d + 1)]
-    top = [m for m in monomials if sum(m) == degree]
-    sides = []
-    for side in range(2):
-        chosen = rng.sample(monomials, terms)
-        if side == 0 and not any(sum(m) == degree for m in chosen):
-            chosen[0] = rng.choice([m for m in top if m not in chosen])
-        chosen.sort(key=lambda m: (-sum(m), -m[0]))
-        sides.append(_side([(rng.choice((-3, -2, -1, 1, 2, 3)), i, j)
-                            for i, j in chosen]))
-    return tuple(sides)
 
 
 # (dx/dt, dy/dt); the exponent cap refuses 10^300, so it is written out
@@ -89,6 +48,8 @@ ROWS = [
     ("binomial-32", "atlas", 12.0, 0),
     ("stiff", "conjugate", 2.0, 0),
     ("stiff", "atlas", 2.0, 0),
+    # 0.05 s in all, parse and coprimality included
+    ("dense-32", "conjugate", 0.5, 0),
     # refused in 0.11-0.13 s; when the parser multiplied each monomial as
     # a BiPoly it took 0.29-0.49 s, close to the bound, not past it
     ("dense-sum", "conjugate", 0.5, "term products"),

@@ -20,9 +20,11 @@ from conftest import (
     coefficients,
     nonzero_bipolys,
     planted_factors,
+    random_field,
     sympy_coprime,
 )
 from oracles import (
+    bipoly_transported_pair,
     divide_by_circle,
     fraction_transported_pair,
     rebuild_from_quotients,
@@ -36,6 +38,7 @@ from artifact.conjugate import (
     ReductionTheoremViolated,
     ZeroField,
     conjugate,
+    partner_vars,
     pushforward_residual,
     raw_conjugate,
     transition_jacobian,
@@ -511,6 +514,74 @@ class TestIntegerTransport:
             except NotDivisible:
                 return     # the closed form does not apply at this k
             assert rebuilt == result.conjugate.rhs
+
+
+def _sweep_fields(seed: int) -> list:
+    """The benchmark's degree-sweep pool for one seed, then its tail."""
+    rng = random.Random(seed)
+    shapes = ((2, 4), (2, 4), (2, 4), (3, 6))
+    fields = [random_field(rng, *shapes[index % len(shapes)])
+              for index in range(120)]
+    rng = random.Random(seed)
+    return fields + [random_field(rng, n, (n + 1) * (n + 2) // 4)
+                     for n in (8, 12, 16)]
+
+
+def _seeded_fields(count: int) -> list:
+    """Random fields of degree 1 to 10, from one to all monomials a side."""
+    rng = random.Random(30)
+    fields = []
+    for _ in range(count):
+        n = rng.randint(1, 10)
+        terms = rng.randint(1, (n + 1) * (n + 2) // 2)
+        fields.append(random_field(rng, n, terms))
+    return fields
+
+
+class TestTermDictTransport:
+    """_transported_pair runs on plain term dicts; the BiPoly-chain
+    transport it replaced is the oracle: the same terms in the same
+    order, the same coefficient types and the same scale."""
+
+    @staticmethod
+    def check(sys):
+        out = partner_vars(sys.vars)
+        got = conjugate_module._transported_pair(sys, out)
+        ref = bipoly_transported_pair(sys, out)
+        assert got[2] == ref[2]
+        for side, ref_side in zip(got[:2], ref[:2]):
+            assert side.vars == ref_side.vars == out
+            assert list(side.terms.items()) == list(ref_side.terms.items())
+            assert ([type(c) for c in side.terms.values()]
+                    == [type(c) for c in ref_side.terms.values()])
+
+    def test_corpus(self):
+        for case in load_cases():
+            self.check(case.system)
+
+    @pytest.mark.parametrize("seed", [1, 7, 7777])
+    def test_sweep_pool_and_tail(self, seed):
+        for field in _sweep_fields(seed):
+            self.check(system(*field))
+
+    def test_seeded_random_fields(self):
+        for field in _seeded_fields(1500):
+            self.check(system(*field))
+
+    @given(rational_fields())
+    @settings(max_examples=60, deadline=None)
+    def test_rational_fields(self, sys):
+        self.check(sys)
+
+    def test_a_cancelled_key_is_appended_again(self):
+        # a*S_X cancels u^2*v^2 and 2uv*S_Y brings it back: it must come
+        # last in U, after the terms a*S_X kept
+        sys = system("x^2 + y^2", "x*y")
+        u, v, scale = conjugate_module._transported_pair(sys, UV)
+        assert list(u.terms.items()) == [((0, 4), 16), ((4, 0), -16),
+                                         ((2, 2), -32)]
+        assert scale == 4
+        self.check(sys)
 
 
 class TestConjugationAgainstSympy:
