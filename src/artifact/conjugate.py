@@ -19,6 +19,8 @@ from .charts import OriginSingularity  # noqa: F401
 from .charts import transition, transition_jacobian
 from .poly import (
     BiPoly,
+    _accumulate,
+    _times,
     circle_valuation,  # noqa: F401  (the benchmark's tracer wraps it here)
     divide_exact_by_circle,  # noqa: F401  (and this one)
     integer_numerators,
@@ -156,22 +158,6 @@ class ConjugationResult:
 
 
 _CIRCLE = {(2, 0): 1, (0, 2): 1}    # u^2 + v^2
-
-
-def _accumulate(acc: dict, p: dict, q: dict) -> dict:
-    """acc plus the product of the term dicts p and q, in place: terms of
-    p outer, of q inner, each new key appended as it is first seen."""
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            e = (i1 + i2, j1 + j2)
-            acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
-    return acc
-
-
-def _times(p: dict, q: dict) -> dict:
-    """The product of two term dicts with its zero values dropped, in the
-    term order of BiPoly's product."""
-    return {e: c for e, c in _accumulate({}, p, q).items() if c}
 
 
 def _transported_pair(sys: DiffSystem, out: tuple[str, str]

@@ -65,16 +65,6 @@ class BiPoly:
         self.terms = {e: c for e, c in terms.items() if c}
         return self
 
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, vars: tuple[str, str]) -> "BiPoly":
-        return cls(vars)
-
-    @classmethod
-    def const(cls, value, vars: tuple[str, str]) -> "BiPoly":
-        return cls(vars, {(0, 0): Fraction(value)})
-
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -89,27 +79,22 @@ class BiPoly:
     def coefficient(self, i: int, j: int) -> Fraction:
         return self.terms.get((i, j), _ZERO)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, BiPoly):
-            return self.vars == other.vars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == ({(0, 0): Fraction(other)} if other else {})
-        return NotImplemented
+        if not isinstance(other, BiPoly):
+            return NotImplemented
+        return self.vars == other.vars and self.terms == other.terms
 
     # -- ring operations --------------------------------------------------
 
     def _coerce(self, other) -> "BiPoly | None":
-        if isinstance(other, BiPoly):
-            if other.vars != self.vars:
-                raise ValueError(
-                    f"variable mismatch: {self.vars} vs {other.vars}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BiPoly.const(other, self.vars)
-        return None
+        """other when it is a BiPoly over the same variables, None for any
+        other type; a BiPoly over other variables raises ValueError."""
+        if not isinstance(other, BiPoly):
+            return None
+        if other.vars != self.vars:
+            raise ValueError(
+                f"variable mismatch: {self.vars} vs {other.vars}")
+        return other
 
     def __add__(self, other) -> "BiPoly":
         other = self._coerce(other)
@@ -120,52 +105,26 @@ class BiPoly:
             terms[e] = terms[e] + c if e in terms else c
         return BiPoly._trusted(self.vars, terms)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "BiPoly":
         return BiPoly._trusted(self.vars,
                                {e: -c for e, c in self.terms.items()})
 
-    def _minus(self, other: "BiPoly") -> "BiPoly":
+    def __sub__(self, other) -> "BiPoly":
         """self - other in one pass, in the term order of self + (-other)."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms[e] - c if e in terms else -c
         return BiPoly._trusted(self.vars, terms)
 
-    def __sub__(self, other) -> "BiPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._minus(other)
-
-    def __rsub__(self, other) -> "BiPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other._minus(self)
-
     def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, (int, Fraction)):
-            return BiPoly._trusted(
-                self.vars, {e: v * other for e, v in self.terms.items()})
-        if not isinstance(other, BiPoly):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._coerce(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                e = (i1 + i2, j1 + j2)
-                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return BiPoly._trusted(self.vars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BiPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return power(BiPoly._trusted(self.vars, self.terms), n,
-                     BiPoly.__mul__)
+        return BiPoly._trusted(self.vars,
+                               _accumulate({}, self.terms, other.terms))
 
     # -- calculus and structure --------------------------------------------
 
@@ -223,17 +182,31 @@ class BiPoly:
             pieces.append("*".join(factors))
         return "".join(pieces)
 
-    def __str__(self) -> str:
-        return self.to_text()
-
     def __repr__(self) -> str:
         return f"BiPoly({self.vars[0]},{self.vars[1]}: {self.to_text()})"
 
 
-def power(base: BiPoly, n: int, multiply) -> BiPoly:
-    """base ** n for n >= 0 by repeated squaring, each product taken as
+def _accumulate(acc: dict, p: dict, q: dict) -> dict:
+    """acc plus the product of the term dicts p and q, in place: terms of
+    p outer, of q inner, each new key appended as it is first seen. The
+    one polynomial product: BiPoly's and the transport's."""
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            e = (i1 + i2, j1 + j2)
+            acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+    return acc
+
+
+def _times(p: dict, q: dict) -> dict:
+    """The product of two term dicts with its zero values dropped, in the
+    term order of BiPoly's product."""
+    return {e: c for e, c in _accumulate({}, p, q).items() if c}
+
+
+def power(base, n: int, multiply):
+    """base ** n for n >= 1 by repeated squaring, each product taken as
     multiply(a, b); the squarings fix the term order of the result."""
-    result = BiPoly.const(1, base.vars) if n == 0 else None
+    result = None
     while n:
         if n & 1:
             result = base if result is None else multiply(result, base)
@@ -322,7 +295,7 @@ def strip_circle_power(u: BiPoly, v: BiPoly):
 def circle_valuation(p: BiPoly):
     """Largest k with (first**2 + second**2)**k dividing p; math.inf for
     the zero polynomial, which every power divides."""
-    return strip_circle_power(p, BiPoly.zero(p.vars))[0]
+    return strip_circle_power(p, BiPoly(p.vars))[0]
 
 
 # -- coprimality: the resultant at enough points modulo one prime ----------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from artifact.charts import AT_INFINITY, Circle, Line, Point
 from artifact.corpus import load_cases
-from artifact.poly import BiPoly
+from artifact.poly import BiPoly, power
 
 
 def coefficients(bound: int = 5, max_denominator: int = 4):
@@ -33,6 +33,17 @@ def bipolys(vars: tuple[str, str] = ("x", "y"), max_exp: int = 4,
 
 def nonzero_bipolys(vars: tuple[str, str] = ("x", "y"), **kwargs):
     return bipolys(vars, **kwargs).filter(lambda p: not p.is_zero())
+
+
+def const(c, vars: tuple[str, str] = ("x", "y")) -> BiPoly:
+    """The constant polynomial c: how a scalar enters a BiPoly product."""
+    return BiPoly(vars, {(0, 0): c})
+
+
+def circled(p: BiPoly, k: int) -> BiPoly:
+    """p times (first^2 + second^2)^k, for k >= 0."""
+    s = BiPoly(p.vars, {(2, 0): 1, (0, 2): 1})
+    return p * power(s, k, BiPoly.__mul__) if k else p
 
 
 def curves():

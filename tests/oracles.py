@@ -165,10 +165,10 @@ def bipoly_transported_pair(sys: DiffSystem, out: tuple[str, str]
     for side in sides:
         total = {}
         for j, part in homogeneous_components(side.with_vars(out)):
-            part = part * 4 ** j
+            part = part.scale_vars(4, 4)   # part homogeneous: times 4^j
             if j < n:
                 if n - j not in powers:
-                    powers[n - j] = s ** (n - j)
+                    powers[n - j] = power(s, n - j, BiPoly.__mul__)
                 part = powers[n - j] * part
             total.update(part.terms)
         sums.append(BiPoly._trusted(out, total))
@@ -185,23 +185,23 @@ def fraction_transported_pair(sys: DiffSystem, out: tuple[str, str],
     ran before the library moved to integer numerators; term order
     included, the library's partner must match it."""
     s = BiPoly(out, {(2, 0): Fraction(1), (0, 2): Fraction(1)})
-    sum_x = BiPoly.zero(out)
-    sum_y = BiPoly.zero(out)
-    px, py = (dict(homogeneous_components(p)) for p in sys.rhs)
+    sums = [BiPoly(out), BiPoly(out)]
+    parts = [dict(homogeneous_components(p)) for p in sys.rhs]
     for j in range(top + 1):
-        weight = s ** (top - j)
-        xj = px.get(j)
-        if xj:
-            sum_x = sum_x + weight * xj.scale_vars(4, 4).with_vars(out)
-        yj = py.get(j)
-        if yj:
-            sum_y = sum_y + weight * yj.scale_vars(4, 4).with_vars(out)
+        for side in (0, 1):
+            part = parts[side].get(j)
+            if part is None:
+                continue
+            part = part.scale_vars(4, 4).with_vars(out)
+            if j < top:
+                part = power(s, top - j, BiPoly.__mul__) * part
+            sums[side] = sums[side] + part
+    sum_x, sum_y = sums
     quarter = Fraction(1, 4)
     half = Fraction(1, 2)
     a = BiPoly(out, {(0, 2): quarter, (2, 0): -quarter})   # (v^2 - u^2)/4
     b = BiPoly(out, {(1, 1): half})                        # uv/2
-    return (a * sum_x - b * sum_y,
-            -1 * (b * sum_x) + (-1 * a) * sum_y)
+    return a * sum_x - b * sum_y, -(b * sum_x) + (-a) * sum_y
 
 
 def wn_divisibility(sys: DiffSystem) -> tuple[bool, BiPoly]:
@@ -212,11 +212,11 @@ def wn_divisibility(sys: DiffSystem) -> tuple[bool, BiPoly]:
     """
     n = sys.degree
     x, y = (variable(name, sys.vars) for name in sys.vars)
-    zero = BiPoly.zero(sys.vars)
+    zero = BiPoly(sys.vars)
     px, py = (dict(homogeneous_components(p)) for p in sys.rhs)
     w = x * py.get(n, zero) - y * px.get(n, zero)
     quot, rem = divmod_circle(w)
-    if rem:
+    if not rem.is_zero():
         return False, rem
     return True, quot
 
@@ -245,15 +245,16 @@ def reduction_quotients(sys: DiffSystem, k: int
         raise ValueError(f"need 1 <= k with 2k <= n + 2, got k={k}, n={n}")
     x, y = (variable(name, sys.vars) for name in sys.vars)
     s = x * x + y * y
-    zero = BiPoly.zero(sys.vars)
+    zero = BiPoly(sys.vars)
+    two = BiPoly(sys.vars, {(0, 0): 2})
     px, py = (dict(homogeneous_components(p)) for p in sys.rhs)
     ks, qs = [], []
     for r in range(1, k + 1):
         d = n - r + 1
         fx, fy = px.get(d, zero), py.get(d, zero)
         w = x * fy - y * fx
-        lhs_k = -2 * (y * w) - s * fx
-        lhs_q = 2 * (x * w) - s * fy
+        lhs_k = -two * (y * w) - s * fx
+        lhs_q = two * (x * w) - s * fy
         try:
             kr, qr = divide_by_circle(lhs_k, lhs_q, k - r + 1)
         except NotDivisible as exc:
@@ -279,7 +280,7 @@ def rebuild_from_quotients(sys: DiffSystem, k: int,
     out = partner_vars(sys.vars, out_vars)
     u, v = fraction_transported_pair(sys, out, sys.degree - k)
     for r in range(1, k + 1):
-        scalar = Fraction(4) ** (2 * k - 2 * r - 1)
+        scalar = BiPoly(out, {(0, 0): Fraction(4) ** (2 * k - 2 * r - 1)})
         u = u + scalar * ks[r - 1].scale_vars(4, 4).with_vars(out)
         v = v + scalar * qs[r - 1].scale_vars(4, 4).with_vars(out)
     return u, v
@@ -463,14 +464,14 @@ def curve_text_by_cases(curve) -> str:
     a line."""
     if curve is AT_INFINITY:
         return "the infinitely remote point"
-    u = variable("u", ("u", "v"))
-    v = variable("v", ("u", "v"))
     if isinstance(curve, Line):
-        return (curve.a * u + curve.b * v + curve.c).to_text() + " = 0"
+        lhs = {(1, 0): curve.a, (0, 1): curve.b, (0, 0): curve.c}
+        return BiPoly(("u", "v"), lhs).to_text() + " = 0"
     if isinstance(curve, Circle):
         cx, cy = curve.center
-        lhs = (u - cx) ** 2 + (v - cy) ** 2 - curve.radius2
-        return lhs.to_text() + " = 0"
+        lhs = {(2, 0): 1, (0, 2): 1, (1, 0): -2 * cx, (0, 1): -2 * cy,
+               (0, 0): cx * cx + cy * cy - curve.radius2}
+        return BiPoly(("u", "v"), lhs).to_text() + " = 0"
     px, py = curve.at
     return f"({px}, {py})"
 
@@ -871,6 +872,8 @@ class PolyParser:
             self.pos += 1
             n = self.exponent()
             _check_degree(_poly_degree(base) * n, "power degree", where)
+            if n == 0:
+                return BiPoly._trusted(self.vars, {(0, 0): 1})
             return power(base, n, lambda a, b: self.product(a, b, where))
         return base
 

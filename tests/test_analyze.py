@@ -2,14 +2,13 @@
 
 from fractions import Fraction
 
-from conftest import bipolys, case_by_name
+from conftest import bipolys, case_by_name, const
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     is_equilibrium,
     jacobian_at,
     symmetry_by_identity,
-    variable,
 )
 
 from artifact.analyze import (
@@ -150,8 +149,8 @@ class TestOriginStatus:
     @given(bipolys(max_exp=2), bipolys(max_exp=2), st.booleans())
     def test_random_systems(self, p, q, drop_constants):
         if drop_constants:
-            p -= p.coefficient(0, 0)
-            q -= q.coefficient(0, 0)
+            p -= const(p.coefficient(0, 0))
+            q -= const(q.coefficient(0, 0))
         try:
             sys = DiffSystem.build(XY, p, q)
         except ZeroField:
@@ -199,12 +198,13 @@ class TestSymmetry:
         # the flow, -1 reverses it); kind None leaves the field as drawn
         if kind is not None:
             (a, b), (c, d) = MATRICES[kind]
-            x, y = variable("x", XY), variable("y", XY)
-            pm = p.evaluate(a * x + b * y, c * x + d * y)
-            qm = q.evaluate(a * x + b * y, c * x + d * y)
+            # F(Mz) for the signed permutation M
+            pm, qm = (f.scale_vars(a, d) if b == 0
+                      else f.swap_vars().scale_vars(c, b) for f in (p, q))
+            a, b, c, d, sign = map(const, (a, b, c, d, sign))
             p, q = (p + sign * (a * pm + b * qm),
                     q + sign * (c * pm + d * qm))
-        assume(p or q)
+        assume(not (p.is_zero() and q.is_zero()))
         sys = DiffSystem.build(XY, p, q)
         profile = symmetry_profile(sys)
         assert profile == {k: symmetry_by_identity(sys, k)

@@ -20,6 +20,7 @@ from artifact.cli import main
 N = 10 ** 1999 + 7
 INPUTS = {
     "circle-power": ("x*(x^2 + y^2)^15", "y*(x^2 + y^2)^15"),
+    "binomial-16": ("(x + y)^16", "(x + y)^15*(x - y)"),
     "binomial-32": ("(x + y)^32", "(x + y)^31*(x - y)"),
     "stiff": (f"1{'0' * 300}*x^2", "y"),
     "dense-32": dense_field(random.Random(32), 32),
@@ -44,21 +45,30 @@ def _misses(item: int, why: str):
 ROWS = [
     ("circle-power", "conjugate", 2.0, 0),
     ("circle-power", "atlas", 2.0, 0),
+    # 0.02 s; its atlas takes about 2.4 s and stays out of tier-1
+    ("binomial-16", "conjugate", 2.0, 0),
     ("binomial-32", "conjugate", 4.0, 0),
     ("binomial-32", "atlas", 12.0, 0),
     ("stiff", "conjugate", 2.0, 0),
     ("stiff", "atlas", 2.0, 0),
     # 0.05 s in all, parse and coprimality included
     ("dense-32", "conjugate", 0.5, 0),
+    # 0.035-0.055 s
+    ("dense-32", "infinity", 0.5, 0),
+    # 0.004 s and 0.002 s: neither reaches the coprimality test
+    ("big-coefficients", "symmetry", 2.0, 0),
+    ("big-coefficients", "infinity", 2.0, 0),
+    # refused in 0.02 s, before the first run
+    ("big-coefficients", "atlas", 2.0, "does not fit a float"),
     # refused in 0.11-0.13 s; when the parser multiplied each monomial as
     # a BiPoly it took 0.29-0.49 s, close to the bound, not past it
     ("dense-sum", "conjugate", 0.5, "term products"),
     pytest.param("dense-32", "symmetry", 0.25, 0, marks=_misses(
-        8, "symmetry forms every identity in full, 1.3-1.7 s")),
+        8, "symmetry forms every identity in full, 0.94-1.16 s")),
     pytest.param("big-coefficients", "conjugate", 2.0, 0, marks=_misses(
         6, "the coprimality test has no prime above the bound")),
     pytest.param("planted-32", "conjugate", 1.0, 0, marks=_misses(
-        6, "the shared factor takes 3.7-4.7 s to find")),
+        6, "the shared factor takes 2.8-3.3 s to find")),
 ]
 
 
@@ -74,7 +84,7 @@ def test_finishes_or_refuses(name, command, seconds, expected, tmp_path,
     path = tmp_path / "sys.txt"
     path.write_text("dx/dt = {}\ndy/dt = {}\n".format(*INPUTS[name]))
     argv = [command, "-i", str(path)]
-    if command != "symmetry":
+    if command not in ("symmetry", "infinity"):  # these print to stdout
         argv += ["-o", str(tmp_path / "out")]
     try:
         with alarm(seconds):

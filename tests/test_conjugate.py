@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 import artifact
 import artifact.conjugate as conjugate_module
 from conftest import (
+    circled,
     coefficients,
+    const,
     nonzero_bipolys,
     planted_factors,
     random_field,
@@ -71,7 +73,7 @@ class TestWnDivisibility:
 
     def test_rotation_quotient(self):
         ok, quot = wn_divisibility(system("y", "-x"))
-        assert ok and quot == BiPoly.const(-1, XY)
+        assert ok and quot == const(-1)
 
 
 class TestRawConjugate:
@@ -107,7 +109,7 @@ class TestConjugate:
     def test_quadratic_image_of_constants_comes_back(self):
         first = conjugate(system("1", "2"))
         back = conjugate(first.conjugate, out_vars=XY)
-        assert back.conjugate.rhs == (BiPoly.const(1, XY), BiPoly.const(2, XY))
+        assert back.conjugate.rhs == (const(1), const(2))
         assert (back.k, back.m) == (2, 0)
 
     def test_output_variables_default_to_partner_pair(self):
@@ -242,7 +244,7 @@ class TestPushforward:
 def _double_conjugate_matches(sys):
     first = conjugate(sys)
     back = conjugate(first.conjugate, out_vars=sys.vars)
-    scale = Fraction(16) ** first.m
+    scale = const(Fraction(16) ** first.m, sys.vars)
     assert back.conjugate.rhs[0] == scale * sys.rhs[0]
     assert back.conjugate.rhs[1] == scale * sys.rhs[1]
     assert back.m == first.m
@@ -287,7 +289,7 @@ class TestInvolution:
 class TestGuards:
     def test_zero_field_rejected_at_build(self):
         with pytest.raises(ZeroField):
-            DiffSystem.build(XY, BiPoly.zero(XY), BiPoly.zero(XY))
+            DiffSystem.build(XY, BiPoly(XY), BiPoly(XY))
 
 
 def test_package_does_not_shadow_the_submodule():
@@ -338,7 +340,7 @@ class TestTheoremChecks:
     # circle valuations would be infinite and the bound on m would refuse
     # it.
     def test_zero_transport_raises(self, monkeypatch):
-        zero = BiPoly.zero(UV)
+        zero = BiPoly(UV)
         monkeypatch.setattr(conjugate_module, "_transported_pair",
                             lambda sys, out: (zero, zero, 4))
         with pytest.raises(ReductionTheoremViolated, match="k=inf"):
@@ -352,7 +354,7 @@ class TestTheoremChecks:
             from artifact.poly import BiPoly
             if not sys.flags.optimize:
                 sys.exit(2)
-            zero = BiPoly.zero(("u", "v"))
+            zero = BiPoly(("u", "v"))
             mod._transported_pair = lambda sys, out: (zero, zero, 4)
             try:
                 mod.conjugate(parse_system(("x", "y"), ("x", "y")))
@@ -454,15 +456,14 @@ class TestPartnerCoprimeByTheorem:
         if axes is not None:
             f = data.draw(planted_factors(axes), label="f")
             g, h = f * g, f * h
-        s = parse_polynomial("x^2 + y^2", XY)
         a = data.draw(st.integers(0, 2), label="circle power of P")
         b = data.draw(st.integers(0, 2), label="circle power of Q")
-        p, q = s ** (a + shared) * g, s ** (b + shared) * h
+        p, q = circled(g, a + shared), circled(h, b + shared)
         zero = data.draw(st.sampled_from([None, 0, 1]), label="zero side")
         if zero == 0:
-            p = BiPoly.zero(XY)
+            p = BiPoly(XY)
         elif zero == 1:
-            q = BiPoly.zero(XY)
+            q = BiPoly(XY)
         self.check(sympy, p, q)
 
 
@@ -471,17 +472,16 @@ def rational_fields(draw, max_exp=3, max_power=2):
     """Fields with rational coefficients, circle factors on one side, on
     both or shared, and sometimes one zero side."""
     small = nonzero_bipolys(XY, max_exp=max_exp, max_terms=4)
-    s = BiPoly(XY, {(2, 0): 1, (0, 2): 1})
     shared = draw(st.integers(0, 1), label="shared circle power")
-    p = draw(small, label="P") * s ** (
-        draw(st.integers(0, max_power), label="circle power of P") + shared)
-    q = draw(small, label="Q") * s ** (
-        draw(st.integers(0, max_power), label="circle power of Q") + shared)
+    p = circled(draw(small, label="P"), draw(
+        st.integers(0, max_power), label="circle power of P") + shared)
+    q = circled(draw(small, label="Q"), draw(
+        st.integers(0, max_power), label="circle power of Q") + shared)
     zero = draw(st.sampled_from([None, 0, 1]), label="zero side")
     if zero == 0:
-        p = BiPoly.zero(XY)
+        p = BiPoly(XY)
     elif zero == 1:
-        q = BiPoly.zero(XY)
+        q = BiPoly(XY)
     return DiffSystem.build(XY, p, q)
 
 

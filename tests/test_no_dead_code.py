@@ -13,6 +13,11 @@ Two more checks stand in for a linter: each private top-level function
 must be named the same way, and each name that a module's top-level
 import binds must be used in that module, apart from ``__future__``
 imports and names on a line marked ``# noqa: F401`` (a re-export).
+
+Operators are applied, not named, so the scan above cannot see them.
+``BiPoly`` instead defines exactly the dunder methods in
+``BIPOLY_DUNDERS``: the ones the library applies, and ``__repr__``,
+which pytest prints for every failed polynomial comparison.
 """
 
 import ast
@@ -24,6 +29,8 @@ LIBRARY = sorted(p for p in (ROOT / "src" / "artifact").glob("*.py")
                  if p.name != "__init__.py")
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+BIPOLY_DUNDERS = ("__add__", "__eq__", "__init__", "__mul__", "__neg__",
+                  "__repr__", "__sub__")
 
 
 def _definitions(tree):
@@ -106,6 +113,23 @@ def unused_imports(source: str) -> list:
             if name not in loaded]
 
 
+def class_dunders(source: str, name: str) -> list:
+    """The dunder methods that class ``name`` of ``source`` defines, by
+    ``def`` or by assignment (``__radd__ = __add__``), sorted;
+    ``__slots__`` is data, not a method."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            for item in node.body:
+                if isinstance(item, _FUNCTIONS):
+                    names.append(item.name)
+                elif isinstance(item, ast.Assign):
+                    names += [t.id for t in item.targets
+                              if isinstance(t, ast.Name)]
+    return sorted(n for n in names if n.startswith("__")
+                  and n.endswith("__") and n != "__slots__")
+
+
 def test_every_public_definition_has_a_caller():
     missing = unreferenced()
     assert not missing, (
@@ -146,3 +170,27 @@ def test_the_import_scan_sees_unused_names():
               "import json as js\n"
               "os.getpid()\n")
     assert unused_imports(source) == ["array", "sqrt", "js"]
+
+
+def test_bipoly_defines_only_the_listed_dunders():
+    source = (ROOT / "src" / "artifact" / "poly.py").read_text()
+    found = class_dunders(source, "BiPoly")
+    assert found == list(BIPOLY_DUNDERS), (
+        f"not in BIPOLY_DUNDERS: {sorted(set(found) - set(BIPOLY_DUNDERS))}"
+        f"; listed but not defined: "
+        f"{sorted(set(BIPOLY_DUNDERS) - set(found))}")
+
+
+def test_the_dunder_scan_sees_unused_operators():
+    source = ("class BiPoly:\n"
+              "    __slots__ = ('vars', 'terms')\n"
+              + "".join(f"    def {name}(self, *args): pass\n"
+                        for name in BIPOLY_DUNDERS)
+              + "    def __pow__(self, n): pass\n"
+              "    __radd__ = __add__\n"
+              "    def _coerce(self, other): pass\n"
+              "class Other:\n"
+              "    def __bool__(self): pass\n")
+    found = class_dunders(source, "BiPoly")
+    assert found != list(BIPOLY_DUNDERS)
+    assert sorted(set(found) - set(BIPOLY_DUNDERS)) == ["__pow__", "__radd__"]

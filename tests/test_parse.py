@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import bipolys
+from conftest import bipolys, const
 from oracles import PolyParser, variable
 from artifact import parse
 from artifact.conjugate import ZeroField
@@ -31,7 +31,7 @@ from artifact.parse import (
     system_from_json,
     system_from_text,
 )
-from artifact.poly import BiPoly
+from artifact.poly import BiPoly, power
 
 XY = ("x", "y")
 
@@ -85,10 +85,9 @@ class TestGrammar:
 
 _leaves = st.one_of(
     st.integers(0, 30).map(
-        lambda n: (str(n), BiPoly.const(n, XY), 0, True)),
+        lambda n: (str(n), const(n), 0, True)),
     st.tuples(st.integers(0, 30), st.integers(1, 12)).map(
-        lambda pq: (f"{pq[0]}/{pq[1]}", BiPoly.const(Fraction(*pq), XY), 0,
-                    True)),
+        lambda pq: (f"{pq[0]}/{pq[1]}", const(Fraction(*pq)), 0, True)),
     st.sampled_from(XY).map(lambda v: (v, variable(v, XY), 1, True)))
 
 
@@ -104,13 +103,18 @@ def _binary(op, a, b):
     return text, a[1] * b[1], a[2] + b[2], False
 
 
+def _power(p, n):
+    return power(p, n, BiPoly.__mul__) if n else const(1)
+
+
 def _expression_nodes(children):
     return st.one_of(
         st.builds(_binary, st.sampled_from([" + ", " - ", "*", " "]),
                   children, children),
         children.map(lambda a: ("-" + _wrapped(a), -a[1], a[2], False)),
-        st.builds(lambda a, n: (f"{_wrapped(a)}^{n}", a[1] ** n, a[2] * n,
-                                False), children, st.integers(0, 3)))
+        st.builds(lambda a, n: (f"{_wrapped(a)}^{n}", _power(a[1], n),
+                                a[2] * n, False),
+                  children, st.integers(0, 3)))
 
 
 expression_trees = st.recursive(_leaves, _expression_nodes, max_leaves=10)
@@ -136,7 +140,7 @@ class TestIntegerBoundary:
                     min_size=1, max_size=12))
     def test_flat_sum_matches_the_fold(self, summands):
         # one chain of summands, without parentheses, cancelling often
-        text, reference = "", BiPoly.zero(XY)
+        text, reference = "", BiPoly(XY)
         for sign, c, i, j in summands:
             text += f" {sign if text or sign == '-' else ''} {c}*x^{i}*y^{j}"
             mono = BiPoly(XY, {(i, j): Fraction(c)})
