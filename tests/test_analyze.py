@@ -1,8 +1,21 @@
 """Equilibrium classification, infinity status, and symmetry checks."""
 
+import random
 from fractions import Fraction
 
-from conftest import bipolys, case_by_name, const
+import pytest
+
+import artifact.analyze as analyze_module
+import artifact.conjugate as conjugate_module
+from conftest import (
+    bipolys,
+    case_by_name,
+    circled,
+    const,
+    dense_field,
+    rational_fields,
+    sweep_fields,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -20,9 +33,10 @@ from artifact.analyze import (
     symmetry_profile,
 )
 from artifact.charts import transition
-from artifact.conjugate import DiffSystem, ZeroField, conjugate
+from artifact.conjugate import DiffSystem, ZeroField, conjugate, partner_jet
 from artifact.corpus import load_cases
 from artifact.parse import parse_system
+from artifact.poly import BiPoly
 
 XY = ("x", "y")
 
@@ -164,6 +178,92 @@ class TestOriginStatus:
                                       (Fraction(0), Fraction(5, 7)))
         assert status.eq_class == "unstable node"
         assert_matches_oracle(sys)
+
+
+@st.composite
+def linear_times_circle(draw):
+    """(a*x + b*y) * s^k and (c*x + d*y) * s^k, s = x^2 + y^2, radial,
+    rotational or any other linear part, plus a small field of lower
+    degree or none."""
+    coefficient = st.integers(-3, 3)
+    (a, b), (c, d) = draw(st.sampled_from([
+        ((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 1), (-1, -1))])
+        | st.tuples(st.tuples(coefficient, coefficient),
+                    st.tuples(coefficient, coefficient)).filter(
+            lambda m: any(m[0] + m[1])), label="linear part")
+    k = draw(st.integers(0, 4), label="circle power")
+    tail = bipolys(max_exp=k + 1, max_terms=3).filter(
+        lambda f: (f.total_degree() or 0) <= 2 * k)
+    p = circled(BiPoly(XY, {(1, 0): a, (0, 1): b}), k) \
+        + draw(tail, label="P tail")
+    q = circled(BiPoly(XY, {(1, 0): c, (0, 1): d}), k) \
+        + draw(tail, label="Q tail")
+    assume(not (p.is_zero() and q.is_zero()))
+    return DiffSystem.build(XY, p, q)
+
+
+class TestInfinityFromTopParts:
+    """infinite_point_status reads the partner's 1-jet from the field's
+    top homogeneous parts; the partner's own origin after a full
+    conjugation is the oracle, and the circle power partner_jet finds
+    is conjugate's k."""
+
+    @staticmethod
+    def check(sys):
+        result = conjugate(sys)
+        status = infinite_point_status(sys)
+        assert status == origin_status(result.conjugate)
+        assert all(type(v) is Fraction
+                   for row in status.linear_part for v in row)
+        assert partner_jet(sys)[0] == result.k
+
+    def test_corpus(self):
+        for case in load_cases():
+            self.check(case.system)
+
+    @pytest.mark.parametrize("seed", [1, 7, 7777])
+    def test_sweep_pool_and_tail(self, seed):
+        for field in sweep_fields(seed):
+            self.check(parse_system(XY, field))
+
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_dense_fields(self, degree):
+        self.check(parse_system(XY, dense_field(random.Random(degree),
+                                                degree)))
+
+    @given(rational_fields())
+    @settings(max_examples=150, deadline=None)
+    def test_rational_fields(self, sys):
+        self.check(sys)
+
+    @given(linear_times_circle())
+    @settings(max_examples=150, deadline=None)
+    def test_linear_parts_times_circle_powers(self, sys):
+        self.check(sys)
+
+    def test_examples(self):
+        for rhs in [
+                # the top part alone: e_5 = 3 and a linear 1-jet
+                ("x*(x^2 + y^2)^2 + 1", "y*(x^2 + y^2)^2"),
+                # x^4 lowers k to 1 below the top part's e_5 = 3, and
+                # leaves the 1-jet zero
+                ("x*(x^2 + y^2)^2 + x^4", "y*(x^2 + y^2)^2"),
+                # the linear part reduces to degree 1 but has e_1 = 2 > k
+                ("x + x^2 + y^2", "y"),
+                ("-y*(x^2 + y^2)^3 + x^2", "x*(x^2 + y^2)^3"),
+                ("0", "y*(x^2 + y^2)"), ("1", "0")]:
+            self.check(system(*rhs))
+
+    def test_no_conjugation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("infinite_point_status conjugated")
+
+        sys = parse_system(XY, dense_field(random.Random(32), 32))
+        expected = origin_status(conjugate(sys).conjugate)
+        for module in (conjugate_module, analyze_module):
+            monkeypatch.setattr(module, "conjugate", refuse)
+        monkeypatch.setattr(conjugate_module, "_transported_pair", refuse)
+        assert infinite_point_status(sys) == expected
 
 
 class TestSymmetry:

@@ -53,7 +53,7 @@ ROWS = [
     ("stiff", "atlas", 2.0, 0),
     # 0.05 s in all, parse and coprimality included
     ("dense-32", "conjugate", 0.5, 0),
-    # 0.035-0.055 s
+    # 0.019-0.036 s, most of it the parse: no conjugation
     ("dense-32", "infinity", 0.5, 0),
     # 0.004 s and 0.002 s: neither reaches the coprimality test
     ("big-coefficients", "symmetry", 2.0, 0),

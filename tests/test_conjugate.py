@@ -23,6 +23,8 @@ from conftest import (
     nonzero_bipolys,
     planted_factors,
     random_field,
+    rational_fields,
+    sweep_fields,
     sympy_coprime,
 )
 from oracles import (
@@ -40,6 +42,7 @@ from artifact.conjugate import (
     ReductionTheoremViolated,
     ZeroField,
     conjugate,
+    partner_jet,
     partner_vars,
     pushforward_residual,
     raw_conjugate,
@@ -334,6 +337,35 @@ class TestTheoremChecks:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
 
+    # partner_jet finds k as n - j + (the circle power of the top part
+    # t_j) at j = n, so forcing that power forces k
+    @pytest.mark.parametrize("rhs,k", IMPOSSIBLE)
+    def test_partner_jet_impossible_k_raises(self, monkeypatch, rhs, k):
+        monkeypatch.setattr(conjugate_module, "_strip_form_pair",
+                            lambda tu, tv: (k, tu, tv))
+        with pytest.raises(ReductionTheoremViolated, match=f"k={k}"):
+            partner_jet(system(*rhs))
+
+    @pytest.mark.parametrize("rhs,k", IMPOSSIBLE)
+    def test_partner_jet_impossible_k_raises_under_optimize(self, rhs, k):
+        script = textwrap.dedent(f"""
+            import sys
+            import artifact.conjugate as mod
+            from artifact.parse import parse_system
+            if not sys.flags.optimize:
+                sys.exit(2)
+            mod._strip_form_pair = lambda tu, tv: ({k}, tu, tv)
+            try:
+                mod.partner_jet(parse_system(("x", "y"), {rhs!r}))
+            except mod.ReductionTheoremViolated:
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = str(Path(artifact.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     # The transport is invertible (see ConjugationResult._coprime), so a
     # nonzero field never transports to two zero sides; if it did, both
@@ -467,24 +499,6 @@ class TestPartnerCoprimeByTheorem:
         self.check(sympy, p, q)
 
 
-@st.composite
-def rational_fields(draw, max_exp=3, max_power=2):
-    """Fields with rational coefficients, circle factors on one side, on
-    both or shared, and sometimes one zero side."""
-    small = nonzero_bipolys(XY, max_exp=max_exp, max_terms=4)
-    shared = draw(st.integers(0, 1), label="shared circle power")
-    p = circled(draw(small, label="P"), draw(
-        st.integers(0, max_power), label="circle power of P") + shared)
-    q = circled(draw(small, label="Q"), draw(
-        st.integers(0, max_power), label="circle power of Q") + shared)
-    zero = draw(st.sampled_from([None, 0, 1]), label="zero side")
-    if zero == 0:
-        p = BiPoly(XY)
-    elif zero == 1:
-        q = BiPoly(XY)
-    return DiffSystem.build(XY, p, q)
-
-
 def _same_public(got, ref):
     """Equal terms in equal order, and Fraction coefficients only."""
     assert list(got.terms.items()) == list(ref.terms.items())
@@ -514,17 +528,6 @@ class TestIntegerTransport:
             except NotDivisible:
                 return     # the closed form does not apply at this k
             assert rebuilt == result.conjugate.rhs
-
-
-def _sweep_fields(seed: int) -> list:
-    """The benchmark's degree-sweep pool for one seed, then its tail."""
-    rng = random.Random(seed)
-    shapes = ((2, 4), (2, 4), (2, 4), (3, 6))
-    fields = [random_field(rng, *shapes[index % len(shapes)])
-              for index in range(120)]
-    rng = random.Random(seed)
-    return fields + [random_field(rng, n, (n + 1) * (n + 2) // 4)
-                     for n in (8, 12, 16)]
 
 
 def _seeded_fields(count: int) -> list:
@@ -561,7 +564,7 @@ class TestTermDictTransport:
 
     @pytest.mark.parametrize("seed", [1, 7, 7777])
     def test_sweep_pool_and_tail(self, seed):
-        for field in _sweep_fields(seed):
+        for field in sweep_fields(seed):
             self.check(system(*field))
 
     def test_seeded_random_fields(self):
