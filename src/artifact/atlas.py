@@ -110,22 +110,6 @@ class DiskChart:
     arrows: list       # ((x, y), (ux, uy)) unit direction at mid arc
     curves: list       # Circle / Line overlays
 
-    def to_json_dict(self) -> dict:
-        return {
-            "chart": self.chart.value,
-            "vars": list(self.vars),
-            "radius": self.radius,
-            "trajectories": [{"chart": self.chart.value,
-                              "termination": t.termination,
-                              "samples": list(map(list, t.samples))}
-                             for t in self.trajectories],
-            "equilibria": [{"point": [x, y], "label": label}
-                           for (x, y), label in self.equilibria],
-            "arrows": [{"at": [x, y], "direction": [ux, uy]}
-                       for (x, y), (ux, uy) in self.arrows],
-            "curves": [c.to_json_dict() for c in self.curves],
-        }
-
 
 @dataclass
 class AtlasDocument:
@@ -133,12 +117,6 @@ class AtlasDocument:
 
     disks: tuple
     provenance: dict
-
-    def to_json_dict(self) -> dict:
-        return {"schema": 1,
-                "size": _SIZE,
-                "disks": [d.to_json_dict() for d in self.disks],
-                "provenance": self.provenance}
 
 
 # Slack on the segment prefilter of ``detect_closed``, relative to the
@@ -162,7 +140,8 @@ def detect_closed(traj: Trajectory, tol: float) -> bool:
     """
     if len(traj.samples) < 10:
         raise ValueError("closure detection needs at least 10 samples")
-    pts = [(sx, sy) for _, sx, sy in traj.samples]
+    flat = traj.samples.flat
+    pts = list(zip(flat[1::3], flat[2::3]))
     p0 = x0, y0 = pts[0]
     # math.dist(p, p0) is math.hypot of the differences, bit for bit
     dist = list(map(math.dist, pts, repeat(p0)))
@@ -199,8 +178,8 @@ def _clip_exit(traj: Trajectory, radius: float) -> None:
     """Pull an overshooting final sample back onto the disk boundary."""
     if traj.termination != "exited-outer-disk":
         return
-    t0, x0, y0 = traj.samples[-2]
-    t1, x1, y1 = traj.samples[-1]
+    flat = traj.samples.flat
+    t0, x0, y0, t1, x1, y1 = flat[-6:]
     dx, dy = x1 - x0, y1 - y0
     # smallest s in [0, 1] with |(x0, y0) + s*(dx, dy)| = radius
     a = dx * dx + dy * dy
@@ -213,12 +192,13 @@ def _clip_exit(traj: Trajectory, radius: float) -> None:
         return
     s = (-b + math.sqrt(disc)) / a
     s = max(0.0, min(1.0, s))
-    traj.samples[-1] = (t0 + s * (t1 - t0), x0 + s * dx, y0 + s * dy)
+    flat[-3], flat[-2], flat[-1] = t0 + s * (t1 - t0), x0 + s * dx, y0 + s * dy
 
 
 def _mid_arc_arrow(traj: Trajectory):
     """Arrow at the sample nearest half the polyline's arc length."""
-    pts = [(x, y) for _, x, y in traj.samples]
+    flat = traj.samples.flat
+    pts = list(zip(flat[1::3], flat[2::3]))
     if len(pts) < 3:
         return None
     lens = list(accumulate(map(math.dist, pts[1:], pts), initial=0.0))
@@ -488,41 +468,39 @@ def _curve_polylines(curve, radius: float):
     return [r for r in runs if len(r) >= 2]
 
 
-def render_svg(doc: AtlasDocument) -> bytes:
-    """Deterministic SVG for a document: two disks side by side.
+def svg_pieces(doc: AtlasDocument):
+    """The SVG of a document, one line at a time: two disks side by side.
 
     Trajectories are polylines with one mid-arc arrowhead, equilibria
     are filled dots, overlay curves are dashed. The only <circle>
-    elements are the two disk boundaries.
+    elements are the two disk boundaries. Each piece ends with a newline.
     """
     size = _SIZE
     margin = 40
     gap = 60
     width = 2 * size + 2 * margin + gap
     height = size + 2 * margin + 30
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+           f'height="{height}" viewBox="0 0 {width} {height}">\n')
+    yield f'<rect width="{width}" height="{height}" fill="#ffffff"/>\n'
     for index, disk in enumerate(doc.disks):
         cx = margin + size / 2 + index * (size + gap)
         cy = margin + size / 2
         scale = size / 2 / disk.radius
-        parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                     f'r="{_fmt(size / 2)}" fill="none" stroke="#333333" '
-                     f'stroke-width="1.5"/>')
+        yield (f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+               f'r="{_fmt(size / 2)}" fill="none" stroke="#333333" '
+               f'stroke-width="1.5"/>\n')
         for curve in disk.curves:
             for run in _curve_polylines(curve, disk.radius):
                 pts = _points(cx, cy, scale, run)
-                parts.append(f'<polyline points="{pts}" fill="none" '
-                             f'stroke="#b3402a" stroke-width="1.2" '
-                             f'stroke-dasharray="6 4"/>')
+                yield (f'<polyline points="{pts}" fill="none" '
+                       f'stroke="#b3402a" stroke-width="1.2" '
+                       f'stroke-dasharray="6 4"/>\n')
         for traj in disk.trajectories:
-            pts = _points(cx, cy, scale,
-                          ((x, y) for _, x, y in traj.samples))
-            parts.append(f'<polyline points="{pts}" fill="none" '
-                         f'stroke="#1f4e79" stroke-width="1"/>')
+            flat = traj.samples.flat
+            pts = _points(cx, cy, scale, zip(flat[1::3], flat[2::3]))
+            yield (f'<polyline points="{pts}" fill="none" '
+                   f'stroke="#1f4e79" stroke-width="1"/>\n')
         for (ax, ay), (ux, uy) in disk.arrows:
             px, py = cx + ax * scale, cy - ay * scale
             # screen-space direction (y axis flips)
@@ -534,14 +512,64 @@ def render_svg(doc: AtlasDocument) -> bytes:
             path = (f"M {_fmt(tip[0])} {_fmt(tip[1])} "
                     f"L {_fmt(left[0])} {_fmt(left[1])} "
                     f"L {_fmt(right[0])} {_fmt(right[1])} Z")
-            parts.append(f'<path d="{path}" fill="#1f4e79"/>')
+            yield f'<path d="{path}" fill="#1f4e79"/>\n'
         for (ex, ey), label in disk.equilibria:
             px, py = cx + ex * scale, cy - ey * scale
-            parts.append(f'<path d="{_dot_path(px, py, 3.5)}" '
-                         f'fill="#111111"><title>{label}</title></path>')
+            yield (f'<path d="{_dot_path(px, py, 3.5)}" '
+                   f'fill="#111111"><title>{label}</title></path>\n')
         caption = f"({disk.vars[0]}, {disk.vars[1]})  radius {_fmt(disk.radius)}"
-        parts.append(f'<text x="{_fmt(cx)}" y="{_fmt(margin + size + 22)}" '
-                     f'font-family="sans-serif" font-size="13" '
-                     f'text-anchor="middle" fill="#333333">{caption}</text>')
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+        yield (f'<text x="{_fmt(cx)}" y="{_fmt(margin + size + 22)}" '
+               f'font-family="sans-serif" font-size="13" '
+               f'text-anchor="middle" fill="#333333">{caption}</text>\n')
+    yield "</svg>\n"
+
+
+def render_svg(doc: AtlasDocument) -> bytes:
+    """The whole SVG of ``svg_pieces``, as UTF-8 bytes."""
+    return "".join(svg_pieces(doc)).encode("utf-8")
+
+
+# One (t, x, y) row of a trajectory's "samples" as json.dumps(...,
+# indent=2) writes it at that depth. json writes a finite float as its
+# repr, and every sample is finite.
+_ROW = ("[\n              %r,\n              %r,\n"
+        "              %r\n            ]")
+
+
+def json_pieces(doc: AtlasDocument):
+    """The document's JSON, ``json.dumps(document, indent=2)`` and a
+    newline, in pieces.
+
+    ``json`` writes a skeleton of the document whose trajectories hold
+    null in place of their samples; each trajectory's rows are then
+    formatted from its packed floats, one trajectory at a time.
+    """
+    skeleton = {
+        "schema": 1,
+        "size": _SIZE,
+        "disks": [{
+            "chart": disk.chart.value,
+            "vars": list(disk.vars),
+            "radius": disk.radius,
+            "trajectories": [{"chart": disk.chart.value,
+                              "termination": t.termination,
+                              "samples": None}
+                             for t in disk.trajectories],
+            "equilibria": [{"point": [x, y], "label": label}
+                           for (x, y), label in disk.equilibria],
+            "arrows": [{"at": [x, y], "direction": [ux, uy]}
+                       for (x, y), (ux, uy) in disk.arrows],
+            "curves": [c.to_json_dict() for c in disk.curves],
+        } for disk in doc.disks],
+        "provenance": doc.provenance,
+    }
+    # json escapes every quote inside a string, so this text comes only
+    # from the trajectories, one each
+    head, *tails = json.dumps(skeleton, indent=2).split('"samples": null')
+    yield head
+    runs = (t for disk in doc.disks for t in disk.trajectories)
+    for traj, tail in zip(runs, tails):
+        rows = ",\n            ".join([_ROW] * len(traj.samples))
+        yield '"samples": [\n            ' + rows % tuple(traj.samples.flat)
+        yield "\n          ]" + tail
+    yield "\n"

@@ -118,23 +118,28 @@ def _cmd_map_curve(args) -> int:
 def _cmd_atlas(args) -> int:
     # deferred: the import adds 10-20 ms to a process start (medians of 9
     # runs on a 2-core x86-64 host) that the other subcommands do without
-    from .atlas import AtlasConfig, build_atlas, render_svg
+    from .atlas import AtlasConfig, build_atlas, json_pieces, svg_pieces
     system = _read_system(args.input)
     fields = {"eps1": args.eps1, "eps2": args.eps2}
     if args.seeds is not None:
         fields["rays"] = args.seeds
     cfg = AtlasConfig(**fields)
     doc = build_atlas(system, cfg)
+    # each document goes out piece by piece: no whole text is held
     if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(_json_text(doc.to_json_dict()))
-    svg = render_svg(doc)
+        with open(args.json, "wb") as handle:
+            _write_pieces(json_pieces(doc), handle)
     if args.output is not None:
         with open(args.output, "wb") as handle:
-            handle.write(svg)
+            _write_pieces(svg_pieces(doc), handle)
     elif args.json is None:
-        sys.stdout.buffer.write(svg)
+        _write_pieces(svg_pieces(doc), sys.stdout.buffer)
     return 0
+
+
+def _write_pieces(pieces, out) -> None:
+    for piece in pieces:
+        out.write(piece.encode("utf-8"))
 
 
 def _verify_case(case) -> tuple[bool, str]:

@@ -17,6 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
+from struct import pack
 
 from .charts import transition, transition_jacobian
 from .conjugate import ConjugationResult, DiffSystem
@@ -59,20 +60,63 @@ TERMINATIONS = ("time-limit", "exited-outer-disk", "entered-origin-guard",
 MAX_TRIAL_STEPS = 10_000
 
 
+class Samples:
+    """The samples of one run, packed in one ``array('d')`` as t, x, y,
+    t, x, y, ... (``flat``), 24 bytes a sample.
+
+    It reads as a sequence of (t, x, y) triples: ``len`` counts samples,
+    an int index (negative ones too) gives one triple, and iteration
+    gives each in order. Two are equal when their floats are. Readers of
+    many samples work on ``flat`` itself.
+    """
+
+    __slots__ = ("flat",)
+
+    def __init__(self, flat: array):
+        self.flat = flat
+
+    def __len__(self) -> int:
+        return len(self.flat) // 3
+
+    def __getitem__(self, index: int) -> tuple[float, float, float]:
+        count = len(self)
+        if not -count <= index < count:
+            raise IndexError("sample index out of range")
+        at = 3 * (index % count)
+        return tuple(self.flat[at:at + 3])
+
+    def __iter__(self):
+        floats = iter(self.flat)
+        return zip(floats, floats, floats)
+
+    def __eq__(self, other):
+        if not isinstance(other, Samples):
+            return NotImplemented
+        return self.flat == other.flat
+
+    def __reduce__(self):
+        return Samples, (self.flat,)
+
+    def __repr__(self) -> str:
+        return f"Samples({self.flat!r})"
+
+
 @dataclass
 class Trajectory:
     """Samples of one integrated orbit and why the integration stopped.
 
-    ``termination`` is one of ``TERMINATIONS``; ``integrate`` gives the
-    first six, and only the atlas relabels a time-limit run "closed".
-    ``velocities`` holds the field (signed like time) at each sample as
-    (vx, vy) pairs in a run from ``integrate``; an atlas run keeps none.
-    ``accepted`` and ``rejected`` count the integrator's trial steps. All
-    three are deterministic but stay out of the atlas JSON, so output
-    documents do not change with them.
+    ``samples`` packs (t, x, y) at the start and after each accepted
+    step, times strictly increasing. ``termination`` is one of
+    ``TERMINATIONS``; ``integrate`` gives the first six, and only the
+    atlas relabels a time-limit run "closed". ``velocities`` holds the
+    field (signed like time) at each sample as (vx, vy) pairs in a run
+    from ``integrate``; an atlas run keeps none. ``accepted`` and
+    ``rejected`` count the integrator's trial steps. The velocities and
+    both counts are deterministic but stay out of the atlas JSON, so
+    output documents do not change with them.
     """
 
-    samples: list  # (t, x, y) triples, times strictly increasing
+    samples: Samples
     termination: str
     accepted: int = 0
     rejected: int = 0
@@ -239,12 +283,12 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
     t_end = max_time * (1 - 1e-12)
     t = 0.0
     h = min(cfg.initial_step, max_step, max_time)
-    samples = [(0.0, x, y)]
+    samples = [0.0, x, y]  # t, x, y flat; lists grow faster than arrays
     accepted = rejected = 0
     termination = None
     k1x, k1y = _finite(f, x, y)
-    velocities = [k1x, k1y]  # a list appends faster than an array
-    sample, velocity = samples.append, velocities.append
+    velocities = [k1x, k1y]
+    velocity = velocities.append
     if hypot(k1x, k1y) < abs_tol:
         termination = "converged-to-equilibrium"
     while termination is None:
@@ -313,7 +357,7 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
         accepted += 1
         t += h
         x, y, k1x, k1y = nx, ny, k7x, k7y
-        sample((t, x, y))
+        samples += (t, x, y)
         velocity(k1x)
         velocity(k1y)
         radius = hypot(x, y)
@@ -333,8 +377,14 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
         # min(5.0, 0.9 * (err ** -0.2 if err > 0 else 5.0))
         grow = 0.9 * (err ** -0.2 if err > 0 else 5.0)
         h *= grow if grow < 5.0 else 5.0
-    return Trajectory(samples, termination, accepted, rejected,
-                      array("d", velocities))
+    return Trajectory(Samples(_packed(samples)), termination, accepted,
+                      rejected, _packed(velocities))
+
+
+def _packed(floats: list) -> array:
+    """The floats in an ``array('d')``, through one ``struct.pack``: about
+    twice as fast as ``array('d', floats)``, and the same doubles."""
+    return array("d", pack(f"{len(floats)}d", *floats))
 
 
 # No library code calls hausdorff_distance (the benchmark's tracer looks it
@@ -419,8 +469,10 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
     guard2 = cfg.origin_guard ** 2
     mapped = []  # (tau, qx, qy) at each kept sample
     tau = 0.0
+    samples = iter(traj.samples.flat.tolist())
     velocities = iter(traj.velocities)
-    for (t, x, y), vx, vy in zip(traj.samples, velocities, velocities):
+    for t, x, y, vx, vy in zip(samples, samples, samples,
+                               velocities, velocities):
         if not x * x + y * y > guard2:
             continue  # only ever the final sample, on a guard stop
         qx, qy = transition((x, y))
@@ -461,8 +513,8 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
 def _squared_gaps(mapped, partner: Trajectory):
     """The squared gap across the partner's velocity at each mapped
     sample (tau, qx, qy), in order, up to the partner's last time."""
-    samples, g = partner.samples, partner.velocities
-    times = [s[0] for s in samples]
+    samples, g = partner.samples.flat.tolist(), partner.velocities
+    times = samples[0::3]
     # a partner at the time limit may stop a relative 1e-12 short of it
     end = math.inf if partner.termination == "time-limit" else times[-1]
     last = len(times) - 2
@@ -473,7 +525,7 @@ def _squared_gaps(mapped, partner: Trajectory):
         i = bisect_right(times, tau) - 1
         if i > last:
             i = last
-        (t0, px, py), (t1, rx, ry) = samples[i], samples[i + 1]
+        t0, px, py, t1, rx, ry = samples[3 * i:3 * i + 6]
         ux, uy, wx, wy = g[2 * i:2 * i + 4]
         h = t1 - t0
         theta = (tau - t0) / h

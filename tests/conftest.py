@@ -1,19 +1,28 @@
-"""Shared hypothesis strategies, seeded text fields, corpus lookup, an
-alarm and the sympy oracle for the test suite."""
+"""Shared hypothesis strategies, seeded text fields, corpus lookup,
+trajectories through given points, a fresh interpreter, an alarm and the
+sympy oracle for the test suite."""
 
 import contextlib
 import gc
+import os
 import random
 import signal
+import subprocess
+import sys
+import textwrap
+from array import array
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import artifact
 from artifact.charts import AT_INFINITY, Circle, Line, Point
 from artifact.conjugate import DiffSystem
 from artifact.corpus import load_cases
+from artifact.dynamics import Samples, Trajectory
 from artifact.poly import BiPoly, power
 
 
@@ -152,6 +161,13 @@ def sweep_fields(seed: int) -> list:
                      for n in (8, 12, 16)]
 
 
+def polyline(points) -> Trajectory:
+    """A time-limit run through the (x, y) points, the k-th at t = k."""
+    flat = array("d", [v for t, (x, y) in enumerate(points)
+                       for v in (t, x, y)])
+    return Trajectory(Samples(flat), "time-limit")
+
+
 @cache
 def _cases_by_name() -> dict:
     return {case.name: case for case in load_cases()}
@@ -161,6 +177,15 @@ def case_by_name(name: str):
     """One bundled corpus case; the corpus is parsed once and the cases
     shared."""
     return _cases_by_name()[name]
+
+
+def run_child(script: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter running ``script`` on this checkout's library."""
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
 
 
 class Alarm(BaseException):

@@ -23,7 +23,9 @@ The float side keeps the plain forms of three hot loops whose library
 versions do less interpreter work for the same answer: the integrator
 with its step as a function, the closure test on every segment and the
 scan for the atlas arrow. It also keeps the conjugacy residual on whole
-numpy arrays, which the library's plain-float residual must equal.
+numpy arrays, which the library's plain-float residual must equal, and
+the atlas document as one JSON dict, whose text the library's streamed
+JSON must equal.
 
 The parser is kept as it was before it carried monomials as tuples:
 every value a BiPoly, every product a BiPoly product. The library's
@@ -38,7 +40,7 @@ from array import array
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -85,6 +87,7 @@ from artifact.dynamics import (
     _GAUSS_WEIGHTS,
     MAX_TRIAL_STEPS,
     IntegratorConfig,
+    Samples,
     Trajectory,
     _field,
     _finite,
@@ -612,8 +615,8 @@ def loop_integrate(sys: DiffSystem, start,
             termination = "time-limit"
             break
         h *= min(5.0, 0.9 * (err ** -0.2 if err > 0 else 5.0))
-    return Trajectory(samples, termination, accepted, rejected,
-                      array("d", velocities))
+    return Trajectory(Samples(array("d", chain.from_iterable(samples))),
+                      termination, accepted, rejected, array("d", velocities))
 
 
 def loop_detect_closed(traj: Trajectory, tol: float) -> bool:
@@ -672,6 +675,45 @@ def loop_mid_arc_arrow(traj: Trajectory):
     return pts[idx], (ux / norm, uy / norm)
 
 
+# -- the atlas JSON as one dict ----------------------------------------------
+#
+# ``atlas.json_pieces`` writes the atlas JSON a trajectory at a time, each
+# one's rows formatted from its packed floats. The dict it replaced, every
+# sample a list, is kept here: ``json.dumps`` of it with indent 2 and a
+# newline must give the same text.
+
+
+def disk_json_dict(disk) -> dict:
+    """One ``DiskChart`` of an atlas document as a JSON dict."""
+    return {
+        "chart": disk.chart.value,
+        "vars": list(disk.vars),
+        "radius": disk.radius,
+        "trajectories": [{"chart": disk.chart.value,
+                          "termination": t.termination,
+                          "samples": list(map(list, t.samples))}
+                         for t in disk.trajectories],
+        "equilibria": [{"point": [x, y], "label": label}
+                       for (x, y), label in disk.equilibria],
+        "arrows": [{"at": [x, y], "direction": [ux, uy]}
+                   for (x, y), (ux, uy) in disk.arrows],
+        "curves": [c.to_json_dict() for c in disk.curves],
+    }
+
+
+def atlas_json_dict(doc) -> dict:
+    """An ``AtlasDocument`` as a JSON dict."""
+    return {"schema": 1,
+            "size": 420,
+            "disks": [disk_json_dict(d) for d in doc.disks],
+            "provenance": doc.provenance}
+
+
+def atlas_json_text(doc) -> str:
+    """The atlas JSON as the command line wrote it from the dict."""
+    return json.dumps(atlas_json_dict(doc), indent=2) + "\n"
+
+
 # -- the whole-array residual ------------------------------------------------
 #
 # ``conjugacy_residual`` walks the kept samples once in plain floats. The
@@ -684,7 +726,7 @@ def loop_mid_arc_arrow(traj: Trajectory):
 
 def arrays(traj: Trajectory):
     """Times (n,), points (n, 2) and velocities (n, 2) as float arrays."""
-    txy = np.array(traj.samples, dtype=float)
+    txy = np.array(traj.samples.flat).reshape(-1, 3)
     return txy[:, 0], txy[:, 1:], np.array(traj.velocities).reshape(-1, 2)
 
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import Alarm, alarm, case_by_name
-from oracles import loop_mid_arc_arrow
+from conftest import Alarm, alarm, case_by_name, polyline
+from oracles import atlas_json_dict, atlas_json_text, loop_mid_arc_arrow
 from test_golden import ATLAS
 
 from artifact import atlas
@@ -27,11 +27,7 @@ from artifact.atlas import (
     render_svg,
 )
 from artifact.charts import Circle, Line, Point, map_curve
-from artifact.dynamics import (
-    TERMINATIONS,
-    IntegratorConfig,
-    Trajectory,
-)
+from artifact.dynamics import TERMINATIONS, IntegratorConfig
 from artifact.parse import parse_system
 
 
@@ -193,13 +189,13 @@ class TestBuildAtlas:
 
     def test_deterministic_document(self):
         sys = case_by_name("5.3->5.4").system
-        a = build_atlas(sys, quick_config()).to_json_dict()
-        b = build_atlas(sys, quick_config()).to_json_dict()
+        a = atlas_json_dict(build_atlas(sys, quick_config()))
+        b = atlas_json_dict(build_atlas(sys, quick_config()))
         assert a == b
 
     def test_json_shape(self):
         doc = build_atlas(case_by_name("5.3->5.4").system, quick_config())
-        blob = doc.to_json_dict()
+        blob = json.loads("".join(atlas.json_pieces(doc)))
         assert blob["schema"] == 1
         assert [d["vars"] for d in blob["disks"]] == [["x", "y"], ["u", "v"]]
         assert blob["provenance"]["conjugation"]["k"] == 1
@@ -248,11 +244,6 @@ class TestRenderSvg:
         svg = render_svg(doc)
         assert svg.count(b'fill="#1f4e79"') == \
             sum(len(d.arrows) for d in doc.disks)
-
-
-def polyline(points):
-    return Trajectory([(float(i), x, y) for i, (x, y) in enumerate(points)],
-                      "time-limit")
 
 
 class TestMidArcArrow:
@@ -406,8 +397,8 @@ def assert_same_document(split, serial):
     # which every atlas run leaves empty)
     assert split.disks == serial.disks
     assert render_svg(split) == render_svg(serial)
-    assert json.dumps(split.to_json_dict()) == \
-        json.dumps(serial.to_json_dict())
+    assert "".join(atlas.json_pieces(split)) == \
+        "".join(atlas.json_pieces(serial))
 
 
 def expected_forks() -> int:
@@ -503,6 +494,17 @@ class TestSplitRuns:
         monkeypatch.setattr(pickle, "loads", lambda blob: real(blob[:-1]))
         assert_same_document(build_atlas(system, quick_config()), serial)
         assert len(forks) == expected_forks()
+
+    def test_runs_pickle_packed(self):
+        # what the child sends: 24 bytes a sample and about 70 a run; a
+        # tuple of three floats a sample pickled to about 29 bytes
+        doc = build_atlas(case_by_name("5.3->5.4").system)
+        runs = [t for disk in doc.disks for t in disk.trajectories]
+        samples = sum(len(t.samples) for t in runs)
+        blob = pickle.dumps(runs, pickle.HIGHEST_PROTOCOL)
+        assert samples > 100 * len(runs)
+        assert len(blob) <= 24 * samples + 100 * len(runs)
+        assert pickle.loads(blob) == runs
 
     def test_no_fork_on_one_cpu(self, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},

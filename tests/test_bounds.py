@@ -5,13 +5,22 @@ bound, with the garbage collector off (``conftest.alarm``). A row names
 what it expects: exit 0 with nothing on stderr, or a refusal, exit 1
 with a one-line message holding the row's words and no traceback. A row
 that misses today is a strict xfail naming the ROADMAP item that would
-make it pass.
+make it pass. One more row bounds an atlas's memory.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
-from conftest import Alarm, alarm, dense_field, random_field
+from conftest import (
+    Alarm,
+    alarm,
+    case_by_name,
+    dense_field,
+    random_field,
+    run_child,
+)
 
 from artifact.cli import main
 
@@ -99,3 +108,38 @@ def test_finishes_or_refuses(name, command, seconds, expected, tmp_path,
         assert expected in err
     else:
         assert err == ""
+
+
+# The memory row: the default atlas of 7.1->7.2 with its JSON, 96 runs
+# and 176 401 samples, in a fresh interpreter (this one maps numpy) whose
+# address space may grow by ATLAS_HEADROOM_MB past what its imports left.
+# It grows by 8-12 MB; with a tuple per sample and the whole JSON text
+# in memory it grew by 140-150 MB and raised MemoryError here. The limit
+# holds for the forked child too. About 1.4 s on a 2-core host.
+ATLAS_HEADROOM_MB = 64
+
+
+def test_atlas_in_bounded_memory(tmp_path):
+    pytest.importorskip("resource")
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("no /proc/self/status to read the address space from")
+    system = case_by_name("7.1->7.2").system
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"vars": list(system.vars),
+                                "rhs": [p.to_text() for p in system.rhs]}))
+    svg, doc = tmp_path / "a.svg", tmp_path / "a.json"
+    done = run_child(f"""
+        import resource, sys
+        import artifact.atlas
+        from artifact.cli import main
+        with open("/proc/self/status") as status:
+            size = next(int(line.split()[1]) for line in status
+                        if line.startswith("VmSize:"))
+        cap = (size << 10) + ({ATLAS_HEADROOM_MB} << 20)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        sys.exit(main(["atlas", "-i", {str(path)!r}, "-o", {str(svg)!r},
+                       "--json", {str(doc)!r}]))
+    """)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert svg.read_bytes().endswith(b"</svg>\n")
+    assert doc.read_bytes().endswith(b"}\n")

@@ -2,22 +2,17 @@
 
 import io
 import json
-import os
 import random
-import subprocess
-import sys
-import textwrap
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import curves
+from conftest import curves, run_child
 from hypothesis import given, settings
-from oracles import curve_text_by_cases
+from oracles import atlas_json_text, curve_text_by_cases
 
-import artifact
-from artifact import analyze, cli
+from artifact import analyze, atlas, cli
 from artifact import conjugate as conjugate_module
 from artifact import poly as poly_module
 from artifact.charts import Circle, Line, Point, map_curve
@@ -376,6 +371,48 @@ class TestAtlas:
             assert {(t["termination"], len(t["samples"])) for t in runs} \
                 == {("step-underflow", 1)}
 
+    # one atlas each with a one-sample "step-underflow" run, a clipped
+    # exit and a "closed" run
+    @pytest.mark.parametrize("rhs,termination", [
+        ([f"1{'0' * 300}*x^2", "y"], "step-underflow"),
+        (["x", "-y"], "exited-outer-disk"),
+        (["y", "-x"], "closed"),
+    ], ids=["step-underflow", "clipped-exit", "closed"])
+    def test_streamed_files_equal_the_whole_documents(self, rhs, termination,
+                                                      sys_file, tmp_path):
+        svg, doc_path = tmp_path / "a.svg", tmp_path / "a.json"
+        src = sys_file(["x", "y"], rhs)
+        assert main(["atlas", "-i", src, "--seeds", "grid:3",
+                     "-o", str(svg), "--json", str(doc_path)]) == 0
+        doc = atlas.build_atlas(load_system(Path(src).read_text()),
+                                atlas.AtlasConfig(rays=3))
+        runs = [t for disk in doc.disks for t in disk.trajectories]
+        assert termination in {t.termination for t in runs}
+        if termination == "step-underflow":
+            assert {len(t.samples) for t in runs} == {1}
+        assert svg.read_bytes() == atlas.render_svg(doc)
+        assert doc_path.read_bytes() == atlas_json_text(doc).encode()
+
+    @pytest.mark.parametrize("outputs,renders", [
+        (["--json", "a.json"], 0), (["-o", "a.svg"], 1),
+        (["-o", "a.svg", "--json", "a.json"], 1), ([], 1)])
+    def test_svg_rendered_only_when_written(self, outputs, renders,
+                                            sys_file, tmp_path, monkeypatch,
+                                            capsysbinary):
+        calls = []
+        for name in ("svg_pieces", "render_svg"):
+            real = getattr(atlas, name)
+            monkeypatch.setattr(atlas, name, lambda doc, real=real: (
+                calls.append(doc) or real(doc)))
+        argv = ["atlas", "-i", sys_file(["x", "y"], ["x", "-y"]),
+                "--seeds", "grid:2"]
+        argv += [str(tmp_path / word) if word.startswith("a.") else word
+                 for word in outputs]
+        assert main(argv) == 0
+        assert len(calls) == renders
+        out = capsysbinary.readouterr().out
+        assert out.startswith(b"<svg") if not outputs else out == b""
+
     def test_seed_grid_past_the_cap_exits_1(self, sys_file, capsys):
         # refused before any seed is built, so it returns at once
         started = time.monotonic()
@@ -421,20 +458,11 @@ class TestVerify:
         assert len(calls) == len(load_cases()) == 27
 
 
-def _run_child(script: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter running ``script`` on this checkout's library."""
-    src = str(Path(artifact.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
-                          env=env, capture_output=True, text=True,
-                          timeout=60)
-
-
 def test_subcommands_leave_numpy_unloaded(sys_file, tmp_path):
     # the library runs on the standard library alone, the atlas's float
     # integration included
     svg = str(tmp_path / "saddle.svg")
-    done = _run_child(f"""
+    done = run_child(f"""
         import sys
         import artifact
         loaded = "numpy" in sys.modules
@@ -457,7 +485,7 @@ def test_library_import_starts_no_thread():
     # numpy's OpenBLAS pool does) would make a fork unsafe behind its back
     if not Path("/proc/self/task").is_dir():
         pytest.skip("no /proc/self/task to count OS threads in")
-    done = _run_child("""
+    done = run_child("""
         import importlib, os, pkgutil, sys
         import artifact
         for module in pkgutil.iter_modules(artifact.__path__):

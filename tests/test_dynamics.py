@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import math
 import pickle
 import random
@@ -11,9 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
-from conftest import case_by_name
+from conftest import case_by_name, polyline
 from oracles import (
     array_residual,
     loop_detect_closed,
@@ -23,7 +25,13 @@ from oracles import (
 
 from artifact import dynamics
 from artifact import atlas
-from artifact.atlas import AtlasConfig, DiskChart, build_atlas, detect_closed
+from artifact.atlas import (
+    AtlasConfig,
+    AtlasDocument,
+    DiskChart,
+    build_atlas,
+    detect_closed,
+)
 from artifact.charts import Chart, transition, transition_jacobian
 from artifact.conjugate import conjugate
 from artifact.corpus import load_cases
@@ -34,7 +42,7 @@ from artifact.dynamics import (
     DormandPrince54,
     IntegratorConfig,
     NumericOverflow,
-    Trajectory,
+    Samples,
     conjugacy_residual,
     field_eval,
     integrate,
@@ -63,7 +71,8 @@ def atlas_runs(sys, start, cfg):
 def atlas_json(traj):
     """A trajectory's entry in the JSON of an atlas document."""
     disk = DiskChart(Chart.N, ("x", "y"), 100.0, [traj], [], [], [])
-    return disk.to_json_dict()["trajectories"][0]
+    text = "".join(atlas.json_pieces(AtlasDocument((disk,), {})))
+    return json.loads(text)["disks"][0]["trajectories"][0]
 
 
 class TestConfig:
@@ -128,7 +137,7 @@ class TestIntegrate:
         sys = parse_system(("x", "y"), STIFF)
         traj = integrate(sys, (1.0, 0.0), IntegratorConfig())
         assert traj.termination == "step-underflow"
-        assert traj.samples == [(0.0, 1.0, 0.0)] and traj.accepted == 0
+        assert list(traj.samples) == [(0.0, 1.0, 0.0)] and traj.accepted == 0
 
     def test_circle_closes(self):
         # integrate stops at the time limit; the atlas keeps the run and
@@ -258,14 +267,9 @@ class TestDetectClosed:
         assert detect_closed(traj, 1e-3)
 
     def test_needs_ten_samples(self):
-        stub = Trajectory([(0.0, 1.0, 0.0)] * 5, "time-limit")
+        stub = polyline([(1.0, 0.0)] * 5)
         with pytest.raises(ValueError):
             detect_closed(stub, 1e-3)
-
-
-def polyline(points):
-    return Trajectory([(float(i), x, y) for i, (x, y) in enumerate(points)],
-                      "time-limit")
 
 
 def closure_trajectories(count):
@@ -1359,3 +1363,51 @@ class TestVelocities:
             assert twin.velocities is not traj.velocities
         assert set(atlas_json(traj)) == {"chart", "termination", "samples"}
         assert len(traj.velocities) == 2 * len(traj.samples)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestSamples:
+    """``Samples`` reads like the list of (t, x, y) tuples it replaced."""
+
+    @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=12))
+    def test_reads_like_the_list_of_rows(self, points):
+        rows = [(float(t), x, y) for t, (x, y) in enumerate(points)]
+        samples = polyline(points).samples
+        assert len(samples) == len(rows)
+        assert list(samples) == rows
+        assert all(type(row) is tuple for row in samples)
+        for index in range(-len(rows), len(rows)):
+            assert samples[index] == rows[index]
+        for index in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                samples[index]
+        # repr tells -0.0 from 0.0
+        assert repr(list(samples)) == repr(rows)
+
+    @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=12),
+           st.data())
+    def test_equal_when_the_floats_are(self, points, data):
+        samples = polyline(points).samples
+        assert samples == polyline(points).samples
+        for twin in (pickle.loads(pickle.dumps(samples)),
+                     copy.deepcopy(samples)):
+            assert twin == samples and twin.flat is not samples.flat
+            assert twin.flat.typecode == "d"
+            assert repr(list(twin)) == repr(list(samples))
+        k = data.draw(st.integers(0, len(points) - 1))
+        x, y = points[k]
+        # the next float toward zero, or 1.0 for a zero
+        moved = points[:k] + [(math.nextafter(x, 0.0) if x else 1.0, y)] \
+            + points[k + 1:]
+        assert samples != polyline(moved).samples
+        assert samples != polyline(points + [(x, y)]).samples
+
+    def test_integrate_packs_what_the_loop_collects(self):
+        sys = case_by_name("5.9->5.10").system
+        cfg = IntegratorConfig(max_time=5.0)
+        traj = integrate(sys, (0.7, -0.2), cfg)
+        assert type(traj.samples) is Samples
+        assert traj.samples == loop_integrate(sys, (0.7, -0.2), cfg).samples
+        assert len(traj.samples.flat) == 3 * len(traj.samples) > 30
