@@ -296,12 +296,12 @@ def _run_split(jobs) -> dict:
 
     The child takes the runs with index i % 4 in (1, 2), so each side
     gets about half the forward and half the backward runs. This process
-    runs the rest, then reads the child's pipe to its end. The child's
-    share is missing only when the child dies or is interrupted. The
-    child is killed and reaped before this returns or raises. It is a
-    fork, not a fresh interpreter: it inherits the loaded library and the
-    runs, so nothing is imported or sent to it. A fresh interpreter's
-    start-up alone costs more than a typical atlas.
+    runs the rest, then unpickles the child's runs straight off its pipe.
+    The child's share is missing only when the child dies or is
+    interrupted. The child is killed and reaped before this returns or
+    raises. It is a fork, not a fresh interpreter: it inherits the loaded
+    library and the runs, so nothing is imported or sent to it. A fresh
+    interpreter's start-up alone costs more than a typical atlas.
     """
     share = [i for i in range(len(jobs)) if i % 4 in (1, 2)]
     parent = os.getpid()
@@ -326,7 +326,10 @@ def _run_split(jobs) -> dict:
             if i % 4 in (0, 3):
                 done[i] = _run(jobs[i])
         with open(read_fd, "rb", closefd=False) as pipe:
-            blob = pipe.read()
+            try:
+                sent = pickle.load(pipe)
+            except (pickle.UnpicklingError, EOFError):
+                sent = []   # the child sent nothing, or not all of it
     finally:
         os.close(read_fd)
         if pid > 0:
@@ -334,10 +337,6 @@ def _run_split(jobs) -> dict:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    try:
-        sent = pickle.loads(blob)
-    except (pickle.UnpicklingError, EOFError):  # the child sent nothing
-        sent = []
     done.update(zip(share, sent))
     return done
 

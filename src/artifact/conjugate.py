@@ -21,13 +21,13 @@ from .charts import transition, transition_jacobian
 from .poly import (
     BiPoly,
     _accumulate,
+    _strip_form_pair,
     _times,
-    circle_valuation,  # noqa: F401  (the benchmark's tracer wraps it here)
-    divide_exact_by_circle,  # noqa: F401  (and this one)
+    circle_valuation,
+    divide_exact_by_circle,
     integer_numerators,
     is_coprime,
     power,
-    strip_circle_power,
 )
 
 
@@ -120,8 +120,8 @@ class ConjugationResult:
     # the transported sums are S_X = 16^j * r^(2j) * S_X' and likewise
     # S_Y, so the partner of (P, Q) is 16^j times the partner of
     # (P', Q'), with k = k' + j and m = m' + j. It remains to compare a
-    # pair that shares no circle power with its partner, which after the
-    # strip shares no r^2.
+    # pair that shares no circle power with its partner, which after its
+    # k divisions shares no r^2.
     #   - _transported_pair gives (U, V) = M * (S_X, S_Y) for a 2x2 matrix
     #     M of polynomials with det M = -(u^2+v^2)^2/16. So a factor of U
     #     and V other than r^2 divides S_X and S_Y, and conversely.
@@ -139,11 +139,14 @@ class ConjugationResult:
     # 3.5.)
     @cached_property
     def _coprime(self) -> bool:
-        """The partner's answer, from the original pair once
-        strip_circle_power has divided out the circle power it shares."""
-        j, p, q = strip_circle_power(*self.system.rhs)
+        """The partner's answer, from the original pair with the circle
+        power j it shares divided out."""
+        p, q = self.system.rhs
+        j = min(circle_valuation(p), circle_valuation(q))
         if j == 0:
             return self.system.coprime
+        for _ in range(j):
+            p, q = divide_exact_by_circle(p), divide_exact_by_circle(q)
         return is_coprime(p, q)
 
     def to_json_dict(self) -> dict:
@@ -161,14 +164,16 @@ class ConjugationResult:
 _CIRCLE = {(2, 0): 1, (0, 2): 1}    # u^2 + v^2
 
 
-def _transported_pair(sys: DiffSystem, out: tuple[str, str]
-                      ) -> tuple[BiPoly, BiPoly, int]:
-    """The field carried into the other chart, unreduced.
+def _transported_pair(sides: list[BiPoly], n: int, out: tuple[str, str]
+                      ) -> tuple[BiPoly, BiPoly]:
+    """The field carried into the other chart, unreduced, from the sides
+    D*P, D*Q of `integer_numerators` (D the lcm of the field's
+    denominators) of a field of degree n.
 
     Returns (a * S_X - b * S_Y, -b * S_X - a * S_Y) with a = (v^2-u^2)/4
     and b = uv/2, where S_X and S_Y sum the homogeneous parts of P and Q
-    as (u^2+v^2)^(n-j) * part_j(4u, 4v), times 4D (D the lcm of the
-    field's denominators) to make them ints, then 4D; _over divides.
+    as (u^2+v^2)^(n-j) * part_j(4u, 4v), times 4D to make them ints;
+    _over divides by 4D.
 
     Everything between runs on plain {(i, j): int} dicts, and term order
     is output, so each stage adds its keys in a fixed order:
@@ -181,8 +186,6 @@ def _transported_pair(sys: DiffSystem, out: tuple[str, str]
         minus 2uv * S_Y, appending any new key;
       - V is -2uv * S_X, then plus -4a * S_Y, (0, 2) before (2, 0);
       - the two returned polynomials drop their remaining zeros."""
-    n = sys.degree
-    sides, d = integer_numerators(*sys.rhs)
     powers = {}
     sums = []
     for side in sides:
@@ -205,46 +208,18 @@ def _transported_pair(sys: DiffSystem, out: tuple[str, str]
     _accumulate(u, {(1, 1): -2}, sum_y)
     v = _accumulate({}, {(1, 1): -2}, sum_x)
     _accumulate(v, {(0, 2): -1, (2, 0): 1}, sum_y)
-    return BiPoly._trusted(out, u), BiPoly._trusted(out, v), 4 * d
+    return BiPoly._trusted(out, u), BiPoly._trusted(out, v)
 
 
-def _form_over_circle(a: list) -> list | None:
-    """a / (u^2 + v^2) for a form of degree >= 2 given as its coefficient
-    list, that of u^i * v^(d-i) at index i; None when a remainder is
-    left. The quotient is b_i = a_(i+2) - b_(i+2), taken from the top;
-    the remainder is (a_0 - b_0, a_1 - b_1)."""
-    b = a[2:]
-    for i in range(len(b) - 3, -1, -1):
-        b[i] -= b[i + 2]
-    if a[0] != b[0] or a[1] != (b[1] if len(b) > 1 else 0):
-        return None
-    return b
+def _top_parts(sides: list[BiPoly], n: int) -> tuple[int, dict]:
+    """(k, jet) for the sides D*P, D*Q of `integer_numerators` of a field
+    of degree n: the circle power k that the transported pair shares, the
+    one place that decides it, and the reduced partner's parts of degree
+    0 and 1, times 4D, as coefficient lists keyed by degree.
 
-
-def _strip_form_pair(tu: list, tv: list) -> tuple[int, list, list]:
-    """(r, tu / s^r, tv / s^r) for the largest r with s^r dividing both
-    forms, s = u^2 + v^2; the two are not both zero."""
-    r = 0
-    while len(tu) > 2:
-        qu = _form_over_circle(tu)
-        if qu is None:
-            break
-        qv = _form_over_circle(tv)
-        if qv is None:
-            break
-        tu, tv, r = qu, qv, r + 1
-    return r, tu, tv
-
-
-def partner_jet(sys: DiffSystem) -> tuple[int, tuple, tuple]:
-    """(k, c, J) without conjugating: the circle power k that `conjugate`
-    removes, and the reduced partner's constant pair c and Jacobian J at
-    its origin, as Fractions.
-
-    Write X_j, Y_j for the degree-j parts of D*P and D*Q (D the lcm of
-    the field's denominators) and s = u^2 + v^2. The transported pair of
-    `_transported_pair` is, over 4D, the sum over j of s^(n-j) * t_j,
-    where t_j is the image of one part:
+    Write X_j, Y_j for the degree-j parts of the sides and s = u^2 + v^2.
+    The transported pair of `_transported_pair` is, over 4D, the sum over
+    j of s^(n-j) * t_j, where t_j is the image of one part:
       U-side (v^2 - u^2) * X_j(4u, 4v) - 2uv * Y_j(4u, 4v),
       V-side -2uv * X_j(4u, 4v) + (u^2 - v^2) * Y_j(4u, 4v),
     two forms of degree j + 2. The terms have the distinct degrees
@@ -255,12 +230,10 @@ def partner_jet(sys: DiffSystem) -> tuple[int, tuple, tuple]:
         4D, for each j with e_j = k and j + 2 - 2 * v_j <= 1; a term with
         e_j > k is a multiple of s in the reduced pair.
     As e_j >= n - j, the walk down from j = n stops once n - j exceeds
-    the least e_j so far. Raises ReductionTheoremViolated as `conjugate`
-    does."""
-    n = sys.degree
-    d = math.lcm(*(c.denominator for p in sys.rhs for c in p.terms.values()))
+    the least e_j so far. Raises ReductionTheoremViolated when k breaks
+    0 <= n - k or 2k <= n + 2."""
     parts = {}
-    for side, p in enumerate(sys.rhs):
+    for side, p in enumerate(sides):
         for (i, j), c in p.terms.items():
             parts.setdefault(i + j, ([], []))[side].append((i, c))
     k, jet = math.inf, {}
@@ -271,13 +244,14 @@ def partner_jet(sys: DiffSystem) -> tuple[int, tuple, tuple]:
         # index i (times v^2), i + 1 (times uv) and i + 2 (times u^2)
         tu, tv = [0] * (j + 3), [0] * (j + 3)
         xs, ys = parts[j]
+        scale = 4 ** j
         for i, c in xs:
-            c = c.numerator * (d // c.denominator) * 4 ** j
+            c *= scale
             tu[i] += c
             tu[i + 2] -= c
             tv[i + 1] -= 2 * c
         for i, c in ys:
-            c = c.numerator * (d // c.denominator) * 4 ** j
+            c *= scale
             tu[i + 1] -= 2 * c
             tv[i] -= c
             tv[i + 2] += c
@@ -287,10 +261,20 @@ def partner_jet(sys: DiffSystem) -> tuple[int, tuple, tuple]:
             k, jet = e, {}
         if e == k and len(tu) <= 2:
             jet[len(tu) - 1] = (tu, tv)
-    m = n - k
-    if m < 0 or 2 * k > n + 2:
+    if n - k < 0 or 2 * k > n + 2:
         raise ReductionTheoremViolated(
             f"removed circle power k={k} is impossible for n={n}")
+    return k, jet
+
+
+def partner_jet(sys: DiffSystem) -> tuple[int, tuple, tuple]:
+    """(k, c, J) without conjugating: the circle power k that `conjugate`
+    removes, and the reduced partner's constant pair c and Jacobian J at
+    its origin, as Fractions; `_top_parts` finds them from the top
+    homogeneous parts of the field down. Raises ReductionTheoremViolated
+    as `conjugate` does."""
+    sides, d = integer_numerators(*sys.rhs)
+    k, jet = _top_parts(sides, sys.degree)
     scale = 4 * d
     (cu,), (cv,) = jet.get(0, ([0], [0]))
     # a linear form's list holds its v coefficient, then its u one
@@ -310,7 +294,9 @@ def raw_conjugate(sys: DiffSystem,
                   out_vars: tuple[str, str] | None = None
                   ) -> tuple[BiPoly, BiPoly]:
     """The unreduced partner field, exactly over the rationals."""
-    return _over(*_transported_pair(sys, partner_vars(sys.vars, out_vars)))
+    sides, d = integer_numerators(*sys.rhs)
+    return _over(*_transported_pair(sides, sys.degree,
+                                    partner_vars(sys.vars, out_vars)), 4 * d)
 
 
 def conjugate(sys: DiffSystem,
@@ -318,17 +304,18 @@ def conjugate(sys: DiffSystem,
     """Partner system with all shared circle powers removed.
 
     The result carries the partner, the removed power k and the
-    time-reparametrization exponent m = n - k.
+    time-reparametrization exponent m = n - k. `_top_parts` decides k,
+    and the transported pair is divided by the circle exactly k times.
     """
     out = partner_vars(sys.vars, out_vars)
-    u, v, scale = _transported_pair(sys, out)
-    k, u, v = strip_circle_power(u, v)
-    m = sys.degree - k
-    if m < 0 or 2 * k > sys.degree + 2:
-        raise ReductionTheoremViolated(
-            f"removed circle power k={k} is impossible for n={sys.degree}")
-    conj = DiffSystem.build(out, *_over(u, v, scale))
-    return ConjugationResult(system=sys, conjugate=conj, k=k, m=m)
+    n = sys.degree
+    sides, d = integer_numerators(*sys.rhs)
+    k, _ = _top_parts(sides, n)
+    u, v = _transported_pair(sides, n, out)
+    for _ in range(k):
+        u, v = divide_exact_by_circle(u), divide_exact_by_circle(v)
+    conj = DiffSystem.build(out, *_over(u, v, 4 * d))
+    return ConjugationResult(system=sys, conjugate=conj, k=k, m=n - k)
 
 
 def pushforward_residual(sys: DiffSystem, result: ConjugationResult,

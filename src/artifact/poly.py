@@ -261,41 +261,47 @@ def divide_exact_by_circle(p: BiPoly) -> BiPoly:
     return q
 
 
-def strip_circle_power(u: BiPoly, v: BiPoly):
-    """(k, u / s**k, v / s**k) for the largest k with s**k dividing both
-    u and v, where s = first**2 + second**2.
-
-    Both sides zero give math.inf and the pair itself; one zero side
-    stays zero. A multiple's lowest homogeneous part is one too, so that
-    is tried first on each nonzero side; then both sides are divided
-    together until the first remainder.
-    """
-    if not (u.terms or v.terms):
-        return math.inf, u, v
-    for p in (u, v):
-        if not p.terms:
-            continue
-        low = min(i + j for i, j in p.terms)
-        if low < 2 or divmod_circle(BiPoly._trusted(p.vars, {
-                e: c for e, c in p.terms.items()
-                if e[0] + e[1] == low}))[1].terms:
-            return 0, u, v
-    k = 0
-    while True:
-        quotients = []
-        for p in (u, v):
-            q, r = divmod_circle(p)
-            if r.terms:
-                return k, u, v
-            quotients.append(q)
-        u, v = quotients
-        k += 1
-
-
 def circle_valuation(p: BiPoly):
     """Largest k with (first**2 + second**2)**k dividing p; math.inf for
-    the zero polynomial, which every power divides."""
-    return strip_circle_power(p, BiPoly(p.vars))[0]
+    the zero polynomial, which every power divides. A multiple of the
+    circle has no term of degree below 2, so that ends the loop early."""
+    if not p.terms:
+        return math.inf
+    k = 0
+    while min(i + j for i, j in p.terms) >= 2:
+        p, r = divmod_circle(p)
+        if r.terms:
+            break
+        k += 1
+    return k
+
+
+def _form_over_circle(a: list) -> list | None:
+    """a / (u^2 + v^2) for a form of degree >= 2 given as its coefficient
+    list, that of u^i * v^(d-i) at index i; None when a remainder is
+    left. The quotient is b_i = a_(i+2) - b_(i+2), taken from the top;
+    the remainder is (a_0 - b_0, a_1 - b_1)."""
+    b = a[2:]
+    for i in range(len(b) - 3, -1, -1):
+        b[i] -= b[i + 2]
+    if a[0] != b[0] or a[1] != (b[1] if len(b) > 1 else 0):
+        return None
+    return b
+
+
+def _strip_form_pair(tu: list, tv: list) -> tuple[int, list, list]:
+    """(r, tu / s^r, tv / s^r) for the largest r with s^r dividing both
+    forms, s = u^2 + v^2; the two are not both zero."""
+    r = 0
+    while len(tu) > 2:
+        qu = _form_over_circle(tu)
+        if qu is None:
+            break
+        qv = _form_over_circle(tv)
+        if qv is None:
+            break
+        tu, tv, r = qu, qv, r + 1
+    return r, tu, tv
 
 
 # -- coprimality: the resultant at enough points modulo one prime ----------

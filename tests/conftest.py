@@ -16,6 +16,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 import artifact
@@ -72,6 +73,29 @@ def rational_fields(draw, max_exp=3, max_power=2):
         p = BiPoly(xy)
     elif zero == 1:
         q = BiPoly(xy)
+    return DiffSystem.build(xy, p, q)
+
+
+@st.composite
+def linear_times_circle(draw):
+    """(a*x + b*y) * s^k and (c*x + d*y) * s^k, s = x^2 + y^2, radial,
+    rotational or any other linear part, plus a small field of lower
+    degree or none."""
+    xy = ("x", "y")
+    coefficient = st.integers(-3, 3)
+    (a, b), (c, d) = draw(st.sampled_from([
+        ((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 1), (-1, -1))])
+        | st.tuples(st.tuples(coefficient, coefficient),
+                    st.tuples(coefficient, coefficient)).filter(
+            lambda m: any(m[0] + m[1])), label="linear part")
+    k = draw(st.integers(0, 4), label="circle power")
+    tail = bipolys(max_exp=k + 1, max_terms=3).filter(
+        lambda f: (f.total_degree() or 0) <= 2 * k)
+    p = circled(BiPoly(xy, {(1, 0): a, (0, 1): b}), k) \
+        + draw(tail, label="P tail")
+    q = circled(BiPoly(xy, {(1, 0): c, (0, 1): d}), k) \
+        + draw(tail, label="Q tail")
+    assume(not (p.is_zero() and q.is_zero()))
     return DiffSystem.build(xy, p, q)
 
 

@@ -10,9 +10,9 @@ import artifact.conjugate as conjugate_module
 from conftest import (
     bipolys,
     case_by_name,
-    circled,
     const,
     dense_field,
+    linear_times_circle,
     rational_fields,
     sweep_fields,
 )
@@ -36,7 +36,6 @@ from artifact.charts import transition
 from artifact.conjugate import DiffSystem, ZeroField, conjugate, partner_jet
 from artifact.corpus import load_cases
 from artifact.parse import parse_system
-from artifact.poly import BiPoly
 
 XY = ("x", "y")
 
@@ -178,28 +177,6 @@ class TestOriginStatus:
                                       (Fraction(0), Fraction(5, 7)))
         assert status.eq_class == "unstable node"
         assert_matches_oracle(sys)
-
-
-@st.composite
-def linear_times_circle(draw):
-    """(a*x + b*y) * s^k and (c*x + d*y) * s^k, s = x^2 + y^2, radial,
-    rotational or any other linear part, plus a small field of lower
-    degree or none."""
-    coefficient = st.integers(-3, 3)
-    (a, b), (c, d) = draw(st.sampled_from([
-        ((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 1), (-1, -1))])
-        | st.tuples(st.tuples(coefficient, coefficient),
-                    st.tuples(coefficient, coefficient)).filter(
-            lambda m: any(m[0] + m[1])), label="linear part")
-    k = draw(st.integers(0, 4), label="circle power")
-    tail = bipolys(max_exp=k + 1, max_terms=3).filter(
-        lambda f: (f.total_degree() or 0) <= 2 * k)
-    p = circled(BiPoly(XY, {(1, 0): a, (0, 1): b}), k) \
-        + draw(tail, label="P tail")
-    q = circled(BiPoly(XY, {(1, 0): c, (0, 1): d}), k) \
-        + draw(tail, label="Q tail")
-    assume(not (p.is_zero() and q.is_zero()))
-    return DiffSystem.build(XY, p, q)
 
 
 class TestInfinityFromTopParts:

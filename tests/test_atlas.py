@@ -490,10 +490,15 @@ class TestSplitRuns:
             self, monkeypatch, forks):
         system = case_by_name("5.3->5.4").system
         serial = serial_atlas(monkeypatch, system, quick_config())
-        real = pickle.loads
-        monkeypatch.setattr(pickle, "loads", lambda blob: real(blob[:-1]))
+        real, reads = pickle.loads, []
+
+        def truncated(pipe):
+            reads.append(pipe)
+            return real(pipe.read()[:-1])
+
+        monkeypatch.setattr(pickle, "load", truncated)
         assert_same_document(build_atlas(system, quick_config()), serial)
-        assert len(forks) == expected_forks()
+        assert len(reads) == len(forks) == expected_forks()
 
     def test_runs_pickle_packed(self):
         # what the child sends: 24 bytes a sample and about 70 a run; a

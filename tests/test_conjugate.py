@@ -20,6 +20,8 @@ from conftest import (
     circled,
     coefficients,
     const,
+    dense_field,
+    linear_times_circle,
     nonzero_bipolys,
     planted_factors,
     random_field,
@@ -42,7 +44,6 @@ from artifact.conjugate import (
     ReductionTheoremViolated,
     ZeroField,
     conjugate,
-    partner_jet,
     partner_vars,
     pushforward_residual,
     raw_conjugate,
@@ -50,7 +51,12 @@ from artifact.conjugate import (
 )
 from artifact.corpus import load_cases
 from artifact.parse import parse_polynomial, parse_system
-from artifact.poly import BiPoly, NotDivisible, circle_valuation
+from artifact.poly import (
+    BiPoly,
+    NotDivisible,
+    circle_valuation,
+    integer_numerators,
+)
 
 XY = ("x", "y")
 UV = ("u", "v")
@@ -166,6 +172,32 @@ class TestCorpusCases:
     def test_degree_bound_on_k(self):
         for case in load_cases():
             assert 2 * case.expected_k <= case.expected_n + 2, case.name
+
+
+class TestNoCirclePowerLeft:
+    """conjugate divides the transported pair exactly k times, with k
+    from the top-parts walk, not until a remainder: a k one too low
+    would leave a circle power in both sides of the partner, and one
+    too high raises."""
+
+    @staticmethod
+    def check(sys):
+        u, v = conjugate(sys).conjugate.rhs
+        assert min(circle_valuation(u), circle_valuation(v)) == 0
+
+    @pytest.mark.parametrize("seed", [1, 7, 7777])
+    def test_sweep_pool_and_tail(self, seed):
+        for field in sweep_fields(seed):
+            self.check(system(*field))
+
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_dense_fields(self, degree):
+        self.check(system(*dense_field(random.Random(degree), degree)))
+
+    @given(linear_times_circle())
+    @settings(max_examples=150, deadline=None)
+    def test_linear_parts_times_circle_powers(self, sys):
+        self.check(sys)
 
 
 class TestKrDecomposition:
@@ -303,51 +335,27 @@ def test_package_does_not_shadow_the_submodule():
 
 
 class TestTheoremChecks:
-    """The bounds 0 <= m and 2k <= n + 2 are checked without assert."""
+    """The bounds 0 <= m and 2k <= n + 2 are checked without assert, in
+    the one place that decides k."""
 
     # (field, forced k): k = 99 makes m negative; n = 4, k = 4 gives
-    # m = 0 but 2k > n + 2
+    # m = 0 but 2k > n + 2. The top-parts walk finds k as n - j + (the
+    # circle power of the top part t_j) at j = n, so forcing that power
+    # forces k, for conjugate and partner_jet alike.
     IMPOSSIBLE = [(("x", "y"), 99), (("x^4", "y^4"), 4)]
+    ENTRIES = ["conjugate", "partner_jet"]
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("rhs,k", IMPOSSIBLE)
-    def test_impossible_k_raises(self, monkeypatch, rhs, k):
-        monkeypatch.setattr(conjugate_module, "strip_circle_power",
-                            lambda u, v: (k, u, v))
-        with pytest.raises(ReductionTheoremViolated, match=f"k={k}"):
-            conjugate(system(*rhs))
-
-    @pytest.mark.parametrize("rhs,k", IMPOSSIBLE)
-    def test_impossible_k_raises_under_optimize(self, rhs, k):
-        script = textwrap.dedent(f"""
-            import sys
-            import artifact.conjugate as mod
-            from artifact.parse import parse_system
-            if not sys.flags.optimize:
-                sys.exit(2)
-            mod.strip_circle_power = lambda u, v: ({k}, u, v)
-            try:
-                mod.conjugate(parse_system(("x", "y"), {rhs!r}))
-            except mod.ReductionTheoremViolated:
-                sys.exit(0)
-            sys.exit(1)
-        """)
-        src = str(Path(artifact.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-
-    # partner_jet finds k as n - j + (the circle power of the top part
-    # t_j) at j = n, so forcing that power forces k
-    @pytest.mark.parametrize("rhs,k", IMPOSSIBLE)
-    def test_partner_jet_impossible_k_raises(self, monkeypatch, rhs, k):
+    def test_impossible_k_raises(self, monkeypatch, rhs, k, entry):
         monkeypatch.setattr(conjugate_module, "_strip_form_pair",
                             lambda tu, tv: (k, tu, tv))
         with pytest.raises(ReductionTheoremViolated, match=f"k={k}"):
-            partner_jet(system(*rhs))
+            getattr(conjugate_module, entry)(system(*rhs))
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("rhs,k", IMPOSSIBLE)
-    def test_partner_jet_impossible_k_raises_under_optimize(self, rhs, k):
+    def test_impossible_k_raises_under_optimize(self, rhs, k, entry):
         script = textwrap.dedent(f"""
             import sys
             import artifact.conjugate as mod
@@ -356,26 +364,23 @@ class TestTheoremChecks:
                 sys.exit(2)
             mod._strip_form_pair = lambda tu, tv: ({k}, tu, tv)
             try:
-                mod.partner_jet(parse_system(("x", "y"), {rhs!r}))
+                mod.{entry}(parse_system(("x", "y"), {rhs!r}))
             except mod.ReductionTheoremViolated:
                 sys.exit(0)
             sys.exit(1)
         """)
-        src = str(Path(artifact.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = _run_optimized(script)
         assert done.returncode == 0, done.stderr
 
     # The transport is invertible (see ConjugationResult._coprime), so a
-    # nonzero field never transports to two zero sides; if it did, both
-    # circle valuations would be infinite and the bound on m would refuse
-    # it.
+    # nonzero field never transports to two zero sides; if it did, k
+    # divisions would leave them zero and the partner's build would
+    # refuse them.
     def test_zero_transport_raises(self, monkeypatch):
         zero = BiPoly(UV)
         monkeypatch.setattr(conjugate_module, "_transported_pair",
-                            lambda sys, out: (zero, zero, 4))
-        with pytest.raises(ReductionTheoremViolated, match="k=inf"):
+                            lambda sides, n, out: (zero, zero))
+        with pytest.raises(ZeroField):
             conjugate(system("x", "y"))
 
     def test_zero_transport_raises_under_optimize(self):
@@ -387,18 +392,23 @@ class TestTheoremChecks:
             if not sys.flags.optimize:
                 sys.exit(2)
             zero = BiPoly(("u", "v"))
-            mod._transported_pair = lambda sys, out: (zero, zero, 4)
+            mod._transported_pair = lambda sides, n, out: (zero, zero)
             try:
                 mod.conjugate(parse_system(("x", "y"), ("x", "y")))
-            except mod.ReductionTheoremViolated:
+            except mod.ZeroField:
                 sys.exit(0)
             sys.exit(1)
         """)
-        src = str(Path(artifact.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = _run_optimized(script)
         assert done.returncode == 0, done.stderr
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
+    """script run by a fresh interpreter under -O on this library."""
+    src = str(Path(artifact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 class TestSharedFactorPartner:
@@ -547,9 +557,16 @@ class TestTermDictTransport:
     order, the same coefficient types and the same scale."""
 
     @staticmethod
-    def check(sys):
+    def transport(sys, out):
+        """(U, V, 4D) from the field's integer sides, as the oracle
+        returns them."""
+        sides, d = integer_numerators(*sys.rhs)
+        return (*conjugate_module._transported_pair(sides, sys.degree, out),
+                4 * d)
+
+    def check(self, sys):
         out = partner_vars(sys.vars)
-        got = conjugate_module._transported_pair(sys, out)
+        got = self.transport(sys, out)
         ref = bipoly_transported_pair(sys, out)
         assert got[2] == ref[2]
         for side, ref_side in zip(got[:2], ref[:2]):
@@ -580,7 +597,7 @@ class TestTermDictTransport:
         # a*S_X cancels u^2*v^2 and 2uv*S_Y brings it back: it must come
         # last in U, after the terms a*S_X kept
         sys = system("x^2 + y^2", "x*y")
-        u, v, scale = conjugate_module._transported_pair(sys, UV)
+        u, v, scale = self.transport(sys, UV)
         assert list(u.terms.items()) == [((0, 4), 16), ((4, 0), -16),
                                          ((2, 2), -32)]
         assert scale == 4

@@ -37,7 +37,6 @@ from artifact.poly import (
     integer_numerators,
     is_coprime,
     power,
-    strip_circle_power,
 )
 
 XY = ("x", "y")
@@ -163,26 +162,6 @@ class TestCircleDivision:
         assert circle_valuation(p) == _ref_circle_valuation(p)
         (ints,), _ = integer_numerators(p)
         assert circle_valuation(ints) == _ref_circle_valuation(p)
-
-    @given(bipolys(), bipolys(), st.integers(0, 3), st.integers(0, 3),
-           st.booleans())
-    @example(BiPoly(XY), BiPoly(XY), 0, 0, False)
-    @example(BiPoly(XY), poly("x^2 + y^2 - 1/2*x*y"), 0, 2, True)
-    def test_strip_matches_valuation_and_division(self, p, q, ju, jv, ints):
-        # circle powers planted on neither, one or both sides, zero sides,
-        # and int numerators beside Fraction coefficients
-        u, v = circled(p, ju), circled(q, jv)
-        if ints:
-            (u, v), _ = integer_numerators(u, v)
-        k, su, sv = strip_circle_power(u, v)
-        assert k == min(_ref_circle_valuation(u), _ref_circle_valuation(v))
-        if k == math.inf:
-            assert su is u and sv is v
-            return
-        for _ in range(k):
-            u, v = divide_exact_by_circle(u), divide_exact_by_circle(v)
-        assert list(su.terms.items()) == list(u.terms.items())
-        assert list(sv.terms.items()) == list(v.terms.items())
 
     @given(bipolys())
     def test_divide_undoes_multiply(self, p):

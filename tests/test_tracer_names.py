@@ -5,15 +5,19 @@ removed one breaks every traced benchmark run. The check runs the
 tracer's own ``install`` on a fresh import of the library, in a child
 process, since the wrappers replace module attributes for good, and
 then one op through each traced path: a conjugation, a residual and an
-atlas.
+atlas. The two circle names are also checked to be called through the
+module where the tracer wraps them.
 """
 
-import importlib
 import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
+
+import artifact.conjugate as conjugate_module
+from artifact.parse import parse_system
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,9 +66,19 @@ def test_install_on_a_fresh_import():
             "dynamics.integrate", "atlas.build", "atlas.render"} <= spans
 
 
-def test_circle_names_stay_wrappable():
-    # conjugate() strips the circle with strip_circle_power, so no traced
-    # op reaches these two, but the tracer still wraps both by name here
-    module = importlib.import_module("artifact.conjugate")
-    assert callable(module.circle_valuation)
-    assert callable(module.divide_exact_by_circle)
+def test_circle_names_stay_wrappable(monkeypatch):
+    # the tracer wraps these two at artifact.conjugate, so the library
+    # must call them through that module: a conjugation divides by the
+    # circle there k times a side, and the partner's coprimality flag
+    # takes the field's circle power there
+    calls = Counter()
+    for name in ("circle_valuation", "divide_exact_by_circle"):
+        def counted(p, name=name, real=getattr(conjugate_module, name)):
+            calls[name] += 1
+            return real(p)
+        monkeypatch.setattr(conjugate_module, name, counted)
+    result = conjugate_module.conjugate(parse_system(("x", "y"), ("x", "y")))
+    assert result.k == 1
+    assert calls == {"divide_exact_by_circle": 2}
+    result.to_json_dict()
+    assert calls == {"divide_exact_by_circle": 2, "circle_valuation": 2}
