@@ -21,7 +21,8 @@ from .charts import transition, transition_jacobian
 from .poly import (
     BiPoly,
     _accumulate,
-    _strip_form_pair,
+    _forms,
+    _strip_forms,
     _times,
     circle_valuation,
     divide_exact_by_circle,
@@ -232,30 +233,26 @@ def _top_parts(sides: list[BiPoly], n: int) -> tuple[int, dict]:
     As e_j >= n - j, the walk down from j = n stops once n - j exceeds
     the least e_j so far. Raises ReductionTheoremViolated when k breaks
     0 <= n - k or 2k <= n + 2."""
-    parts = {}
-    for side, p in enumerate(sides):
-        for (i, j), c in p.terms.items():
-            parts.setdefault(i + j, ([], []))[side].append((i, c))
+    xs, ys = _forms(sides[0]), _forms(sides[1])
     k, jet = math.inf, {}
-    for j in sorted(parts, reverse=True):
+    for j in sorted(xs.keys() | ys.keys(), reverse=True):
         if n - j > k:
             break
         # t_j as coefficient lists: the part's term u^i v^(j-i) lands at
         # index i (times v^2), i + 1 (times uv) and i + 2 (times u^2)
         tu, tv = [0] * (j + 3), [0] * (j + 3)
-        xs, ys = parts[j]
         scale = 4 ** j
-        for i, c in xs:
+        for i, c in enumerate(xs.get(j, ())):
             c *= scale
             tu[i] += c
             tu[i + 2] -= c
             tv[i + 1] -= 2 * c
-        for i, c in ys:
+        for i, c in enumerate(ys.get(j, ())):
             c *= scale
             tu[i + 1] -= 2 * c
             tv[i] -= c
             tv[i + 2] += c
-        shared, tu, tv = _strip_form_pair(tu, tv)
+        shared, tu, tv = _strip_forms(tu, tv)
         e = n - j + shared
         if e < k:
             k, jet = e, {}

@@ -202,40 +202,21 @@ def field_eval(sys: DiffSystem, point) -> tuple[float, float]:
     return _finite(_field(sys), float(point[0]), float(point[1]))
 
 
-class DormandPrince54:
-    """Embedded Runge-Kutta 5(4) pair (Dormand & Prince 1980).
-
-    Classic coefficients: seven stages, fifth-order propagation with an
-    embedded fourth-order error estimate (E is the difference of the two
-    weight rows). The last stage evaluates the field at the step's new
-    point, since its row of A equals the propagation weights B ("first
-    same as last", FSAL): it is the first stage of the next step, so a
-    trial step costs six field evaluations. ``integrate`` spells these
-    coefficients out as straight-line code.
-    """
-
-    C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-    A = (
-        (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    )
-    B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-    E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-         22 / 525, -1 / 40)
-
-
-# Butcher's names, numbered like the stages k1..k7. The step in
-# ``integrate`` leaves out the zero weights b2, b7 and e2; the last row of
-# A is B, so the last stage is taken at the new point.
-(_, (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
- (_A61, _A62, _A63, _A64, _A65), _) = DormandPrince54.A
-_B1, _, _B3, _B4, _B5, _B6, _ = DormandPrince54.B
-_E1, _, _E3, _E4, _E5, _E6, _E7 = DormandPrince54.E
+# The Runge-Kutta 5(4) pair of Dormand & Prince (1980), by Butcher's
+# names, numbered like the stages k1..k7. The last row of A is B ("first
+# same as last"), so the last stage is the field at the new point, and the
+# zero weights b2, b7 and e2 are left out. The whole tableau is kept in
+# tests/oracles.py, and the tests hold each constant to its entry there.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                           11 / 84)
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
+                                -17253 / 339200, 22 / 525, -1 / 40)
 
 
 def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,

@@ -261,47 +261,52 @@ def divide_exact_by_circle(p: BiPoly) -> BiPoly:
     return q
 
 
+def _forms(p: BiPoly) -> dict[int, list]:
+    """The homogeneous forms of p, keyed by degree d in first-seen order,
+    each as its coefficient list: that of first**i * second**(d-i) at
+    index i."""
+    forms: dict[int, list] = {}
+    for (i, j), c in p.terms.items():
+        d = i + j
+        if d not in forms:
+            forms[d] = [0] * (d + 1)
+        forms[d][i] = c
+    return forms
+
+
 def circle_valuation(p: BiPoly):
-    """Largest k with (first**2 + second**2)**k dividing p; math.inf for
-    the zero polynomial, which every power divides. A multiple of the
-    circle has no term of degree below 2, so that ends the loop early."""
+    """Largest k with s**k dividing p, s = first**2 + second**2; math.inf
+    for the zero polynomial, which every power divides. As s is a form,
+    s**k divides p exactly when it divides every homogeneous form of p.
+    A multiple of s has no term of degree below 2, so such a term gives 0
+    before any form is built."""
     if not p.terms:
         return math.inf
-    k = 0
-    while min(i + j for i, j in p.terms) >= 2:
-        p, r = divmod_circle(p)
-        if r.terms:
-            break
-        k += 1
-    return k
+    if min(i + j for i, j in p.terms) < 2:
+        return 0
+    return _strip_forms(*_forms(p).values())[0]
 
 
-def _form_over_circle(a: list) -> list | None:
-    """a / (u^2 + v^2) for a form of degree >= 2 given as its coefficient
-    list, that of u^i * v^(d-i) at index i; None when a remainder is
-    left. The quotient is b_i = a_(i+2) - b_(i+2), taken from the top;
-    the remainder is (a_0 - b_0, a_1 - b_1)."""
-    b = a[2:]
-    for i in range(len(b) - 3, -1, -1):
-        b[i] -= b[i + 2]
-    if a[0] != b[0] or a[1] != (b[1] if len(b) > 1 else 0):
-        return None
-    return b
-
-
-def _strip_form_pair(tu: list, tv: list) -> tuple[int, list, list]:
-    """(r, tu / s^r, tv / s^r) for the largest r with s^r dividing both
-    forms, s = u^2 + v^2; the two are not both zero."""
+def _strip_forms(*forms: list) -> tuple:
+    """(r, *forms / s^r) for the largest r with s^r dividing every one of
+    the forms, s = u^2 + v^2; there is one at least, and not all are
+    zero. A form of degree d is its coefficient list a, that of
+    u^i * v^(d-i) at index i, and a / s is b_i = a_(i+2) - b_(i+2), taken
+    from the top, with the remainder (a_0 - b_0, a_1 - b_1); a form of
+    degree below 2 ends the division."""
     r = 0
-    while len(tu) > 2:
-        qu = _form_over_circle(tu)
-        if qu is None:
-            break
-        qv = _form_over_circle(tv)
-        if qv is None:
-            break
-        tu, tv, r = qu, qv, r + 1
-    return r, tu, tv
+    while True:
+        quotients = []
+        for a in forms:
+            if len(a) < 3:
+                return (r, *forms)
+            b = a[2:]
+            for i in range(len(b) - 3, -1, -1):
+                b[i] -= b[i + 2]
+            if a[0] != b[0] or a[1] != (b[1] if len(b) > 1 else 0):
+                return (r, *forms)
+            quotients.append(b)
+        forms, r = quotients, r + 1
 
 
 # -- coprimality: the resultant at enough points modulo one prime ----------

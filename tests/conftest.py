@@ -1,6 +1,6 @@
-"""Shared hypothesis strategies, seeded text fields, corpus lookup,
-trajectories through given points, a fresh interpreter, an alarm and the
-sympy oracle for the test suite."""
+"""Shared hypothesis strategies, seeded text fields, corpus lookup, shared
+atlas documents, trajectories through given points, a fresh interpreter,
+an alarm and the sympy oracle for the test suite."""
 
 import contextlib
 import gc
@@ -20,6 +20,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import artifact
+from artifact.atlas import AtlasConfig, build_atlas
 from artifact.charts import AT_INFINITY, Circle, Line, Point
 from artifact.conjugate import DiffSystem
 from artifact.corpus import load_cases
@@ -201,6 +202,21 @@ def case_by_name(name: str):
     """One bundled corpus case; the corpus is parsed once and the cases
     shared."""
     return _cases_by_name()[name]
+
+
+_ATLASES: dict = {}
+
+
+def shared_atlas(system: DiffSystem, cfg: AtlasConfig | None = None):
+    """``build_atlas(system, cfg)``, built once per system and config and
+    shared by the tests that only read the document. A test that patches
+    or counts what a build calls, changes the document or compares two
+    builds makes its own."""
+    cfg = cfg or AtlasConfig()
+    key = (system.vars, tuple(p.to_text() for p in system.rhs), cfg)
+    if key not in _ATLASES:
+        _ATLASES[key] = build_atlas(system, cfg)
+    return _ATLASES[key]
 
 
 def run_child(script: str) -> subprocess.CompletedProcess:

@@ -10,7 +10,10 @@ No command needs these, so they live here, where the tests check them
 against what the library computes. Nothing here shares the library's
 transport: the rebuild runs on the Fraction form of it below, and the
 transport as it ran on BiPoly ring operations, before it moved to plain
-term dicts, is kept beside it. The
+term dicts, is kept beside it. The removed circle power k has two
+forms here that share nothing with the library's top-parts walk: a loop
+of divisions by the circle for one polynomial's power, and a closed
+formula for k from the roots +-i of the field's complex parts. The
 published variants of four partner pairs that fail those identities,
 recorded in the corpus data beside the expected pairs, load here too.
 
@@ -19,13 +22,14 @@ images by the inversion rule on (A, B, C, D), the five symmetries by one
 signed-permutation identity. Their case-by-case forms (each curve type,
 each symmetry's own identity) are kept here, to check the rules against.
 
-The float side keeps the plain forms of three hot loops whose library
-versions do less interpreter work for the same answer: the integrator
-with its step as a function, the closure test on every segment and the
-scan for the atlas arrow. It also keeps the conjugacy residual on whole
-numpy arrays, which the library's plain-float residual must equal, and
-the atlas document as one JSON dict, whose text the library's streamed
-JSON must equal.
+The float side keeps the whole Dormand-Prince tableau, of which the
+integrator holds only the nonzero weights, and the plain forms of three
+hot loops whose library versions do less interpreter work for the same
+answer: the integrator with its step as a function, the closure test on
+every segment and the scan for the atlas arrow. It also keeps the
+conjugacy residual on whole numpy arrays, which the library's
+plain-float residual must equal, and the atlas document as one JSON
+dict, whose text the library's streamed JSON must equal.
 
 The parser is kept as it was before it carried monomials as tuples:
 every value a BiPoly, every product a BiPoly product. The library's
@@ -230,6 +234,66 @@ def divide_by_circle(u: BiPoly, v: BiPoly, k: int) -> tuple[BiPoly, BiPoly]:
         u = divide_exact_by_circle(u)
         v = divide_exact_by_circle(v)
     return u, v
+
+
+def loop_circle_valuation(p: BiPoly):
+    """``circle_valuation`` as a plain loop of divisions by the circle,
+    with no early exit; math.inf for the zero polynomial."""
+    if not p.terms:
+        return math.inf
+    k = 0
+    while True:
+        q, r = divmod_circle(p)
+        if r.terms:
+            return k
+        k += 1
+        p = q
+
+
+# The removed circle power as a formula. Write F = P + iQ and z = u + iv,
+# and let Fb_j = P_j - iQ_j be the degree-j parts with Q negated. The
+# transport computes U + iV = -(z^2/4) * sum_j (z zb)^(n-j) * 4^j *
+# Fb_j(u, v). The parts have distinct degrees 2n - j, so none cancel, and
+# u^2 + v^2 = z zb divides U and V exactly k times, where
+#     k = min(2 + min_j(n - j + mu_-(j)), min_j(n - j + mu_+(j)))
+# and mu_+-(j) is the multiplicity of t = +-i as a root of
+# P_j(t, 1) - i*Q_j(t, 1), over the nonzero parts: z, a factor of u + iv,
+# vanishes at u/v = -i, and zb at u/v = +i. (The complex form dz/dt =
+# F(z, zb) of a planar field, under which the transition is w = 4/zb;
+# F. Dumortier, J. Llibre & J. C. Artes, Qualitative Theory of Planar
+# Differential Systems, Springer, 2006.)
+
+
+def _root_multiplicity(coeffs: list, sign: int) -> int:
+    """Multiplicity of t = sign*i as a root of sum_a coeffs[a] * t^a, the
+    coefficients Gaussian rationals as (re, im) pairs, not all zero."""
+    mult = 0
+    while True:
+        # Horner from the top: the partial sums are the coefficients of
+        # the quotient by t - sign*i, the last one the value at sign*i
+        quotient, (re, im) = [], (0, 0)
+        for c_re, c_im in reversed(coeffs):
+            re, im = c_re - sign * im, c_im + sign * re
+            quotient.append((re, im))
+        if re or im:
+            return mult
+        coeffs = quotient[-2::-1]
+        mult += 1
+
+
+def circle_power_formula(sys: DiffSystem) -> int:
+    """The circle power k that ``conjugate`` removes, by the formula
+    above, from the field's parts alone."""
+    n = sys.degree
+    parts: dict[int, list] = {}
+    for side, p in enumerate(sys.rhs):
+        for (a, b), c in p.terms.items():
+            if a + b not in parts:
+                parts[a + b] = [[0, 0] for _ in range(a + b + 1)]
+            parts[a + b][a][side] = -c if side else c
+    minus = min(n - j + _root_multiplicity(c, -1) for j, c in parts.items())
+    plus = min(n - j + _root_multiplicity(c, 1) for j, c in parts.items())
+    return min(2 + minus, plus)
 
 
 def reduction_quotients(sys: DiffSystem, k: int
@@ -487,6 +551,33 @@ def curve_text_by_cases(curve) -> str:
 # The forms they replaced are kept here verbatim: a step function called
 # once per trial step, a closure test on every segment and a scan over
 # every sample. The library must give their answers bit for bit.
+
+
+class DormandPrince54:
+    """Embedded Runge-Kutta 5(4) pair (Dormand & Prince 1980), whole.
+
+    Classic coefficients: seven stages, fifth-order propagation with an
+    embedded fourth-order error estimate (E is the difference of the two
+    weight rows). The last stage evaluates the field at the step's new
+    point, since its row of A equals the propagation weights B ("first
+    same as last", FSAL). The library keeps only the nonzero weights, as
+    the module constants ``_A21`` ... ``_E7`` of ``artifact.dynamics``,
+    each written with the same float expression as its entry here.
+    """
+
+    C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+    A = (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
+    B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+    E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)
 
 
 def loop_rk_step(f, x, y, h, k1x, k1y):

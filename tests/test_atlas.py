@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import Alarm, alarm, case_by_name, polyline
+from conftest import Alarm, alarm, case_by_name, polyline, shared_atlas
 from oracles import atlas_json_dict, atlas_json_text, loop_mid_arc_arrow
 from test_golden import ATLAS
 
@@ -114,7 +114,7 @@ class TestBuildAtlas:
     def test_error_estimate_overflow_rejects_the_step(self):
         # a trial step whose error norm overflows is rejected like any
         # other trial step too large for floats, so the atlas finishes
-        doc = build_atlas(case_by_name("4.9->4.10").system)
+        doc = shared_atlas(case_by_name("4.9->4.10").system)
         for disk in doc.disks:
             assert disk.trajectories
             assert {t.termination for t in disk.trajectories} \
@@ -122,7 +122,7 @@ class TestBuildAtlas:
 
     def test_radial_rays(self):
         sys = case_by_name("5.1->5.2").system
-        doc = build_atlas(sys, quick_config())
+        doc = shared_atlas(sys, quick_config())
         first = doc.disks[0]
         assert first.vars == ("x", "y")
         assert first.trajectories, "expected seeded trajectories"
@@ -132,7 +132,7 @@ class TestBuildAtlas:
                 assert abs(x * y0 - y * x0) < 1e-6 * max(1.0, x * x + y * y)
 
     def test_origin_markers(self):
-        doc = build_atlas(case_by_name("5.1->5.2").system, quick_config())
+        doc = shared_atlas(case_by_name("5.1->5.2").system, quick_config())
         assert doc.disks[0].equilibria == \
             [((0.0, 0.0), "unstable dicritical node")]
         assert doc.disks[1].equilibria == \
@@ -141,11 +141,11 @@ class TestBuildAtlas:
     def test_regular_remote_point_unmarked(self):
         from artifact.parse import parse_system
         sys = parse_system(("x", "y"), ("x^2 - y^2", "2*x*y"))
-        doc = build_atlas(sys, quick_config())
+        doc = shared_atlas(sys, quick_config())
         assert doc.disks[1].equilibria == []
 
     def test_samples_stay_in_disks(self):
-        doc = build_atlas(case_by_name("5.5->5.6").system, quick_config())
+        doc = shared_atlas(case_by_name("5.5->5.6").system, quick_config())
         for disk in doc.disks:
             for traj in disk.trajectories:
                 for _, x, y in traj.samples:
@@ -182,8 +182,8 @@ class TestBuildAtlas:
         assert added == 4  # two bracket seeds, both directions
 
     def test_empty_config(self):
-        doc = build_atlas(case_by_name("5.1->5.2").system,
-                          quick_config(rays=0, rings=0))
+        doc = shared_atlas(case_by_name("5.1->5.2").system,
+                           quick_config(rays=0, rings=0))
         assert sum(len(d.trajectories) for d in doc.disks) == 0
         assert doc.disks[0].radius == 6.0 and doc.disks[1].radius == 6.0
 
@@ -194,7 +194,7 @@ class TestBuildAtlas:
         assert a == b
 
     def test_json_shape(self):
-        doc = build_atlas(case_by_name("5.3->5.4").system, quick_config())
+        doc = shared_atlas(case_by_name("5.3->5.4").system, quick_config())
         blob = json.loads("".join(atlas.json_pieces(doc)))
         assert blob["schema"] == 1
         assert [d["vars"] for d in blob["disks"]] == [["x", "y"], ["u", "v"]]
@@ -204,20 +204,20 @@ class TestBuildAtlas:
 
 class TestRenderSvg:
     def test_empty_has_two_circles(self):
-        doc = build_atlas(case_by_name("5.1->5.2").system,
-                          quick_config(rays=0, rings=0))
+        doc = shared_atlas(case_by_name("5.1->5.2").system,
+                           quick_config(rays=0, rings=0))
         svg = render_svg(doc)
         assert svg.count(b"<circle") == 2
         assert svg.count(b"<polyline") == 0
 
     def test_trajectories_never_add_circles(self):
-        doc = build_atlas(case_by_name("5.3->5.4").system, quick_config())
+        doc = shared_atlas(case_by_name("5.3->5.4").system, quick_config())
         svg = render_svg(doc)
         assert svg.count(b"<circle") == 2
         assert svg.count(b"<polyline") >= len(doc.disks[0].trajectories)
 
     def test_repeat_render_identical(self):
-        doc = build_atlas(case_by_name("7.3->7.4").system, quick_config())
+        doc = shared_atlas(case_by_name("7.3->7.4").system, quick_config())
         assert render_svg(doc) == render_svg(doc)
 
     def test_rebuild_render_identical(self):
@@ -240,7 +240,7 @@ class TestRenderSvg:
             "0.0000,0.0000 -10.0000,0.0000"
 
     def test_arrowheads_present(self):
-        doc = build_atlas(case_by_name("5.3->5.4").system, quick_config())
+        doc = shared_atlas(case_by_name("5.3->5.4").system, quick_config())
         svg = render_svg(doc)
         assert svg.count(b'fill="#1f4e79"') == \
             sum(len(d.arrows) for d in doc.disks)
@@ -255,7 +255,7 @@ class TestMidArcArrow:
     def test_corpus_atlases(self):
         count = 0
         for name in REBUILT:
-            doc = build_atlas(case_by_name(name).system)
+            doc = shared_atlas(case_by_name(name).system)
             for disk in doc.disks:
                 for traj in disk.trajectories:
                     assert repr(atlas._mid_arc_arrow(traj)) == \
@@ -323,8 +323,8 @@ class TestOverlays:
                (1, Point((Fraction(1), Fraction(-2)))))
 
     def build(self):
-        doc = build_atlas(case_by_name("5.1->5.2").system,
-                          quick_config(rays=0, rings=0, markers=self.MARKERS))
+        doc = shared_atlas(case_by_name("5.1->5.2").system,
+                           quick_config(rays=0, rings=0, markers=self.MARKERS))
         runs = [[(curve, run) for curve in disk.curves
                  for run in atlas._curve_polylines(curve, disk.radius)]
                 for disk in doc.disks]
@@ -503,7 +503,7 @@ class TestSplitRuns:
     def test_runs_pickle_packed(self):
         # what the child sends: 24 bytes a sample and about 70 a run; a
         # tuple of three floats a sample pickled to about 29 bytes
-        doc = build_atlas(case_by_name("5.3->5.4").system)
+        doc = shared_atlas(case_by_name("5.3->5.4").system)
         runs = [t for disk in doc.disks for t in disk.trajectories]
         samples = sum(len(t.samples) for t in runs)
         blob = pickle.dumps(runs, pickle.HIGHEST_PROTOCOL)

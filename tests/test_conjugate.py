@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import artifact
 import artifact.conjugate as conjugate_module
+import artifact.poly as poly_module
 from conftest import (
     circled,
     coefficients,
@@ -31,6 +32,7 @@ from conftest import (
 )
 from oracles import (
     bipoly_transported_pair,
+    circle_power_formula,
     divide_by_circle,
     fraction_transported_pair,
     rebuild_from_quotients,
@@ -348,7 +350,7 @@ class TestTheoremChecks:
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("rhs,k", IMPOSSIBLE)
     def test_impossible_k_raises(self, monkeypatch, rhs, k, entry):
-        monkeypatch.setattr(conjugate_module, "_strip_form_pair",
+        monkeypatch.setattr(conjugate_module, "_strip_forms",
                             lambda tu, tv: (k, tu, tv))
         with pytest.raises(ReductionTheoremViolated, match=f"k={k}"):
             getattr(conjugate_module, entry)(system(*rhs))
@@ -362,7 +364,7 @@ class TestTheoremChecks:
             from artifact.parse import parse_system
             if not sys.flags.optimize:
                 sys.exit(2)
-            mod._strip_form_pair = lambda tu, tv: ({k}, tu, tv)
+            mod._strip_forms = lambda tu, tv: ({k}, tu, tv)
             try:
                 mod.{entry}(parse_system(("x", "y"), {rhs!r}))
             except mod.ReductionTheoremViolated:
@@ -507,6 +509,50 @@ class TestPartnerCoprimeByTheorem:
         elif zero == 1:
             q = BiPoly(XY)
         self.check(sympy, p, q)
+
+    def test_shared_circle_power_divided_once(self, monkeypatch):
+        # the pair shares s^3: three divisions a side, and none spent on
+        # finding that power
+        result = conjugate(system("x*(x^2 + y^2)^3", "y*(x^2 + y^2)^3"))
+        calls, real = [], poly_module.divmod_circle
+
+        def counted(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(poly_module, "divmod_circle", counted)
+        assert result._coprime is True
+        assert len(calls) == 6
+
+
+class TestCirclePowerFormula:
+    """The k that ``conjugate`` removes against the closed formula from
+    the roots +-i of the field's complex parts (``circle_power_formula``
+    in tests/oracles.py), which shares nothing with the top-parts walk."""
+
+    def test_corpus(self):
+        ks = set()
+        for case in load_cases():
+            k = conjugate(case.system).k
+            assert circle_power_formula(case.system) == k, case.name
+            ks.add(k)
+        assert ks == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("seed", [1, 7, 7777])
+    def test_sweep_pool_and_tail(self, seed):
+        for field in sweep_fields(seed):
+            sys = system(*field)
+            assert circle_power_formula(sys) == conjugate(sys).k
+
+    @given(rational_fields())
+    @settings(max_examples=100, deadline=None)
+    def test_rational_fields(self, sys):
+        assert circle_power_formula(sys) == conjugate(sys).k
+
+    @given(linear_times_circle())
+    @settings(max_examples=100, deadline=None)
+    def test_linear_parts_times_circle_powers(self, sys):
+        assert circle_power_formula(sys) == conjugate(sys).k
 
 
 def _same_public(got, ref):

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import re
 import types
 import zlib
 from fractions import Fraction
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import case_by_name, polyline
+from conftest import case_by_name, polyline, shared_atlas
 from oracles import (
+    DormandPrince54,
     array_residual,
     loop_detect_closed,
     loop_integrate,
@@ -29,7 +31,6 @@ from artifact.atlas import (
     AtlasConfig,
     AtlasDocument,
     DiskChart,
-    build_atlas,
     detect_closed,
 )
 from artifact.charts import Chart, transition, transition_jacobian
@@ -39,7 +40,6 @@ from artifact.dynamics import (
     _GAUSS_WEIGHTS,
     MAX_TRIAL_STEPS,
     TERMINATIONS,
-    DormandPrince54,
     IntegratorConfig,
     NumericOverflow,
     Samples,
@@ -63,8 +63,8 @@ def radii(traj):
 def atlas_runs(sys, start, cfg):
     """The atlas's forward and backward runs from one seed in the
     original disk, integrated with ``cfg`` inside a disk of radius 6."""
-    doc = build_atlas(sys, AtlasConfig(rays=0, rings=0, integrator=cfg,
-                                       extra_seeds=((1, start),)))
+    doc = shared_atlas(sys, AtlasConfig(rays=0, rings=0, integrator=cfg,
+                                        extra_seeds=((1, start),)))
     return doc.disks[0].trajectories
 
 
@@ -724,6 +724,23 @@ class TestFusedStep:
         # weights the fused step leaves out
         assert T.B[1] == T.E[1] == 0.0
 
+    def test_library_constants_are_the_tableau(self):
+        # each of integrate's constants is its entry of the reference bit
+        # for bit; the last row of A is B, and b2, b7 and e2 are zero
+        T = DormandPrince54
+        expected = {f"_A{i + 1}{j + 1}": w for i, row in enumerate(T.A[:-1])
+                    for j, w in enumerate(row)}
+        expected.update((f"_{name}{i + 1}", w)
+                        for name, row in (("B", T.B), ("E", T.E))
+                        for i, w in enumerate(row) if w)
+        assert len(expected) == 26
+        assert T.B[6] == 0.0
+        library = {name: value for name, value in vars(dynamics).items()
+                   if re.fullmatch(r"_[ABE]\d+", name)}
+        assert library.keys() == expected.keys()
+        for name, w in expected.items():
+            assert float.hex(library[name]) == float.hex(w), name
+
     @pytest.mark.parametrize("name", ["5.3->5.4", "5.9->5.10", "6.3->6.4",
                                       "7.1->7.2"])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -1350,7 +1367,7 @@ class TestVelocities:
     def test_atlas_trajectories_keep_none(self, name):
         cfg = AtlasConfig(rays=4, rings=1,
                           integrator=IntegratorConfig(max_time=3.0))
-        doc = build_atlas(case_by_name(name).system, cfg)
+        doc = shared_atlas(case_by_name(name).system, cfg)
         runs = [traj for disk in doc.disks for traj in disk.trajectories]
         assert any(t.termination == "exited-outer-disk" for t in runs)
         assert all(len(t.velocities) == 0 for t in runs)

@@ -16,10 +16,12 @@ from conftest import (
     const,
     nonzero_bipolys,
     planted_factors,
+    rational_fields,
     sympy_coprime,
 )
-from oracles import homogeneous_components, partial
+from oracles import homogeneous_components, loop_circle_valuation, partial
 from artifact.conjugate import conjugate
+from artifact.corpus import load_cases
 from artifact.parse import parse_polynomial
 from artifact import poly as poly_module
 from artifact.poly import (
@@ -159,9 +161,24 @@ class TestCircleDivision:
         # p * s^k covers the zero polynomial (math.inf) and, for a constant
         # p, pure circle powers; the integer numerators give the same k
         p = circled(p, k)
-        assert circle_valuation(p) == _ref_circle_valuation(p)
+        assert circle_valuation(p) == loop_circle_valuation(p)
         (ints,), _ = integer_numerators(p)
-        assert circle_valuation(ints) == _ref_circle_valuation(p)
+        assert circle_valuation(ints) == loop_circle_valuation(p)
+
+    def test_valuation_matches_the_full_loop_on_the_corpus(self):
+        for case in load_cases():
+            for sys in (case.system, conjugate(case.system).conjugate):
+                for side in sys.rhs:
+                    assert circle_valuation(side) == \
+                        loop_circle_valuation(side), case.name
+
+    @given(rational_fields(), st.integers(0, 4),
+           st.one_of(st.just(BiPoly(XY)), bipolys(max_terms=1)))
+    def test_valuation_matches_the_full_loop_on_fields(self, sys, k, term):
+        # each side times s^k, and with a term added that may break it
+        for side in sys.rhs:
+            for p in (circled(side, k), circled(side, k) + term):
+                assert circle_valuation(p) == loop_circle_valuation(p)
 
     @given(bipolys())
     def test_divide_undoes_multiply(self, p):
@@ -518,19 +535,6 @@ def _ref_divmod_circle(p):
             dst[i + 2] = dst.get(i + 2, _ZERO) - c
     rem = {(i, j): c for j, row in cols.items() for i, c in row.items() if c}
     return BiPoly(p.vars, quot), BiPoly(p.vars, rem)
-
-
-def _ref_circle_valuation(p):
-    """circle_valuation as a plain loop of divisions, with no early exit."""
-    if not p.terms:
-        return math.inf
-    k = 0
-    while True:
-        q, r = divmod_circle(p)
-        if r.terms:
-            return k
-        k += 1
-        p = q
 
 
 def _same(result, reference, *operands):
