@@ -123,6 +123,7 @@ class AtlasDocument:
 # largest of tol, |start| and the samples' distances from the start: the
 # rounding of either test is a few units in the last place of those.
 _CLOSURE_SLACK = 1e-12
+_CLOSURE_SAMPLES = 10   # the fewest samples that detect_closed tests
 
 
 def detect_closed(traj: Trajectory, tol: float) -> bool:
@@ -138,9 +139,10 @@ def detect_closed(traj: Trajectory, tol: float) -> bool:
     exact closest-approach test runs only on segments where that bound
     is under tol, plus a rounding slack; the others cannot pass it.
     """
-    if len(traj.samples) < 10:
-        raise ValueError("closure detection needs at least 10 samples")
-    flat = traj.samples.flat
+    flat = traj.flat
+    if len(flat) < 3 * _CLOSURE_SAMPLES:
+        raise ValueError(f"closure detection needs at least "
+                         f"{_CLOSURE_SAMPLES} samples")
     pts = list(zip(flat[1::3], flat[2::3]))
     p0 = x0, y0 = pts[0]
     # math.dist(p, p0) is math.hypot of the differences, bit for bit
@@ -178,7 +180,7 @@ def _clip_exit(traj: Trajectory, radius: float) -> None:
     """Pull an overshooting final sample back onto the disk boundary."""
     if traj.termination != "exited-outer-disk":
         return
-    flat = traj.samples.flat
+    flat = traj.flat
     t0, x0, y0, t1, x1, y1 = flat[-6:]
     dx, dy = x1 - x0, y1 - y0
     # smallest s in [0, 1] with |(x0, y0) + s*(dx, dy)| = radius
@@ -197,7 +199,7 @@ def _clip_exit(traj: Trajectory, radius: float) -> None:
 
 def _mid_arc_arrow(traj: Trajectory):
     """Arrow at the sample nearest half the polyline's arc length."""
-    flat = traj.samples.flat
+    flat = traj.flat
     pts = list(zip(flat[1::3], flat[2::3]))
     if len(pts) < 3:
         return None
@@ -249,8 +251,9 @@ def _run(job) -> Trajectory:
     clipped exit's would be the field at the overshoot."""
     system, seed, icfg, direction = job
     traj = integrate(system, seed, icfg, direction=direction)
-    if traj.termination == "time-limit" and len(traj.samples) >= 10:
-        _, x0, y0 = traj.samples[0]
+    if (traj.termination == "time-limit"
+            and len(traj.flat) >= 3 * _CLOSURE_SAMPLES):
+        _, x0, y0 = traj.flat[:3]
         # loose enough to absorb the sag of sampled chords on a curved orbit
         if detect_closed(traj, 1e-3 * max(1.0, math.hypot(x0, y0))):
             traj.termination = "closed"
@@ -496,7 +499,7 @@ def svg_pieces(doc: AtlasDocument):
                        f'stroke="#b3402a" stroke-width="1.2" '
                        f'stroke-dasharray="6 4"/>\n')
         for traj in disk.trajectories:
-            flat = traj.samples.flat
+            flat = traj.flat
             pts = _points(cx, cy, scale, zip(flat[1::3], flat[2::3]))
             yield (f'<polyline points="{pts}" fill="none" '
                    f'stroke="#1f4e79" stroke-width="1"/>\n')
@@ -568,7 +571,7 @@ def json_pieces(doc: AtlasDocument):
     yield head
     runs = (t for disk in doc.disks for t in disk.trajectories)
     for traj, tail in zip(runs, tails):
-        rows = ",\n            ".join([_ROW] * len(traj.samples))
-        yield '"samples": [\n            ' + rows % tuple(traj.samples.flat)
+        rows = ",\n            ".join([_ROW] * (len(traj.flat) // 3))
+        yield '"samples": [\n            ' + rows % tuple(traj.flat)
         yield "\n          ]" + tail
     yield "\n"

@@ -60,67 +60,33 @@ TERMINATIONS = ("time-limit", "exited-outer-disk", "entered-origin-guard",
 MAX_TRIAL_STEPS = 10_000
 
 
-class Samples:
-    """The samples of one run, packed in one ``array('d')`` as t, x, y,
-    t, x, y, ... (``flat``), 24 bytes a sample.
-
-    It reads as a sequence of (t, x, y) triples: ``len`` counts samples,
-    an int index (negative ones too) gives one triple, and iteration
-    gives each in order. Two are equal when their floats are. Readers of
-    many samples work on ``flat`` itself.
-    """
-
-    __slots__ = ("flat",)
-
-    def __init__(self, flat: array):
-        self.flat = flat
-
-    def __len__(self) -> int:
-        return len(self.flat) // 3
-
-    def __getitem__(self, index: int) -> tuple[float, float, float]:
-        count = len(self)
-        if not -count <= index < count:
-            raise IndexError("sample index out of range")
-        at = 3 * (index % count)
-        return tuple(self.flat[at:at + 3])
-
-    def __iter__(self):
-        floats = iter(self.flat)
-        return zip(floats, floats, floats)
-
-    def __eq__(self, other):
-        if not isinstance(other, Samples):
-            return NotImplemented
-        return self.flat == other.flat
-
-    def __reduce__(self):
-        return Samples, (self.flat,)
-
-    def __repr__(self) -> str:
-        return f"Samples({self.flat!r})"
-
-
 @dataclass
 class Trajectory:
     """Samples of one integrated orbit and why the integration stopped.
 
-    ``samples`` packs (t, x, y) at the start and after each accepted
-    step, times strictly increasing. ``termination`` is one of
-    ``TERMINATIONS``; ``integrate`` gives the first six, and only the
-    atlas relabels a time-limit run "closed". ``velocities`` holds the
-    field (signed like time) at each sample as (vx, vy) pairs in a run
-    from ``integrate``; an atlas run keeps none. ``accepted`` and
-    ``rejected`` count the integrator's trial steps. The velocities and
-    both counts are deterministic but stay out of the atlas JSON, so
-    output documents do not change with them.
+    ``flat`` packs (t, x, y) at the start and after each accepted step
+    as t, x, y, t, x, y, ... in one ``array('d')``, 24 bytes a sample,
+    times strictly increasing. ``termination`` is one of ``TERMINATIONS``;
+    ``integrate`` gives the first six, and only the atlas relabels a
+    time-limit run "closed". ``velocities`` holds the field (signed like
+    time) at each sample as (vx, vy) pairs in a run from ``integrate``;
+    an atlas run keeps none. ``accepted`` and ``rejected`` count the
+    integrator's trial steps. The velocities and both counts are
+    deterministic but stay out of the atlas JSON, so output documents do
+    not change with them.
     """
 
-    samples: Samples
+    flat: array
     termination: str
     accepted: int = 0
     rejected: int = 0
     velocities: array = field(default_factory=lambda: array("d"))
+
+    @property
+    def samples(self) -> list:
+        """The (t, x, y) tuples of ``flat``, a new list on each read. The
+        library never reads it; only the benchmark and the tests do."""
+        return list(zip(*[iter(self.flat)] * 3))
 
 
 _TERMS_PER_LINE = 64
@@ -358,8 +324,8 @@ def integrate(sys: DiffSystem, start, cfg: IntegratorConfig | None = None,
         # min(5.0, 0.9 * (err ** -0.2 if err > 0 else 5.0))
         grow = 0.9 * (err ** -0.2 if err > 0 else 5.0)
         h *= grow if grow < 5.0 else 5.0
-    return Trajectory(Samples(_packed(samples)), termination, accepted,
-                      rejected, _packed(velocities))
+    return Trajectory(_packed(samples), termination, accepted, rejected,
+                      _packed(velocities))
 
 
 def _packed(floats: list) -> array:
@@ -450,7 +416,7 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
     guard2 = cfg.origin_guard ** 2
     mapped = []  # (tau, qx, qy) at each kept sample
     tau = 0.0
-    samples = iter(traj.samples.flat.tolist())
+    samples = iter(traj.flat.tolist())
     velocities = iter(traj.velocities)
     for t, x, y, vx, vy in zip(samples, samples, samples,
                                velocities, velocities):
@@ -484,7 +450,7 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
     q0 = transition((float(start[0]), float(start[1])))
     partner = integrate(result.conjugate, q0,
                         replace(cfg, max_time=tau, max_step=tau))
-    if len(partner.samples) < 2:  # the partner sits at an equilibrium
+    if len(partner.flat) < 6:  # the partner sits at an equilibrium
         return 0.0
     # sqrt is monotone: the largest gap. max replaces its first item, 0.0,
     # only by a greater one, so a NaN gap is passed over
@@ -494,7 +460,7 @@ def conjugacy_residual(sys: DiffSystem, result: ConjugationResult, start,
 def _squared_gaps(mapped, partner: Trajectory):
     """The squared gap across the partner's velocity at each mapped
     sample (tau, qx, qy), in order, up to the partner's last time."""
-    samples, g = partner.samples.flat.tolist(), partner.velocities
+    samples, g = partner.flat.tolist(), partner.velocities
     times = samples[0::3]
     # a partner at the time limit may stop a relative 1e-12 short of it
     end = math.inf if partner.termination == "time-limit" else times[-1]

@@ -24,7 +24,7 @@ from artifact.atlas import AtlasConfig, build_atlas
 from artifact.charts import AT_INFINITY, Circle, Line, Point
 from artifact.conjugate import DiffSystem
 from artifact.corpus import load_cases
-from artifact.dynamics import Samples, Trajectory
+from artifact.dynamics import Trajectory
 from artifact.poly import BiPoly, power
 
 
@@ -190,7 +190,7 @@ def polyline(points) -> Trajectory:
     """A time-limit run through the (x, y) points, the k-th at t = k."""
     flat = array("d", [v for t, (x, y) in enumerate(points)
                        for v in (t, x, y)])
-    return Trajectory(Samples(flat), "time-limit")
+    return Trajectory(flat, "time-limit")
 
 
 @cache
@@ -252,6 +252,16 @@ def alarm(seconds: float):
         if collecting:
             gc.enable()
         signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped. A plain assertion,
+    so a leak is no ``pytest.fail`` (an expected failure of some rows)."""
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError(f"a child process is left (waitpid gave {pid})")
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,8 @@
 # stand-in script named `artifact` that runs
 #     exec -a artifact python3 -m artifact.cli "$@"
 # with PYTHONPATH set to the checkout's src/ serves, and keeps "artifact"
-# in the argv of its processes, so that the last check still sees them.
+# in the argv of its processes, so that the last check still sees them;
+# `bash tests/run_console_checks.sh` sets all of that up and runs this.
 #
 # no PYTHONPATH: the [project.scripts] entry point must find the
 # installed package on its own; a 100 KB right side past the

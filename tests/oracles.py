@@ -91,7 +91,6 @@ from artifact.dynamics import (
     _GAUSS_WEIGHTS,
     MAX_TRIAL_STEPS,
     IntegratorConfig,
-    Samples,
     Trajectory,
     _field,
     _finite,
@@ -706,8 +705,8 @@ def loop_integrate(sys: DiffSystem, start,
             termination = "time-limit"
             break
         h *= min(5.0, 0.9 * (err ** -0.2 if err > 0 else 5.0))
-    return Trajectory(Samples(array("d", chain.from_iterable(samples))),
-                      termination, accepted, rejected, array("d", velocities))
+    return Trajectory(array("d", chain.from_iterable(samples)), termination,
+                      accepted, rejected, array("d", velocities))
 
 
 def loop_detect_closed(traj: Trajectory, tol: float) -> bool:
@@ -817,7 +816,7 @@ def atlas_json_text(doc) -> str:
 
 def arrays(traj: Trajectory):
     """Times (n,), points (n, 2) and velocities (n, 2) as float arrays."""
-    txy = np.array(traj.samples.flat).reshape(-1, 3)
+    txy = np.array(traj.flat).reshape(-1, 3)
     return txy[:, 0], txy[:, 1:], np.array(traj.velocities).reshape(-1, 2)
 
 

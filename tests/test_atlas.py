@@ -13,7 +13,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import Alarm, alarm, case_by_name, polyline, shared_atlas
+from conftest import (
+    Alarm,
+    alarm,
+    assert_no_child_left,
+    case_by_name,
+    polyline,
+    shared_atlas,
+)
 from oracles import atlas_json_dict, atlas_json_text, loop_mid_arc_arrow
 from test_golden import ATLAS
 
@@ -403,11 +410,6 @@ def assert_same_document(split, serial):
 
 def expected_forks() -> int:
     return 1 if atlas._may_fork(2) else 0
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 # run 3 of a quick_config atlas is the backward run from its second seed,

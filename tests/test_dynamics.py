@@ -9,6 +9,7 @@ import random
 import re
 import types
 import zlib
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,6 @@ from artifact.dynamics import (
     TERMINATIONS,
     IntegratorConfig,
     NumericOverflow,
-    Samples,
     conjugacy_residual,
     field_eval,
     integrate,
@@ -1386,45 +1386,49 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestSamples:
-    """``Samples`` reads like the list of (t, x, y) tuples it replaced."""
+    """``Trajectory.samples`` reads ``flat`` as the list of (t, x, y)
+    tuples it replaced, a new list on each read; a run pickles and copies
+    with its packed floats."""
 
     @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=12))
     def test_reads_like_the_list_of_rows(self, points):
         rows = [(float(t), x, y) for t, (x, y) in enumerate(points)]
-        samples = polyline(points).samples
-        assert len(samples) == len(rows)
-        assert list(samples) == rows
+        traj = polyline(points)
+        samples = traj.samples
+        assert type(samples) is list and samples == rows
         assert all(type(row) is tuple for row in samples)
-        for index in range(-len(rows), len(rows)):
-            assert samples[index] == rows[index]
-        for index in (len(rows), -len(rows) - 1):
-            with pytest.raises(IndexError):
-                samples[index]
         # repr tells -0.0 from 0.0
-        assert repr(list(samples)) == repr(rows)
+        assert repr(samples) == repr(rows)
+        # a new list on each read: changing one leaves the run as it was
+        samples.clear()
+        assert traj.samples == rows and len(traj.flat) == 3 * len(rows)
+
+    def test_read_only(self):
+        traj = polyline([(1.0, 0.0)])
+        with pytest.raises(AttributeError):
+            traj.samples = []
 
     @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=12),
            st.data())
     def test_equal_when_the_floats_are(self, points, data):
-        samples = polyline(points).samples
-        assert samples == polyline(points).samples
-        for twin in (pickle.loads(pickle.dumps(samples)),
-                     copy.deepcopy(samples)):
-            assert twin == samples and twin.flat is not samples.flat
-            assert twin.flat.typecode == "d"
-            assert repr(list(twin)) == repr(list(samples))
+        traj = polyline(points)
+        assert traj == polyline(points)
+        for twin in (pickle.loads(pickle.dumps(traj)), copy.deepcopy(traj)):
+            assert twin == traj and twin.flat is not traj.flat
+            assert type(twin.flat) is array and twin.flat.typecode == "d"
+            assert repr(twin.samples) == repr(traj.samples)
         k = data.draw(st.integers(0, len(points) - 1))
         x, y = points[k]
         # the next float toward zero, or 1.0 for a zero
         moved = points[:k] + [(math.nextafter(x, 0.0) if x else 1.0, y)] \
             + points[k + 1:]
-        assert samples != polyline(moved).samples
-        assert samples != polyline(points + [(x, y)]).samples
+        assert traj != polyline(moved)
+        assert traj != polyline(points + [(x, y)])
 
     def test_integrate_packs_what_the_loop_collects(self):
         sys = case_by_name("5.9->5.10").system
         cfg = IntegratorConfig(max_time=5.0)
         traj = integrate(sys, (0.7, -0.2), cfg)
-        assert type(traj.samples) is Samples
-        assert traj.samples == loop_integrate(sys, (0.7, -0.2), cfg).samples
-        assert len(traj.samples.flat) == 3 * len(traj.samples) > 30
+        assert type(traj.flat) is array and traj.flat.typecode == "d"
+        assert traj.flat == loop_integrate(sys, (0.7, -0.2), cfg).flat
+        assert len(traj.flat) == 3 * len(traj.samples) > 30

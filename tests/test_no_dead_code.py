@@ -14,6 +14,14 @@ must be named the same way, and each name that a module's top-level
 import binds must be used in that module, apart from ``__future__``
 imports and names on a line marked ``# noqa: F401`` (a re-export).
 
+The benchmark may keep alive only the names in ``BENCHMARK_ONLY``: each
+public definition that perfbench names and nothing in the library does
+is listed there, and each listed one is such a definition. The list is
+debt; it shrinks as the benchmark stops naming code that the system
+does not need. ``Trajectory.samples`` is one of them, and since it
+builds a list on each read, no library module reads an attribute
+``samples`` at all.
+
 Operators are applied, not named, so the scan above cannot see them.
 ``BiPoly`` instead defines exactly the dunder methods in
 ``BIPOLY_DUNDERS``: the ones the library applies, and ``__repr__``,
@@ -31,6 +39,10 @@ BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 BIPOLY_DUNDERS = ("__add__", "__eq__", "__init__", "__mul__", "__neg__",
                   "__repr__", "__sub__")
+BENCHMARK_ONLY = ("atlas.render_svg", "conjugate.pushforward_residual",
+                  "conjugate.raw_conjugate", "dynamics.Trajectory.samples",
+                  "dynamics.conjugacy_residual", "dynamics.hausdorff_distance",
+                  "poly.BiPoly.with_vars")
 
 
 def _definitions(tree):
@@ -71,13 +83,13 @@ def _trees():
             for path in LIBRARY + BENCHMARK}
 
 
-def unreferenced():
+def unreferenced(users=LIBRARY + BENCHMARK):
     """``module.name`` (``module.Class.method`` for a method) for each
-    public definition nothing else names; a definition's own body does
-    not count as a use of it, and only attribute reads count for a
-    method."""
+    public definition that nothing in ``users`` names; a definition's own
+    body does not count as a use of it, and only attribute reads count
+    for a method."""
     trees = _trees()
-    counts = [_names_used(tree) for tree in trees.values()]
+    counts = [_names_used(trees[path]) for path in users]
     used = [sum(kind, Counter()) for kind in zip(*counts)]
     # a method's qualified name has a dot: it reads the second count
     return [f"{path.stem}.{name}" for path in LIBRARY
@@ -135,6 +147,23 @@ def test_every_public_definition_has_a_caller():
     assert not missing, (
         "named nowhere in src/artifact (outside __init__) or perfbench: "
         + ", ".join(missing))
+
+
+def test_only_the_listed_names_live_on_the_benchmark():
+    only = sorted(set(unreferenced(LIBRARY)) - set(unreferenced()))
+    assert only == list(BENCHMARK_ONLY), (
+        f"named by perfbench alone, not listed: "
+        f"{sorted(set(only) - set(BENCHMARK_ONLY))}; listed, but the "
+        f"library names it or nothing does: "
+        f"{sorted(set(BENCHMARK_ONLY) - set(only))}")
+
+
+def test_the_library_reads_no_samples_view():
+    reads = [f"{path.stem}.py:{node.lineno}" for path in LIBRARY
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "samples"]
+    assert not reads, "reads Trajectory.samples, a new list: " + \
+        ", ".join(reads)
 
 
 def test_the_scan_sees_the_library():
